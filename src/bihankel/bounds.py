@@ -274,11 +274,13 @@ def fekete_szego_bound(family: FamilyId, beta: float, mu: float) -> float:
 
     STARLIKE: 1 - b on mu in [1/2, 3/2], else 2 (1-b) |mu - 1|.
     CONVEX:   (1-b)/3 on mu in [2/3, 4/3], else (1-b) |mu - 1|.
-    Both pieces agree at the joins.
+    Both pieces agree at the joins.  Non-finite mu raises DomainError.
     """
     beta = check_beta(beta)
     w = 1.0 - beta
     mu = float(mu)
+    if not math.isfinite(mu):
+        raise DomainError(f"mu must be finite, got {mu}")
     if family is FamilyId.STARLIKE:
         if 0.5 <= mu <= 1.5:
             return w

@@ -19,11 +19,12 @@ from . import bounds as bd
 from . import optimizer as opt
 from . import series as ts
 from . import verification
-from .errors import BihankelError
+from .errors import BihankelError, DomainError
 from .functionals import BiCoefficients, FamilyId, Order, verify_coefficient_system
 
 DERIVE_TOL = 1e-10
-DOMINANCE_SLACK = 1e-12
+# per family; keeps a tiny --step from building an unbounded table
+MAX_TABLE_ROWS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -120,6 +121,8 @@ def cmd_verify(args) -> int:
     if args.trials < 1 or args.samples < 1:
         return _usage_error("trials and samples must be >= 1")
 
+    # the beta-independent spot checks are shared by every pair of this run
+    verification.clear_spot_check_cache()
     lines = []
     ok = True
     for family in _families(args.family):
@@ -152,12 +155,22 @@ def cmd_verify(args) -> int:
 
 
 def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_TABLE_ROWS:
+        raise DomainError(
+            f"step {step} gives more than {MAX_TABLE_ROWS} rows per family"
+        )
+    count = int(math.floor(span)) + 1
     return [lo + k * step for k in range(count)]
 
 
 def cmd_table(args) -> int:
     lo, hi = args.beta_range
+    if not all(math.isfinite(v) for v in (lo, hi, args.step)):
+        return _usage_error(
+            f"step and beta range must be finite, got step {args.step}, "
+            f"range [{lo}, {hi}]"
+        )
     if args.step <= 0.0:
         return _usage_error(f"step must be > 0, got {args.step}")
     if lo > hi:
@@ -248,7 +261,7 @@ def cmd_search(args) -> int:
         "gap": gap,
     }
     _emit(json.dumps(record, indent=2) + "\n", args.output)
-    return 0 if result.max_value <= bound + DOMINANCE_SLACK else 1
+    return 0 if result.max_value <= bound + verification.DOMINANCE_SLACK else 1
 
 
 def cmd_derive(args) -> int:

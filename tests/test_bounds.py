@@ -274,6 +274,12 @@ class TestFeketeSzegoBound:
         assert fekete_szego_bound(FamilyId.STARLIKE, 0.0, 3.0) == 4.0
         assert fekete_szego_bound(FamilyId.CONVEX, 0.0, 2.0) == 1.0
 
+    @pytest.mark.parametrize("family", list(FamilyId))
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_is_domain_error(self, family, mu):
+        with pytest.raises(DomainError):
+            fekete_szego_bound(family, 0.0, mu)
+
     @pytest.mark.parametrize("beta", BETAS)
     def test_continuity_at_joins(self, beta):
         for family, joins in (

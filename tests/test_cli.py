@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bihankel import cli
 from bihankel.cli import main
 
 
@@ -53,6 +54,25 @@ class TestVerify:
         assert out == ""
         assert "all checks passed" in path.read_text()
 
+    def test_multi_pair_run_matches_single_pair_runs(self, capsys):
+        common = ("--trials", "20", "--samples", "200", "--seed", "3")
+        code, out, _ = run_cli(
+            capsys, "verify", "--family", "both", "--beta", "0", "--beta", "0.7",
+            *common,
+        )
+        assert code == 0
+        blocks = []
+        for family in ("starlike", "convex"):
+            for beta in ("0", "0.7"):
+                code_1, out_1, _ = run_cli(
+                    capsys, "verify", "--family", family, "--beta", beta, *common
+                )
+                assert code_1 == 0
+                lines = out_1.splitlines()
+                assert lines[-1] == "result: all checks passed"
+                blocks.extend(lines[:-1])
+        assert out.splitlines() == blocks + ["result: all checks passed"]
+
 
 class TestTable:
     def test_csv_schema_and_row_count(self, capsys):
@@ -100,6 +120,45 @@ class TestTable:
     def test_range_outside_domain(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--beta-range", "0.5", "1.0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--step", "nan"),
+            ("--step", "inf"),
+            ("--beta-range", "nan", "0.5"),
+            ("--beta-range", "0", "nan"),
+            ("--beta-range", "0", "inf"),
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "step,lo,hi", [("1e-12", "0", "0.9"), ("5e-324", "0", "0.9"), ("9e-7", "0", "0.9")]
+    )
+    def test_too_many_rows_is_usage_error(self, capsys, step, lo, hi):
+        code, out, err = run_cli(capsys, "table", "--step", step, "--beta-range", lo, hi)
+        assert code == 2
+        assert out == ""
+        assert "rows per family" in err
+
+    def test_row_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 10)
+        argv = ("table", "--family", "convex", "--step", "0.1", "--beta-range", "0")
+        code, out, _ = run_cli(capsys, *argv, "0.9")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 10
+        code, _, err = run_cli(capsys, *argv, "0.9", "--step", "0.09")
+        assert code == 2
+        assert "rows per family" in err
+
+    def test_benchmark_sized_sweep_is_far_below_the_cap(self):
+        assert len(cli._beta_grid(0.0, 0.99, 4e-4)) == 2476
+        assert 100 * 2476 < cli.MAX_TABLE_ROWS
 
 
 class TestSearch:
@@ -183,6 +242,15 @@ class TestFsBound:
             capsys, "fs-bound", "--family", "convex", "--beta", "1.5", "--mu", "1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    def test_non_finite_mu_is_usage_error(self, capsys, mu):
+        code, out, err = run_cli(
+            capsys, "fs-bound", "--family", "starlike", f"--mu={mu}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "mu" in err
 
 
 class TestUsage:
