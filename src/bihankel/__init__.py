@@ -21,7 +21,6 @@ from .bounds import (
     quartic_profile,
     starlike_h22_bound,
     starlike_surrogate_terms,
-    surrogate_surface,
     surrogate_terms,
     thresholds,
 )

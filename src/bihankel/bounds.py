@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .functionals import FamilyId
+from .functionals import FamilyId, check_beta
 
 
 class Branch(enum.Enum):
@@ -75,14 +75,6 @@ def thresholds() -> Thresholds:
         quartic_sign_change=(13.0 - math.sqrt(89.0)) / 16.0,
         branch_split=(29.0 - math.sqrt(137.0)) / 32.0,
     )
-
-
-def check_beta(beta: float) -> float:
-    """Validate beta in [0, 1); out-of-domain values raise, never clamp."""
-    beta = float(beta)
-    if not 0.0 <= beta < 1.0:
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
-    return beta
 
 
 def _check_c(c) -> None:
@@ -173,12 +165,16 @@ class QuarticProfile:
         return 12.0 * self.alpha4 * c * c + 2.0 * self.alpha2
 
     def surface(self, lam, mu, c):
-        """Majorant F(lam, mu) at fixed c; accepts arrays in lam and mu."""
+        """Majorant F(lam, mu) at c; lam, mu and c broadcast as numpy arrays.
+
+        This is the package's one evaluation of the majorant: the grid scans
+        and the pointwise dominance check all call it.
+        """
         _check_unit(lam, "lambda")
         _check_unit(mu, "mu")
         t1, t2, t3, t4 = self.terms(c)
         s = lam + mu
-        return t1 + t2 * s + t3 * (lam * lam + mu * mu) + t4 * s * s
+        return t1 + t2 * s + t3 * (lam * lam + mu * mu) + t4 * (s * s)
 
 
 def quartic_profile(family: FamilyId, beta: float) -> QuarticProfile:
@@ -206,10 +202,6 @@ def quartic_profile(family: FamilyId, beta: float) -> QuarticProfile:
 def corner_value(family: FamilyId, c, beta: float):
     """Q(c): the majorant surface at lam = mu = 1."""
     return quartic_profile(family, beta).value(c)
-
-
-def surrogate_surface(profile: QuarticProfile, lam, mu, c):
-    return profile.surface(lam, mu, c)
 
 
 def critical_point(family: FamilyId, beta: float) -> float | None:

@@ -92,16 +92,23 @@ class HerglotzMeasure:
             raise ConstraintViolation(f"atom weights sum to {total}, not 1")
 
 
-def coeffs_from_disk_params(params: DiskParams) -> PCoefficients:
-    """Evaluate the (c, x, z) parametrization into a coefficient triple."""
-    c = params.c
-    x = params.x
-    z = params.z
+def disk_coeffs(c, x, z):
+    """(c2, c3) of the (c, x, z) parametrization; scalars or numpy arrays.
+
+    Written with operators only (`abs` dispatches to `np.abs` on arrays), so
+    the scalar and the vectorized paths evaluate the same expression.
+    """
     gap = 4.0 - c * c
     c2 = (c * c + x * gap) / 2.0
     c3 = (c**3 + 2.0 * gap * c * x - c * gap * x * x
           + 2.0 * gap * (1.0 - abs(x) ** 2) * z) / 4.0
-    return PCoefficients(complex(c), c2, c3)
+    return c2, c3
+
+
+def coeffs_from_disk_params(params: DiskParams) -> PCoefficients:
+    """Evaluate the (c, x, z) parametrization into a coefficient triple."""
+    c2, c3 = disk_coeffs(params.c, params.x, params.z)
+    return PCoefficients(complex(params.c), c2, c3)
 
 
 def coeffs_from_herglotz(measure: HerglotzMeasure, k_max: int) -> list[complex]:

@@ -20,7 +20,7 @@ from . import optimizer as opt
 from . import series as ts
 from . import verification
 from .errors import BihankelError, DomainError
-from .functionals import BiCoefficients, FamilyId, Order, verify_coefficient_system
+from .functionals import FamilyId, Order, series_residual
 
 DERIVE_TOL = 1e-10
 # per family; keeps a tiny --step from building an unbounded table
@@ -114,12 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    betas = args.beta if args.beta else [0.0]
-    for beta in betas:
-        if not 0.0 <= beta < 1.0:
-            return _usage_error(f"beta must lie in [0, 1), got {beta}")
-    if args.trials < 1 or args.samples < 1:
-        return _usage_error("trials and samples must be >= 1")
+    betas = [bd.check_beta(b) for b in args.beta or [0.0]]
 
     # the beta-independent spot checks are shared by every pair of this run
     verification.clear_spot_check_cache()
@@ -219,13 +214,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.samples < 1:
-        return _usage_error(f"samples must be >= 1, got {args.samples}")
-    if not 0.0 <= args.beta < 1.0:
-        return _usage_error(f"beta must lie in [0, 1), got {args.beta}")
-    if not 0.0 <= args.boundary_fraction <= 1.0:
-        return _usage_error("boundary fraction must lie in [0, 1]")
-
     family = FamilyId(args.family)
     result = opt.empirical_max_h22(
         family,
@@ -265,12 +253,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    betas = args.beta if args.beta else [0.0, 0.3, 0.7]
-    for beta in betas:
-        if not 0.0 <= beta < 1.0:
-            return _usage_error(f"beta must lie in [0, 1), got {beta}")
-    if args.trials < 1:
-        return _usage_error(f"trials must be >= 1, got {args.trials}")
+    betas = [bd.check_beta(b) for b in args.beta or [0.0, 0.3, 0.7]]
 
     koebe_like = ts.TruncatedSeries.from_coeffs([0, 1, 2, 3, 4], 4)
     inverse = ts.invert_composition(koebe_like)
@@ -284,16 +267,7 @@ def cmd_derive(args) -> int:
     worst = 0.0
     for family in (FamilyId.STARLIKE, FamilyId.CONVEX):
         for beta in betas:
-            order = Order(beta)
-            for _ in range(args.trials):
-                draw = rng.uniform(-3.0, 3.0, 6)
-                a = BiCoefficients(
-                    complex(draw[0], draw[1]),
-                    complex(draw[2], draw[3]),
-                    complex(draw[4], draw[5]),
-                )
-                report = verify_coefficient_system(family, order, a)
-                worst = max(worst, report.max_residual)
+            worst = max(worst, series_residual(family, Order(beta), rng, args.trials))
     lines.append(
         f"trials={args.trials} per family/beta, betas="
         + ",".join(_fmt(b) for b in betas)
@@ -307,8 +281,6 @@ def cmd_derive(args) -> int:
 
 
 def cmd_fs_bound(args) -> int:
-    if not 0.0 <= args.beta < 1.0:
-        return _usage_error(f"beta must lie in [0, 1), got {args.beta}")
     value = bd.fekete_szego_bound(FamilyId(args.family), args.beta, args.mu)
     print(_fmt(value))
     return 0

@@ -8,7 +8,7 @@ subject to the same geometric condition, matching Taylor coefficients in
 
 for f and for g yields two coefficient triples (c1, c2, c3) and
 (d1, d2, d3) with d1 = -c1.  Solving the difference equations gives closed
-forms for (a2, a3, a4); `reconstruct` evaluates them.  Deliberately, only
+forms for (a2, a3, a4); `bi_coeffs` evaluates them.  Deliberately, only
 the differences c2 - d2 and c3 - d3 are used: the sum constraint implied by
 the full system is *not* enforced, so the feasible set here matches the
 relaxation under which the closed-form bounds are derived.
@@ -38,6 +38,14 @@ class FamilyId(enum.Enum):
     CONVEX = "convex"
 
 
+def check_beta(beta: float) -> float:
+    """Validate beta in [0, 1); out-of-domain values raise, never clamp."""
+    beta = float(beta)
+    if not 0.0 <= beta < 1.0:
+        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+    return beta
+
+
 @dataclass(frozen=True)
 class Order:
     """Order parameter beta of the geometric condition, 0 <= beta < 1."""
@@ -45,8 +53,7 @@ class Order:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta < 1.0:
-            raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
+        check_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -67,30 +74,21 @@ class BiCoefficients:
         return (complex(self.a2), complex(self.a3), complex(self.a4))
 
 
-def reconstruct(
-    family: FamilyId, order: Order, p: PCoefficients, q: PCoefficients
-) -> BiCoefficients:
-    """Closed-form (a2, a3, a4) from a coefficient pair with d1 = -c1.
+def bi_coeffs(family: FamilyId, w, c1, dc2, dc3):
+    """Closed-form (a2, a3, a4); scalars or numpy arrays.
+
+    w is 1 - beta, c1 the shared first coefficient, and dc2 = c2 - d2,
+    dc3 = c3 - d3 the differences of the two coefficient triples.
 
     STARLIKE:
-        a2 = (1-b) c1
-        a3 = (1-b)^2 c1^2 + (1-b)(c2 - d2)/4
-        a4 = (2/3)(1-b)^3 c1^3 + (5/8)(1-b)^2 c1 (c2 - d2)
-             + (1/6)(1-b)(c3 - d3)
+        a2 = w c1
+        a3 = w^2 c1^2 + w dc2 / 4
+        a4 = (2/3) w^3 c1^3 + (5/8) w^2 c1 dc2 + w dc3 / 6
     CONVEX:
-        a2 = (1-b) c1 / 2
-        a3 = (1-b)^2 c1^2 / 4 + (1-b)(c2 - d2)/12
-        a4 = (5/48)(1-b)^3 c1^3 + (5/48)(1-b)^2 c1 (c2 - d2)
-             + (1/24)(1-b)(c3 - d3)
+        a2 = w c1 / 2
+        a3 = w^2 c1^2 / 4 + w dc2 / 12
+        a4 = (5/48) w^3 c1^3 + (5/48) w^2 c1 dc2 + w dc3 / 24
     """
-    if abs(p.c1 + q.c1) > C1_COUPLING_TOL:
-        raise ConstraintViolation(
-            f"expected q.c1 = -p.c1, got p.c1={p.c1!r}, q.c1={q.c1!r}"
-        )
-    w = 1.0 - order.beta
-    c1 = complex(p.c1)
-    dc2 = complex(p.c2) - complex(q.c2)
-    dc3 = complex(p.c3) - complex(q.c3)
     if family is FamilyId.STARLIKE:
         a2 = w * c1
         a3 = w * w * c1 * c1 + w * dc2 / 4.0
@@ -101,7 +99,24 @@ def reconstruct(
         a3 = w * w * c1 * c1 / 4.0 + w * dc2 / 12.0
         a4 = (5.0 / 48.0) * w**3 * c1**3 + (5.0 / 48.0) * w * w * c1 * dc2 \
             + w * dc3 / 24.0
-    return BiCoefficients(a2, a3, a4)
+    return a2, a3, a4
+
+
+def reconstruct(
+    family: FamilyId, order: Order, p: PCoefficients, q: PCoefficients
+) -> BiCoefficients:
+    """Closed-form (a2, a3, a4) (see `bi_coeffs`) from a pair with d1 = -c1."""
+    if abs(p.c1 + q.c1) > C1_COUPLING_TOL:
+        raise ConstraintViolation(
+            f"expected q.c1 = -p.c1, got p.c1={p.c1!r}, q.c1={q.c1!r}"
+        )
+    return BiCoefficients(*bi_coeffs(
+        family,
+        1.0 - order.beta,
+        complex(p.c1),
+        complex(p.c2) - complex(q.c2),
+        complex(p.c3) - complex(q.c3),
+    ))
 
 
 def hankel_2_2(a: BiCoefficients) -> complex:
@@ -229,3 +244,24 @@ def verify_coefficient_system(
         for k, val in enumerate(side)
     )
     return SystemReport(family, order.beta, p, q, residuals)
+
+
+def series_residual(family: FamilyId, order: Order, rng, trials: int) -> float:
+    """Worst `verify_coefficient_system` residual over `trials` random draws.
+
+    Each draw takes a2, a3, a4 with real and imaginary parts uniform on
+    [-3, 3] from `rng`, so consecutive calls sharing one generator continue
+    the same stream.
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    worst = 0.0
+    for _ in range(trials):
+        draw = rng.uniform(-3.0, 3.0, 6)
+        a = BiCoefficients(
+            complex(draw[0], draw[1]),
+            complex(draw[2], draw[3]),
+            complex(draw[4], draw[5]),
+        )
+        worst = max(worst, verify_coefficient_system(family, order, a).max_residual)
+    return worst

@@ -24,11 +24,12 @@ from .caratheodory import (
     DiskParams,
     PCoefficients,
     coeffs_from_disk_params,
+    disk_coeffs,
     unit_circle_samples,
     unit_disk_samples,
 )
 from .errors import DomainError, VerificationFailure
-from .functionals import FamilyId, Order, hankel_2_2, reconstruct
+from .functionals import FamilyId, Order, bi_coeffs, hankel_2_2, reconstruct
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,11 @@ class SearchResult:
 
 
 def _evaluate(objective, xs: np.ndarray) -> np.ndarray:
-    """Call the objective vectorized when it supports arrays, else pointwise."""
-    try:
-        ys = np.asarray(objective(xs), dtype=float)
-        if ys.shape == xs.shape:
-            return ys
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(objective(float(x))) for x in xs])
+    """Call the objective on the array; a scalar result is broadcast."""
+    ys = np.asarray(objective(xs), dtype=float)
+    if ys.shape != xs.shape:
+        ys = np.broadcast_to(ys, xs.shape)
+    return ys
 
 
 def _window(center: float, half: float, lo: float, hi: float) -> tuple[float, float]:
@@ -85,6 +83,10 @@ def maximize_1d(
 
     Ties go to the lowest index, so a constant objective reports the left
     endpoint.  The reported maximum is the best over *all* evaluated points.
+
+    This is `_refine_max` on one axis, kept as its own tight loop: `table`
+    calls it once per row, so the N-d scan's per-round overhead (open mesh,
+    index unravelling) would show in `table` wall time.
     """
     grid = grid or GridSpec()
     lo0, hi0 = float(interval[0]), float(interval[1])
@@ -110,6 +112,46 @@ def maximize_1d(
     return SearchResult(best_val, (best_x,), evals)
 
 
+def _refine_max(objective, axes, grid: GridSpec) -> tuple[SearchResult, float]:
+    """Grid maximization over a box, refined around the incumbent.
+
+    Each axis is a `(start, stop)` pair enumerated from start toward stop, and
+    the objective is called once per round on the open mesh of the axes (one
+    array per axis, broadcasting to the full grid).  Ties go to the lowest
+    flat index, so the enumeration direction decides which point a plateau
+    reports.  Every later round rescans a window of `shrink_factor` times the
+    previous width around the incumbent, clipped to the box; the incumbent is
+    only replaced by a strictly larger value.  Also returns the largest grid
+    spacing of the last round.
+    """
+    n = grid.points_per_axis
+    box = [(min(a, b), max(a, b)) for a, b in axes]
+    widths = [hi - lo for lo, hi in box]
+    best_val = -np.inf
+    best = tuple(float(start) for start, _ in axes)
+    evals = 0
+    for round_idx in range(grid.refinement_rounds + 1):
+        wins = box
+        if round_idx > 0:
+            widths = [w * grid.shrink_factor for w in widths]
+            wins = [
+                _window(b, w / 2.0, lo, hi)
+                for b, w, (lo, hi) in zip(best, widths, box)
+            ]
+        points = [
+            np.linspace(lo, hi, n) if start <= stop else np.linspace(hi, lo, n)
+            for (lo, hi), (start, stop) in zip(wins, axes)
+        ]
+        vals = objective(*np.ix_(*points))
+        evals += vals.size
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[idx] > best_val:
+            best_val = float(vals[idx])
+            best = tuple(float(p[i]) for p, i in zip(points, idx))
+    cell = max(abs(p[1] - p[0]) for p in points)
+    return SearchResult(best_val, best, evals), cell
+
+
 def maximize_unit_square(
     profile: bd.QuarticProfile, c: float, grid: GridSpec | None = None
 ) -> SearchResult:
@@ -120,37 +162,18 @@ def maximize_unit_square(
     would mean the surface itself is wrong.  At c = 2 the surface is
     constant and the tie-break reports (0, 0).
     """
-    grid = grid or SQUARE_GRID
     c = float(c)
-    bd._check_c(c)
-
-    best_val = -np.inf
-    best = (0.0, 0.0)
-    evals = 0
-    width = 1.0
-    lam_win = mu_win = (0.0, 1.0)
-    cell = 1.0 / (grid.points_per_axis - 1)
-    for round_idx in range(grid.refinement_rounds + 1):
-        if round_idx > 0:
-            width *= grid.shrink_factor
-            lam_win = _window(best[0], width / 2.0, 0.0, 1.0)
-            mu_win = _window(best[1], width / 2.0, 0.0, 1.0)
-        lam = np.linspace(*lam_win, grid.points_per_axis)
-        mu = np.linspace(*mu_win, grid.points_per_axis)
-        surf = profile.surface(lam[:, None], mu[None, :], c)
-        evals += surf.size
-        flat = int(np.argmax(surf))
-        i, j = np.unravel_index(flat, surf.shape)
-        if surf[i, j] > best_val:
-            best_val = float(surf[i, j])
-            best = (float(lam[i]), float(mu[j]))
-        cell = max(lam[1] - lam[0], mu[1] - mu[0])
-
-    if c < 2.0 and (abs(best[0] - 1.0) > cell or abs(best[1] - 1.0) > cell):
+    result, cell = _refine_max(
+        lambda lam, mu: profile.surface(lam, mu, c),
+        ((0.0, 1.0), (0.0, 1.0)),
+        grid or SQUARE_GRID,
+    )
+    lam, mu = result.argmax
+    if c < 2.0 and (abs(lam - 1.0) > cell or abs(mu - 1.0) > cell):
         raise VerificationFailure(
-            f"surface maximum expected at (1, 1) for c={c}, found {best}"
+            f"surface maximum expected at (1, 1) for c={c}, found {result.argmax}"
         )
-    return SearchResult(best_val, best, evals)
+    return result
 
 
 def maximize_surrogate(
@@ -165,42 +188,13 @@ def maximize_surrogate(
     surface degenerates to a constant (c = 2) still report the corner
     (1, 1) the maximum is approached through.
     """
-    grid = grid or CUBE_GRID
-    beta = bd.check_beta(beta)
-    n = grid.points_per_axis
-
-    best_val = -np.inf
-    best = (0.0, 1.0, 1.0)
-    evals = 0
-    widths = (2.0, 1.0, 1.0)
-    wins = ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0))
-    for round_idx in range(grid.refinement_rounds + 1):
-        if round_idx > 0:
-            widths = tuple(w * grid.shrink_factor for w in widths)
-            wins = (
-                _window(best[0], widths[0] / 2.0, 0.0, 2.0),
-                _window(best[1], widths[1] / 2.0, 0.0, 1.0),
-                _window(best[2], widths[2] / 2.0, 0.0, 1.0),
-            )
-        cs = np.linspace(*wins[0], n)
-        lam = np.linspace(wins[1][1], wins[1][0], n)
-        mu = np.linspace(wins[2][1], wins[2][0], n)
-        t1, t2, t3, t4 = bd.surrogate_terms(family, cs, beta)
-        s = lam[:, None] + mu[None, :]
-        sq = lam[:, None] ** 2 + mu[None, :] ** 2
-        vals = (
-            t1[:, None, None]
-            + t2[:, None, None] * s[None, :, :]
-            + t3[:, None, None] * sq[None, :, :]
-            + t4[:, None, None] * (s * s)[None, :, :]
-        )
-        evals += vals.size
-        flat = int(np.argmax(vals))
-        i, j, k = np.unravel_index(flat, vals.shape)
-        if vals[i, j, k] > best_val:
-            best_val = float(vals[i, j, k])
-            best = (float(cs[i]), float(lam[j]), float(mu[k]))
-    return SearchResult(best_val, best, evals)
+    profile = bd.quartic_profile(family, beta)
+    result, _ = _refine_max(
+        lambda c, lam, mu: profile.surface(lam, mu, c),
+        ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)),
+        grid or CUBE_GRID,
+    )
+    return result
 
 
 # --- empirical search over the exact parametrization -----------------------
@@ -215,12 +209,12 @@ def inverse_side_coeffs(c: float, y: complex, w: complex) -> PCoefficients:
         2 d2 = c^2 + y (4 - c^2)
         4 d3 = -c^3 - 2 (4 - c^2) c y + c (4 - c^2) y^2
                + 2 (4 - c^2) (1 - |y|^2) w
+
+    That is d3 = -e3 for (d2, e3) = `disk_coeffs(c, y, -w)`; negating w
+    rather than c keeps the rounding of the direct formula above.
     """
-    gap = 4.0 - c * c
-    d2 = (c * c + y * gap) / 2.0
-    d3 = (-(c**3) - 2.0 * gap * c * y + c * gap * y * y
-          + 2.0 * gap * (1.0 - abs(y) ** 2) * w) / 4.0
-    return PCoefficients(complex(-c), d2, d3)
+    d2, e3 = disk_coeffs(c, y, -w)
+    return PCoefficients(complex(-c), d2, -e3)
 
 
 def h22_from_params(
@@ -244,27 +238,10 @@ def h22_from_params(
 
 
 def h22_batch(family, beta, c, x, y, z, w):
-    """Vectorized |a2 a4 - a3^2| over sample arrays (same formulas as above)."""
-    om = 1.0 - beta
-    gap = 4.0 - c * c
-    c2 = (c * c + x * gap) / 2.0
-    c3 = (c**3 + 2.0 * gap * c * x - c * gap * x * x
-          + 2.0 * gap * (1.0 - np.abs(x) ** 2) * z) / 4.0
-    d2 = (c * c + y * gap) / 2.0
-    d3 = (-(c**3) - 2.0 * gap * c * y + c * gap * y * y
-          + 2.0 * gap * (1.0 - np.abs(y) ** 2) * w) / 4.0
-    dc2 = c2 - d2
-    dc3 = c3 - d3
-    if family is FamilyId.STARLIKE:
-        a2 = om * c
-        a3 = om * om * c * c + om * dc2 / 4.0
-        a4 = (2.0 / 3.0) * om**3 * c**3 + (5.0 / 8.0) * om * om * c * dc2 \
-            + om * dc3 / 6.0
-    else:
-        a2 = om * c / 2.0
-        a3 = om * om * c * c / 4.0 + om * dc2 / 12.0
-        a4 = (5.0 / 48.0) * om**3 * c**3 + (5.0 / 48.0) * om * om * c * dc2 \
-            + om * dc3 / 24.0
+    """Vectorized |a2 a4 - a3^2| over sample arrays (same kernel as above)."""
+    c2, c3 = disk_coeffs(c, x, z)
+    d2, e3 = disk_coeffs(c, y, -w)
+    a2, a3, a4 = bi_coeffs(family, 1.0 - beta, c, c2 - d2, c3 + e3)
     return np.abs(a2 * a4 - a3 * a3)
 
 
@@ -301,10 +278,11 @@ def empirical_max_h22(
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     beta = bd.check_beta(beta)
+    if not 0.0 <= boundary_fraction <= 1.0:
+        raise DomainError("boundary fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
 
     n_boundary = int(round(samples * boundary_fraction))
-    n_boundary = min(max(n_boundary, 0), samples)
     c = rng.uniform(0.0, 2.0, samples)
     x = np.concatenate(
         [unit_circle_samples(rng, n_boundary),

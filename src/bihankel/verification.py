@@ -24,7 +24,8 @@ from .caratheodory import (
     sample_herglotz_measures,
     unit_disk_samples,
 )
-from .functionals import BiCoefficients, FamilyId, Order, verify_coefficient_system
+from .errors import DomainError
+from .functionals import FamilyId, Order, series_residual
 
 GRID_MAX_TOL = 1e-8
 SURROGATE_TOL = 1e-6
@@ -65,18 +66,7 @@ def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
     with the closed-form left-hand sides; beta enters neither, it only
     rescales the reported p and q.  Any valid order gives the same value.
     """
-    rng = np.random.default_rng(seed + 1)
-    order = Order(0.0)
-    worst = 0.0
-    for _ in range(trials):
-        draw = rng.uniform(-3.0, 3.0, 6)
-        a = BiCoefficients(
-            complex(draw[0], draw[1]),
-            complex(draw[2], draw[3]),
-            complex(draw[4], draw[5]),
-        )
-        worst = max(worst, verify_coefficient_system(family, order, a).max_residual)
-    return worst
+    return series_residual(family, Order(0.0), np.random.default_rng(seed + 1), trials)
 
 
 @functools.lru_cache(maxsize=4)
@@ -132,8 +122,13 @@ def run_checks(
     families gets the same values while computing each once.  Every other
     check depends on both family and beta and runs on every call.
     `clear_spot_check_cache` forgets the memo.
+
+    `trials` and `spot_samples` below 1 raise DomainError: no check may
+    pass over zero draws.
     """
     beta = bd.check_beta(beta)
+    if trials < 1 or spot_samples < 1:
+        raise DomainError("trials and samples must be >= 1")
     profile = bd.quartic_profile(family, beta)
     bound = bd.h22_bound(family, beta)
     checks: list[CheckResult] = []
@@ -155,9 +150,9 @@ def run_checks(
     # term-level structure of the majorant on a c-grid
     cs = np.linspace(0.0, 2.0, c_points)
     t1, t2, t3, t4 = profile.terms(cs)
-    combo = t1 + 2.0 * t2 + 2.0 * t3 + 4.0 * t4
+    corner = profile.surface(1.0, 1.0, cs)
     checks.append(
-        _check("corner_combination", np.max(np.abs(profile.value(cs) - combo)), ALGEBRA_TOL)
+        _check("corner_combination", np.max(np.abs(profile.value(cs) - corner)), ALGEBRA_TOL)
     )
     sign_violation = max(
         float(np.max(-t1)), float(np.max(-t2)), float(np.max(t3)), float(np.max(-t4))
@@ -217,9 +212,7 @@ def run_checks(
     zs = unit_disk_samples(rng, spot_samples)
     ws = unit_disk_samples(rng, spot_samples)
     vals = opt.h22_batch(family, beta, cs_s, xs, ys, zs, ws)
-    s1, s2, s3, s4 = bd.surrogate_terms(family, cs_s, beta)
-    lam, mu = np.abs(xs), np.abs(ys)
-    majorant = s1 + s2 * (lam + mu) + s3 * (lam**2 + mu**2) + s4 * (lam + mu) ** 2
+    majorant = profile.surface(np.abs(xs), np.abs(ys), cs_s)
     checks.append(
         _check("pointwise_majorant_dominance", float(np.max(vals - majorant)), POINTWISE_SLACK)
     )

@@ -262,3 +262,35 @@ class TestUsage:
 
     def test_missing_command_exits_2(self, capsys):
         assert main([]) == 2
+
+
+class TestValidationMessages:
+    """Validation lives in the library; the CLI reports it as a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("verify", "--beta", "0", "--beta", "nan"), "beta must lie in [0, 1), got nan"),
+            (("verify", "--beta", "2", "--trials", "0"), "beta must lie in [0, 1), got 2.0"),
+            (("verify", "--trials", "0"), "trials and samples must be >= 1"),
+            (("verify", "--samples", "0"), "trials and samples must be >= 1"),
+            (("search", "--family", "starlike", "--boundary-fraction", "nan"),
+             "boundary fraction must lie in [0, 1]"),
+            (("search", "--family", "starlike", "--boundary-fraction", "1.5"),
+             "boundary fraction must lie in [0, 1]"),
+            (("search", "--family", "starlike", "--boundary-fraction=-0.5"),
+             "boundary fraction must lie in [0, 1]"),
+            (("search", "--family", "starlike", "--samples", "0", "--beta", "3"),
+             "samples must be >= 1, got 0"),
+            (("search", "--family", "starlike", "--beta", "1"), "beta must lie in [0, 1), got 1.0"),
+            (("derive", "--beta", "2", "--trials", "0"), "beta must lie in [0, 1), got 2.0"),
+            (("derive", "--trials", "0"), "trials must be >= 1, got 0"),
+            (("fs-bound", "--family", "starlike", "--beta", "1", "--mu", "1"),
+             "beta must lie in [0, 1), got 1.0"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"

@@ -16,7 +16,9 @@ from bihankel.functionals import (
     fekete_szego,
     hankel_2_2,
     hankel_matrix_det,
+    check_beta,
     reconstruct,
+    series_residual,
     verify_coefficient_system,
 )
 from bihankel.optimizer import inverse_side_coeffs
@@ -33,6 +35,38 @@ class TestOrder:
             Order(1.0)
         with pytest.raises(DomainError):
             Order(-0.1)
+
+
+class TestCheckBeta:
+    @pytest.mark.parametrize("beta", [1.0, -0.1, float("nan"), float("inf"), 1.5])
+    def test_out_of_domain_raises(self, beta):
+        with pytest.raises(DomainError, match=r"beta must lie in \[0, 1\)"):
+            check_beta(beta)
+        with pytest.raises(DomainError, match=r"beta must lie in \[0, 1\)"):
+            Order(beta)
+
+    def test_returns_float(self):
+        assert check_beta(0) == 0.0 and type(check_beta(0)) is float
+
+    def test_bounds_reexports_the_same_validator(self):
+        from bihankel import bounds
+
+        assert bounds.check_beta is check_beta
+
+
+class TestSeriesResidual:
+    def test_shared_generator_continues_the_stream(self):
+        one = np.random.default_rng(3)
+        split = series_residual(FamilyId.STARLIKE, Order(0.2), one, 4)
+        split = max(split, series_residual(FamilyId.STARLIKE, Order(0.2), one, 6))
+        whole = series_residual(FamilyId.STARLIKE, Order(0.2), np.random.default_rng(3), 10)
+        assert split == whole
+        assert 0.0 < whole < 1e-10
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_raises(self, trials):
+        with pytest.raises(DomainError, match="trials must be >= 1"):
+            series_residual(FamilyId.CONVEX, Order(0.0), np.random.default_rng(0), trials)
 
 
 class TestReconstruct:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from bihankel.bounds import h22_bound, quartic_profile, surrogate_terms
-from bihankel.caratheodory import unit_disk_samples
+from bihankel.caratheodory import disk_coeffs, unit_disk_samples
 from bihankel.errors import DomainError
 from bihankel.functionals import FamilyId, Order
 from bihankel.optimizer import (
     CUBE_GRID,
+    SQUARE_GRID,
     GridSpec,
     empirical_max_h22,
     h22_from_params,
@@ -193,3 +194,165 @@ class TestEmpiricalSearch:
     def test_invalid_samples(self):
         with pytest.raises(DomainError):
             empirical_max_h22(FamilyId.STARLIKE, 0.0, 0, seed=1)
+
+
+class TestBoundaryFraction:
+    @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5, float("inf")])
+    def test_out_of_range_raises(self, fraction):
+        with pytest.raises(DomainError, match="boundary fraction"):
+            empirical_max_h22(FamilyId.STARLIKE, 0.0, 100, seed=1,
+                              boundary_fraction=fraction)
+
+    def test_beta_is_checked_first(self):
+        with pytest.raises(DomainError, match="beta"):
+            empirical_max_h22(FamilyId.STARLIKE, 1.0, 100, seed=1,
+                              boundary_fraction=float("nan"))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_closed_endpoints_accepted(self, fraction):
+        result = empirical_max_h22(FamilyId.CONVEX, 0.3, 100, seed=1,
+                                   boundary_fraction=fraction)
+        assert result.evaluations == 100
+
+
+# The merged kernel and scans must reproduce the code they replaced bit for
+# bit.  These are copies of the inline versions, kept as references.
+
+def reference_h22_batch(family, beta, c, x, y, z, w):
+    om = 1.0 - beta
+    gap = 4.0 - c * c
+    c2 = (c * c + x * gap) / 2.0
+    c3 = (c**3 + 2.0 * gap * c * x - c * gap * x * x
+          + 2.0 * gap * (1.0 - np.abs(x) ** 2) * z) / 4.0
+    d2 = (c * c + y * gap) / 2.0
+    d3 = (-(c**3) - 2.0 * gap * c * y + c * gap * y * y
+          + 2.0 * gap * (1.0 - np.abs(y) ** 2) * w) / 4.0
+    dc2 = c2 - d2
+    dc3 = c3 - d3
+    if family is FamilyId.STARLIKE:
+        a2 = om * c
+        a3 = om * om * c * c + om * dc2 / 4.0
+        a4 = (2.0 / 3.0) * om**3 * c**3 + (5.0 / 8.0) * om * om * c * dc2 \
+            + om * dc3 / 6.0
+    else:
+        a2 = om * c / 2.0
+        a3 = om * om * c * c / 4.0 + om * dc2 / 12.0
+        a4 = (5.0 / 48.0) * om**3 * c**3 + (5.0 / 48.0) * om * om * c * dc2 \
+            + om * dc3 / 24.0
+    return np.abs(a2 * a4 - a3 * a3)
+
+
+def reference_maximize_surrogate(family, beta, grid=CUBE_GRID):
+    n = grid.points_per_axis
+    best_val = -np.inf
+    best = (0.0, 1.0, 1.0)
+    evals = 0
+    widths = (2.0, 1.0, 1.0)
+    wins = ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0))
+    for round_idx in range(grid.refinement_rounds + 1):
+        if round_idx > 0:
+            widths = tuple(w * grid.shrink_factor for w in widths)
+            wins = tuple(
+                (max(lo, b - w / 2.0), min(hi, b + w / 2.0))
+                for b, w, (lo, hi) in zip(best, widths, ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0)))
+            )
+        cs = np.linspace(*wins[0], n)
+        lam = np.linspace(wins[1][1], wins[1][0], n)
+        mu = np.linspace(wins[2][1], wins[2][0], n)
+        t1, t2, t3, t4 = surrogate_terms(family, cs, beta)
+        s = lam[:, None] + mu[None, :]
+        sq = lam[:, None] ** 2 + mu[None, :] ** 2
+        vals = (
+            t1[:, None, None]
+            + t2[:, None, None] * s[None, :, :]
+            + t3[:, None, None] * sq[None, :, :]
+            + t4[:, None, None] * (s * s)[None, :, :]
+        )
+        evals += vals.size
+        i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, j, k] > best_val:
+            best_val = float(vals[i, j, k])
+            best = (float(cs[i]), float(lam[j]), float(mu[k]))
+    return best_val, best, evals
+
+
+def reference_maximize_unit_square(profile, c, grid=SQUARE_GRID):
+    best_val = -np.inf
+    best = (0.0, 0.0)
+    evals = 0
+    width = 1.0
+    lam_win = mu_win = (0.0, 1.0)
+    for round_idx in range(grid.refinement_rounds + 1):
+        if round_idx > 0:
+            width *= grid.shrink_factor
+            lam_win = (max(0.0, best[0] - width / 2.0), min(1.0, best[0] + width / 2.0))
+            mu_win = (max(0.0, best[1] - width / 2.0), min(1.0, best[1] + width / 2.0))
+        lam = np.linspace(*lam_win, grid.points_per_axis)
+        mu = np.linspace(*mu_win, grid.points_per_axis)
+        surf = profile.surface(lam[:, None], mu[None, :], c)
+        evals += surf.size
+        i, j = np.unravel_index(int(np.argmax(surf)), surf.shape)
+        if surf[i, j] > best_val:
+            best_val = float(surf[i, j])
+            best = (float(lam[i]), float(mu[j]))
+    return best_val, best, evals
+
+
+class TestMergedFormulasMatchReferences:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_h22_batch_bit_identical(self, family, beta, seed):
+        rng = np.random.default_rng(seed)
+        n = 4000
+        c = rng.uniform(0.0, 2.0, n)
+        x, y, z, w = (unit_disk_samples(rng, n) for _ in range(4))
+        assert np.array_equal(
+            h22_batch(family, beta, c, x, y, z, w),
+            reference_h22_batch(family, beta, c, x, y, z, w),
+        )
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_maximize_surrogate_identical(self, family, beta):
+        result = maximize_surrogate(family, beta)
+        assert (result.max_value, result.argmax, result.evaluations) == \
+            reference_maximize_surrogate(family, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_surface_matches_inline_pointwise_majorant(self, family, beta):
+        rng = np.random.default_rng(13)
+        c = rng.uniform(0.0, 2.0, 4000)
+        lam, mu = np.abs(unit_disk_samples(rng, 4000)), np.abs(unit_disk_samples(rng, 4000))
+        t1, t2, t3, t4 = surrogate_terms(family, c, beta)
+        inline = t1 + t2 * (lam + mu) + t3 * (lam**2 + mu**2) + t4 * (lam + mu) ** 2
+        assert np.array_equal(quartic_profile(family, beta).surface(lam, mu, c), inline)
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.3, 2.0])
+    def test_maximize_unit_square_identical(self, c):
+        for family in FamilyId:
+            profile = quartic_profile(family, 0.4)
+            result = maximize_unit_square(profile, c)
+            assert (result.max_value, result.argmax, result.evaluations) == \
+                reference_maximize_unit_square(profile, c)
+
+    def test_inverse_side_matches_docstring_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            c = float(rng.uniform(0.0, 2.0))
+            y, w = (complex(v) for v in unit_disk_samples(rng, 2))
+            gap = 4.0 - c * c
+            d2 = (c * c + y * gap) / 2.0
+            d3 = (-(c**3) - 2.0 * gap * c * y + c * gap * y * y
+                  + 2.0 * gap * (1.0 - abs(y) ** 2) * w) / 4.0
+            assert inverse_side_coeffs(c, y, w).as_tuple() == (complex(-c), d2, d3)
+
+    def test_scalar_and_array_kernel_agree(self):
+        rng = np.random.default_rng(12)
+        c = rng.uniform(0.0, 2.0, 300)
+        x, z = unit_disk_samples(rng, 300), unit_disk_samples(rng, 300)
+        c2s, c3s = disk_coeffs(c, x, z)
+        for i in range(c.size):
+            c2, c3 = disk_coeffs(float(c[i]), complex(x[i]), complex(z[i]))
+            assert abs(c2 - c2s[i]) <= 1e-15 and abs(c3 - c3s[i]) <= 1e-15

@@ -8,6 +8,7 @@ from bihankel.caratheodory import (
     sample_disk_params,
     sample_herglotz_measures,
 )
+from bihankel.errors import DomainError
 from bihankel.functionals import BiCoefficients, FamilyId, Order, verify_coefficient_system
 
 INVARIANT = ("series_identity_residual", "disk_param_coeff_bound", "herglotz_coeff_bound")
@@ -137,3 +138,18 @@ class TestSpotCheckMemo:
         ):
             assert type(helper(*args)) is float
             assert 1 <= helper.cache_info().maxsize <= 8
+
+
+class TestRunChecksInputs:
+    @pytest.mark.parametrize("trials,spot_samples", [(0, 50), (5, 0), (-1, 50), (0, 0)])
+    def test_empty_draws_raise(self, trials, spot_samples):
+        with pytest.raises(DomainError, match="trials and samples must be >= 1"):
+            vf.run_checks(FamilyId.STARLIKE, 0.0, trials=trials, spot_samples=spot_samples)
+
+    def test_beta_is_checked_first(self):
+        with pytest.raises(DomainError, match="beta"):
+            vf.run_checks(FamilyId.STARLIKE, 2.0, trials=0, spot_samples=0)
+
+    def test_smallest_counts_run(self):
+        checks = vf.run_checks(FamilyId.CONVEX, 0.3, trials=1, spot_samples=1)
+        assert vf.all_passed(checks)

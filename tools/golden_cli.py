@@ -1,0 +1,84 @@
+"""Fingerprint the CLI on a fixed set of golden commands.
+
+For each command this prints one line: the exit code, the sha256 of stdout,
+the sha256 of stderr and the command itself.  A refactor that must not change
+behaviour is checked by running the script on the old and the new tree and
+diffing the two outputs:
+
+    python tools/golden_cli.py --root OLD_CHECKOUT > old.txt
+    python tools/golden_cli.py > new.txt
+    diff old.txt new.txt
+
+Each command runs as `python -m bihankel.cli` in a fresh interpreter with
+`<root>/src` on PYTHONPATH; `--root` defaults to the checkout holding this
+script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+COMMANDS = (
+    "verify --family both --beta 0 --beta 0.3 --beta 0.7 --trials 200 --samples 4000 --seed 0",
+    "verify",
+    "verify --family starlike --beta 0.3 --strict",
+    "verify --family convex --beta 0.95 --beta 0.5 --seed 11 --trials 30 --samples 300",
+    "derive",
+    "derive --beta 0.1 --beta 0.9 --trials 40 --seed 5",
+    "table",
+    "table --family both --beta-range 0 0.99 --step 4e-4",
+    "table --format json --step 0.05",
+    "search --family starlike --seed 7",
+    "search --family starlike --beta 0 --samples 500000 --seed 3",
+    "search --family convex --beta 0.3 --samples 500000 --seed 3 --constrain-sum",
+    "search --family convex --beta 0.3 --samples 1000 --boundary-fraction 1.0",
+    "search --family convex --beta 0.3 --samples 1000 --boundary-fraction 0",
+    "fs-bound --family convex --beta 0 --mu 1",
+    "fs-bound --family starlike --beta 0.2 --mu -2",
+    # usage and domain errors (exit 2)
+    "verify --beta 1.5",
+    "verify --beta 0 --beta nan",
+    "verify --beta 2 --trials 0",
+    "verify --trials 0",
+    "search --family starlike --beta 1 --samples 10",
+    "search --family starlike --samples 0 --beta 3",
+    "search --family starlike --boundary-fraction 1.5",
+    "search --family starlike --boundary-fraction nan",
+    "derive --beta -0.1",
+    "derive --beta 2 --trials 0",
+    "derive --trials 0",
+    "fs-bound --family starlike --beta 1 --mu 1",
+    "fs-bound --family starlike --beta 0 --mu nan",
+    "table --step nan",
+    "table --beta-range 0 1",
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ is run (default: this one)")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
+    for command in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bihankel.cli", *shlex.split(command)],
+            capture_output=True, env=env, check=False,
+        )
+        print(f"{proc.returncode} {_sha(proc.stdout)} {_sha(proc.stderr)} {command}",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
