@@ -77,15 +77,22 @@ def thresholds() -> Thresholds:
     )
 
 
+def _in_range(value, lo: float, hi: float) -> bool:
+    """True when every value lies in [lo, hi]; NaN never does.
+
+    min and max propagate NaN, and NaN compares false with both bounds.
+    """
+    arr = np.asarray(value)
+    return arr.size == 0 or bool(arr.min() >= lo and arr.max() <= hi)
+
+
 def _check_c(c) -> None:
-    arr = np.asarray(c)
-    if np.any(arr < 0.0) or np.any(arr > 2.0):
+    if not _in_range(c, 0.0, 2.0):
         raise DomainError("c must lie in [0, 2]")
 
 
 def _check_unit(value, name: str) -> None:
-    arr = np.asarray(value)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not _in_range(value, 0.0, 1.0):
         raise DomainError(f"{name} must lie in [0, 1]")
 
 
@@ -139,7 +146,8 @@ class QuarticProfile:
 
     Q is the corner value of the majorant surface; `terms` exposes the
     underlying c-profiles so that Q(c) = t1 + 2 t2 + 2 t3 + 4 t4 can be
-    cross-checked term by term.
+    cross-checked term by term.  A profile built by `stack` holds column
+    arrays instead of floats and only supports the Q methods.
     """
 
     family: FamilyId
@@ -148,13 +156,35 @@ class QuarticProfile:
     alpha2: float
     alpha0: float
 
+    @classmethod
+    def stack(cls, profiles) -> QuarticProfile:
+        """One profile per row: beta and the alphas become column arrays.
+
+        `value` then broadcasts a grid of c to shape (rows, points), each row
+        computed with the same elementwise arithmetic as its own profile.
+        """
+        family = profiles[0].family
+        if any(p.family is not family for p in profiles):
+            raise DomainError("stacked profiles must share one family")
+
+        def column(name):
+            return np.array([getattr(p, name) for p in profiles])[:, None]
+
+        return cls(family, column("beta"), column("alpha4"), column("alpha2"),
+                   column("alpha0"))
+
     def terms(self, c):
         return surrogate_terms(self.family, c, self.beta)
 
     def value(self, c):
+        """alpha4 c2 c2 + alpha2 c2 + alpha0, summed in place on arrays."""
         _check_c(c)
         c2 = c * c
-        return self.alpha4 * c2 * c2 + self.alpha2 * c2 + self.alpha0
+        q = self.alpha4 * c2
+        q *= c2
+        q += self.alpha2 * c2
+        q += self.alpha0
+        return q
 
     def derivative(self, c):
         _check_c(c)

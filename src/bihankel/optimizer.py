@@ -56,7 +56,10 @@ CUBE_GRID = GridSpec(points_per_axis=61, refinement_rounds=5, shrink_factor=0.2)
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best value seen, where it was seen, and how much work it took."""
+    """Best value seen, where it was seen, and how much work it took.
+
+    A row-stacked `maximize_1d` reports arrays over the rows.
+    """
 
     max_value: float
     argmax: tuple
@@ -76,6 +79,19 @@ def _window(center: float, half: float, lo: float, hi: float) -> tuple[float, fl
     return max(lo, center - half), min(hi, center + half)
 
 
+def _linspace(lo, hi, ramp: np.ndarray) -> np.ndarray:
+    """`np.linspace(lo, hi, ramp.size)`, row by row for column arrays lo, hi.
+
+    Same arithmetic as `np.linspace` (bar its branch for a step that
+    underflows to zero): `ramp * step + lo` with `ramp = arange(size)`, and
+    the last point set to `hi`.
+    """
+    xs = ramp * ((hi - lo) / (ramp.size - 1))
+    xs += lo
+    xs[..., -1:] = hi
+    return xs
+
+
 def maximize_1d(
     objective, interval: tuple[float, float], grid: GridSpec | None = None
 ) -> SearchResult:
@@ -84,32 +100,50 @@ def maximize_1d(
     Ties go to the lowest index, so a constant objective reports the left
     endpoint.  The reported maximum is the best over *all* evaluated points.
 
-    This is `_refine_max` on one axis, kept as its own tight loop: `table`
-    calls it once per row, so the N-d scan's per-round overhead (open mesh,
-    index unravelling) would show in `table` wall time.
+    The scan runs on a stack of rows at once.  The first round calls the
+    objective on the 1-d base grid; if it answers with shape (rows, points)
+    (say, a `QuarticProfile.stack`), each row is its own maximization and
+    `max_value` and `argmax[0]` are arrays over the rows, `evaluations` the
+    total.  Later rounds call it on a (rows, points) array of per-row
+    windows, so the objective must work elementwise.  A single objective is
+    the one-row case and reports floats.  Each row's windows, points,
+    incumbent and strict-`>` updates match a scan of that row alone.
     """
     grid = grid or GridSpec()
     lo0, hi0 = float(interval[0]), float(interval[1])
     if not lo0 < hi0:
         raise ValueError(f"need low < high, got [{lo0}, {hi0}]")
 
-    best_val = -np.inf
-    best_x = lo0
+    ramp = np.arange(grid.points_per_axis, dtype=float)
+    xs = _linspace(lo0, hi0, ramp)
+    ys = np.asarray(objective(xs), dtype=float)
+    batched = ys.ndim == 2
+    if not batched:
+        ys = np.broadcast_to(ys, (1, ramp.size))
+    xs = np.broadcast_to(xs, ys.shape)
+    rows = np.arange(ys.shape[0])
+
+    best_val = np.full(rows.size, -np.inf)
+    best_x = np.full(rows.size, lo0)
     evals = 0
     width = hi0 - lo0
-    lo, hi = lo0, hi0
     for round_idx in range(grid.refinement_rounds + 1):
         if round_idx > 0:
             width *= grid.shrink_factor
-            lo, hi = _window(best_x, width / 2.0, lo0, hi0)
-        xs = np.linspace(lo, hi, grid.points_per_axis)
-        ys = _evaluate(objective, xs)
-        evals += xs.size
-        i = int(np.argmax(ys))
-        if ys[i] > best_val:
-            best_val = float(ys[i])
-            best_x = float(xs[i])
-    return SearchResult(best_val, (best_x,), evals)
+            half = width / 2.0
+            lo = np.maximum(lo0, best_x - half)
+            hi = np.minimum(hi0, best_x + half)
+            xs = _linspace(lo[:, None], hi[:, None], ramp)
+            ys = _evaluate(objective, xs)
+        evals += ys.size
+        i = ys.argmax(axis=1)
+        vals = ys[rows, i]
+        better = vals > best_val
+        best_val = np.where(better, vals, best_val)
+        best_x = np.where(better, xs[rows, i], best_x)
+    if batched:
+        return SearchResult(best_val, (best_x,), evals)
+    return SearchResult(float(best_val[0]), (float(best_x[0]),), evals)
 
 
 def _refine_max(objective, axes, grid: GridSpec) -> tuple[SearchResult, float]:

@@ -124,11 +124,14 @@ def run_checks(
     `clear_spot_check_cache` forgets the memo.
 
     `trials` and `spot_samples` below 1 raise DomainError: no check may
-    pass over zero draws.
+    pass over zero draws.  So does `c_points` below 3, which would leave
+    the c-grid without an interior point for `hessian_negative`.
     """
     beta = bd.check_beta(beta)
     if trials < 1 or spot_samples < 1:
         raise DomainError("trials and samples must be >= 1")
+    if c_points < 3:
+        raise DomainError(f"c_points must be >= 3, got {c_points}")
     profile = bd.quartic_profile(family, beta)
     bound = bd.h22_bound(family, beta)
     checks: list[CheckResult] = []

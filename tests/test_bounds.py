@@ -5,6 +5,7 @@ import pytest
 
 from bihankel.bounds import (
     Branch,
+    QuarticProfile,
     convex_h22_bound,
     convex_surrogate_terms,
     corner_value,
@@ -290,3 +291,76 @@ class TestFeketeSzegoBound:
                 inner = fekete_szego_bound(family, beta, mu)
                 for side in (math.nextafter(mu, -10), math.nextafter(mu, 10)):
                     assert abs(fekete_szego_bound(family, beta, side) - inner) < 1e-12
+
+
+class TestValidatorsRejectNaN:
+    """c, lambda and mu are accepted only when every value is in range."""
+
+    profile = quartic_profile(FamilyId.STARLIKE, 0.3)
+
+    @pytest.mark.parametrize("c", [math.nan, np.array([0.5, math.nan]), np.full((2, 3), math.nan)])
+    @pytest.mark.parametrize("method", ["value", "derivative", "second_derivative", "terms"])
+    def test_nan_c(self, method, c):
+        with pytest.raises(DomainError, match="c must lie in"):
+            getattr(self.profile, method)(c)
+
+    @pytest.mark.parametrize(
+        "lam,mu,c,name",
+        [(math.nan, 0.5, 1.0, "lambda"), (0.5, math.nan, 1.0, "mu"), (0.5, 0.5, math.nan, "c"),
+         (np.array([0.2, math.nan]), 0.5, 1.0, "lambda")],
+    )
+    def test_nan_surface(self, lam, mu, c, name):
+        with pytest.raises(DomainError, match=f"{name} must lie in"):
+            self.profile.surface(lam, mu, c)
+
+    def test_infinities_rejected(self):
+        with pytest.raises(DomainError):
+            self.profile.value(math.inf)
+        with pytest.raises(DomainError):
+            self.profile.surface(0.5, -math.inf, 1.0)
+
+    def test_closed_ranges_and_empty_arrays_pass(self):
+        assert self.profile.value(np.array([])).shape == (0,)
+        assert np.isfinite(self.profile.value(np.array([0.0, 2.0]))).all()
+        assert np.isfinite(self.profile.surface(np.array([0.0, 1.0]), 1.0, 2.0)).all()
+
+
+class TestStackedProfile:
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_rows_equal_each_profile_bit_for_bit(self, family):
+        profiles = [quartic_profile(family, beta) for beta in BETAS]
+        stacked = QuarticProfile.stack(profiles)
+        assert stacked.alpha4.shape == (len(BETAS), 1)
+        cs = np.linspace(0.0, 2.0, 2001)
+        grid = np.tile(cs, (len(BETAS), 1))
+        for values in (stacked.value(cs), stacked.value(grid)):
+            assert values.shape == (len(BETAS), cs.size)
+            for row, profile in zip(values, profiles):
+                assert np.array_equal(row, profile.value(cs))
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_value_is_the_written_formula(self, family):
+        # the in-place sum keeps the operation order of the written formula,
+        # on arrays, 0-d arrays and floats alike
+        cs = np.random.default_rng(5).uniform(0.0, 2.0, 20001)
+        for beta in BETAS:
+            p = quartic_profile(family, beta)
+            c2 = cs * cs
+            assert np.array_equal(p.value(cs), p.alpha4 * c2 * c2 + p.alpha2 * c2 + p.alpha0)
+            for c in (1.3, 0.7, 2.0):
+                expected = p.alpha4 * (c * c) * (c * c) + p.alpha2 * (c * c) + p.alpha0
+                assert p.value(c) == expected
+                assert p.value(np.array(c)) == expected
+
+    def test_mixed_families_rejected(self):
+        with pytest.raises(DomainError, match="one family"):
+            QuarticProfile.stack(
+                [quartic_profile(FamilyId.STARLIKE, 0.0), quartic_profile(FamilyId.CONVEX, 0.0)]
+            )
+
+    def test_stacked_value_checks_every_point(self):
+        stacked = QuarticProfile.stack([quartic_profile(FamilyId.CONVEX, b) for b in (0.0, 0.5)])
+        grid = np.full((2, 5), 1.0)
+        grid[1, 3] = math.nan
+        with pytest.raises(DomainError):
+            stacked.value(grid)

@@ -1,9 +1,14 @@
 import json
+import math
 
 import pytest
 
+from bihankel import bounds as bd
 from bihankel import cli
+from bihankel import optimizer as opt
 from bihankel.cli import main
+from bihankel.errors import DomainError
+from bihankel.functionals import FamilyId
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +166,74 @@ class TestTable:
         assert 100 * 2476 < cli.MAX_TABLE_ROWS
 
 
+def table_rows(capsys, *argv):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 0 and err == ""
+    return [line.split(",") for line in out.strip().split("\n")[1:]]
+
+
+class TestTableRowBlocks:
+    """`table` scans its rows in blocks; the output is the per-row scan's."""
+
+    SWEEP = ("--family", "starlike", "--beta-range", "0.2", "0.6", "--step", "0.0037")
+
+    def test_grid_max_equals_one_scan_per_row(self, capsys):
+        rows = table_rows(capsys, *self.SWEEP)
+        assert len(rows) == 109 and len(rows) % cli.TABLE_BLOCK_ROWS != 0
+        for beta, family, *_, grid_max, _ in rows:
+            profile = bd.quartic_profile(FamilyId(family), float(beta))
+            assert grid_max == repr(opt.maximize_1d(profile.value, (0.0, 2.0)).max_value)
+
+    @pytest.mark.parametrize("block", [1, 3, 32, 1000])
+    def test_output_independent_of_block_size(self, capsys, monkeypatch, block):
+        argv = ("--family", "both", "--beta-range", "0", "0.99", "--step", "0.013")
+        default = table_rows(capsys, *argv)
+        monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block)
+        assert table_rows(capsys, *argv) == default
+
+    def test_single_row_table(self, capsys):
+        rows = table_rows(capsys, "--family", "convex", "--beta-range", "0.5", "0.5",
+                          "--step", "0.1")
+        assert len(rows) == 1
+        scan = opt.maximize_1d(bd.quartic_profile(FamilyId.CONVEX, 0.5).value, (0.0, 2.0))
+        assert rows[0][:2] == ["0.5", "convex"] and rows[0][5] == repr(scan.max_value)
+
+    def test_grid_maxima_are_python_floats(self):
+        maxima = cli._grid_maxima(FamilyId.STARLIKE, [0.0, 0.3, 0.6])
+        assert [type(m) for m in maxima] == [float, float, float]
+
+    def test_json_grid_max_round_trips(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--format", "json", "--beta-range", "0", "0.99",
+                               "--step", "0.01")
+        assert code == 0
+        for row in json.loads(out):
+            profile = bd.quartic_profile(FamilyId(row["family"]), row["beta"])
+            assert row["grid_max"] == opt.maximize_1d(profile.value, (0.0, 2.0)).max_value
+
+
+class TestBetaGrid:
+    """`table` validates its grid in `_beta_grid`."""
+
+    @pytest.mark.parametrize(
+        "lo,hi,step,message",
+        [
+            (0.0, 0.9, math.nan, "step and beta range must be finite, got step nan, range [0.0, 0.9]"),
+            (math.nan, 0.5, 0.1, "step and beta range must be finite, got step 0.1, range [nan, 0.5]"),
+            (0.0, math.inf, 0.1, "step and beta range must be finite"),
+            (0.0, 0.9, 0.0, "step must be > 0, got 0.0"),
+            (0.0, 0.9, -0.1, "step must be > 0, got -0.1"),
+            (0.6, 0.5, 0.1, "empty beta range [0.6, 0.5]"),
+            (0.0, 1.0, 0.1, "beta range [0.0, 1.0] not inside [0, 1)"),
+            (-0.1, 0.5, 0.1, "beta range [-0.1, 0.5] not inside [0, 1)"),
+            (0.0, 0.9, 1e-12, "step 1e-12 gives more than 1000000 rows per family"),
+        ],
+    )
+    def test_domain_errors(self, lo, hi, step, message):
+        with pytest.raises(DomainError) as info:
+            cli._beta_grid(lo, hi, step)
+        assert str(info.value).startswith(message)
+
+
 class TestSearch:
     def test_gap_nonnegative_and_exit_zero(self, capsys):
         code, out, _ = run_cli(
@@ -287,6 +360,11 @@ class TestValidationMessages:
             (("derive", "--trials", "0"), "trials must be >= 1, got 0"),
             (("fs-bound", "--family", "starlike", "--beta", "1", "--mu", "1"),
              "beta must lie in [0, 1), got 1.0"),
+            (("table", "--step", "nan"),
+             "step and beta range must be finite, got step nan, range [0.0, 0.9]"),
+            (("table", "--beta-range", "0", "1"), "beta range [0.0, 1.0] not inside [0, 1)"),
+            (("table", "--step", "-1"), "step must be > 0, got -1.0"),
+            (("table", "--beta-range", "0.5", "0.4"), "empty beta range [0.5, 0.4]"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):

@@ -1,11 +1,16 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from bihankel.bounds import h22_bound, quartic_profile, surrogate_terms
+from bihankel.bounds import QuarticProfile, h22_bound, quartic_profile, surrogate_terms, thresholds
+from bihankel.cli import TABLE_BLOCK_ROWS
 from bihankel.caratheodory import disk_coeffs, unit_disk_samples
 from bihankel.errors import DomainError
 from bihankel.functionals import FamilyId, Order
 from bihankel.optimizer import (
+    _linspace,
     CUBE_GRID,
     SQUARE_GRID,
     GridSpec,
@@ -68,7 +73,157 @@ class TestMaximize1d:
             maximize_1d(lambda x: x, (1.0, 1.0))
 
 
+def reference_maximize_1d(objective, interval, grid=None):
+    """maximize_1d before the row stack: one scalar scan per objective."""
+    grid = grid or GridSpec()
+    lo0, hi0 = float(interval[0]), float(interval[1])
+    best_val = -np.inf
+    best_x = lo0
+    evals = 0
+    width = hi0 - lo0
+    lo, hi = lo0, hi0
+    for round_idx in range(grid.refinement_rounds + 1):
+        if round_idx > 0:
+            width *= grid.shrink_factor
+            lo, hi = max(lo0, best_x - width / 2.0), min(hi0, best_x + width / 2.0)
+        xs = np.linspace(lo, hi, grid.points_per_axis)
+        ys = np.broadcast_to(np.asarray(objective(xs), dtype=float), xs.shape)
+        evals += xs.size
+        i = int(np.argmax(ys))
+        if ys[i] > best_val:
+            best_val = float(ys[i])
+            best_x = float(xs[i])
+    return best_val, best_x, evals
+
+
+def reference_rows(objectives, interval=(0.0, 2.0)):
+    scans = [reference_maximize_1d(f, interval) for f in objectives]
+    return (np.array([s[0] for s in scans]), np.array([s[1] for s in scans]),
+            sum(s[2] for s in scans))
+
+
+def stacked_rows(profiles, block):
+    """maximize_1d over the profiles stacked `block` rows per call."""
+    values, argmaxes, evals = [], [], 0
+    for start in range(0, len(profiles), block):
+        scan = maximize_1d(QuarticProfile.stack(profiles[start:start + block]).value, (0.0, 2.0))
+        values.append(scan.max_value)
+        argmaxes.append(scan.argmax[0])
+        evals += scan.evaluations
+    return np.concatenate(values), np.concatenate(argmaxes), evals
+
+
+# the table-sweep grid: beta in [0, 0.99] at step 4e-4, 2476 rows
+SWEEP_BETAS = tuple(k * 4e-4 for k in range(2476))
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_profiles_and_reference(family):
+    profiles = [quartic_profile(family, beta) for beta in SWEEP_BETAS]
+    return profiles, reference_rows([p.value for p in profiles])
+
+
+def assert_rows_equal(got, expected):
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    assert got[2] == expected[2]
+
+
+class TestMaximize1dRowStack:
+    """Every row of a stacked scan equals the one-row scan, bit for bit."""
+
+    def test_row_points_are_numpy_linspace(self):
+        rng = np.random.default_rng(9)
+        lo = rng.uniform(0.0, 1.9, 20000)
+        hi = lo + rng.uniform(1e-6, 0.3, 20000)
+        # a few windows where arange * step + lo misses hi at the last point
+        missed = np.flatnonzero(2000.0 * ((hi - lo) / 2000) + lo != hi)
+        assert missed.size > 0
+        pick = np.concatenate([missed, np.arange(100)])
+        lo, hi = lo[pick], hi[pick]
+        ramp = np.arange(2001, dtype=float)
+        rows = _linspace(lo[:, None], hi[:, None], ramp)
+        for r in range(lo.size):
+            assert np.array_equal(rows[r], np.linspace(lo[r], hi[r], 2001))
+        assert np.array_equal(_linspace(0.3, 1.7, ramp), np.linspace(0.3, 1.7, 2001))
+
+    def test_sweep_crosses_both_starlike_thresholds(self):
+        t = thresholds()
+        assert SWEEP_BETAS[0] == 0.0 and abs(SWEEP_BETAS[-1] - 0.99) < 1e-12
+        assert 0.0 < t.quartic_sign_change < t.branch_split < SWEEP_BETAS[-1]
+
+    @pytest.mark.parametrize("block", [TABLE_BLOCK_ROWS, 7, 32])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_sweep_rows_match_reference_scan(self, family, block):
+        profiles, expected = sweep_profiles_and_reference(family)
+        assert_rows_equal(stacked_rows(profiles, block), expected)
+
+    def test_block_size_not_dividing_row_count(self):
+        profiles = [quartic_profile(FamilyId.STARLIKE, 0.2 + k * 0.0037) for k in range(109)]
+        assert len(profiles) % TABLE_BLOCK_ROWS != 0
+        expected = reference_rows([p.value for p in profiles])
+        for block in (1, TABLE_BLOCK_ROWS, 16, 108, 109, 500):
+            assert_rows_equal(stacked_rows(profiles, block), expected)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_single_row_stack_reports_arrays(self, family):
+        profile = quartic_profile(family, 0.5)
+        scan = maximize_1d(QuarticProfile.stack([profile]).value, (0.0, 2.0))
+        assert scan.max_value.shape == (1,) and scan.argmax[0].shape == (1,)
+        single = maximize_1d(profile.value, (0.0, 2.0))
+        assert (scan.max_value[0], scan.argmax[0][0], scan.evaluations) == \
+            (single.max_value, single.argmax[0], single.evaluations)
+
+    def test_nan_rows_keep_the_no_update_rule(self):
+        # argmax lands on a NaN and the strict > never accepts it: an all-NaN
+        # row keeps -inf at the left endpoint, a partly-NaN row may miss rounds
+        profiles = [quartic_profile(FamilyId.CONVEX, b) for b in (0.1, 0.5, 0.9)]
+        stacked = QuarticProfile.stack(profiles)
+
+        def objective(x):
+            ys = np.array(stacked.value(x))
+            ys[1] = np.nan
+            ys[2][np.broadcast_to(x, ys.shape)[2] < 1.0] = np.nan
+            return ys
+
+        scan = maximize_1d(objective, (0.0, 2.0))
+        expected = reference_rows([
+            profiles[0].value,
+            lambda x: np.full_like(x, np.nan),
+            lambda x: np.where(x < 1.0, np.nan, profiles[2].value(x)),
+        ])
+        assert_rows_equal((scan.max_value, scan.argmax[0], scan.evaluations), expected)
+        assert scan.max_value[1] == -np.inf and scan.argmax[0][1] == 0.0
+
+    def test_constant_rows_report_left_endpoint(self):
+        levels = np.array([[1.0], [3.0], [2.0]])
+        scan = maximize_1d(lambda x: np.broadcast_to(levels, (3, x.shape[-1])), (0.5, 2.0))
+        assert scan.max_value.tolist() == [1.0, 3.0, 2.0]
+        assert scan.argmax[0].tolist() == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            lambda x: 5.0,
+            lambda x: 0.3 - (x - 0.7) ** 2,
+            lambda x: np.floor(3.0 * x),
+            lambda x: np.full_like(x, np.nan),
+            quartic_profile(FamilyId.STARLIKE, 0.3).value,
+        ],
+    )
+    def test_one_row_call_matches_reference(self, objective):
+        for interval in ((0.0, 2.0), (0.25, 1.5)):
+            scan = maximize_1d(objective, interval)
+            assert type(scan.max_value) is float and type(scan.argmax[0]) is float
+            assert (scan.max_value, scan.argmax[0], scan.evaluations) == \
+                reference_maximize_1d(objective, interval)
+
+
 class TestMaximizeUnitSquare:
+    def test_nan_c_is_domain_error(self):
+        with pytest.raises(DomainError):
+            maximize_unit_square(quartic_profile(FamilyId.STARLIKE, 0.0), math.nan)
+
     def test_constant_plane_at_c2(self):
         profile = quartic_profile(FamilyId.STARLIKE, 0.0)
         result = maximize_unit_square(profile, 2.0)

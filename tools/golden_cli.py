@@ -34,6 +34,11 @@ COMMANDS = (
     "table",
     "table --family both --beta-range 0 0.99 --step 4e-4",
     "table --format json --step 0.05",
+    # row-block edges of the table scan: one row, a row count that is not a
+    # block multiple across both starlike thresholds, JSON floats
+    "table --family convex --beta-range 0.5 0.5 --step 0.1",
+    "table --family starlike --beta-range 0.2 0.6 --step 0.0037",
+    "table --format json --beta-range 0 0.99 --step 0.01",
     "search --family starlike --seed 7",
     "search --family starlike --beta 0 --samples 500000 --seed 3",
     "search --family convex --beta 0.3 --samples 500000 --seed 3 --constrain-sum",
