@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, DomainError
 
 # slack on the |c_k| <= 2 coefficient bound
 COEFF_BOUND_TOL = 1e-12
@@ -162,17 +162,29 @@ def x_from_c2(c1: float, c2: complex) -> complex:
 # --- seeded samplers -------------------------------------------------------
 
 def unit_disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform samples from the closed unit disk by rejection from the square."""
+    """Uniform samples from the closed unit disk by rejection from the square.
+
+    Candidates are drawn as interleaved (re, im) pairs, and the generator is
+    left just past the last pair used, so the sampler is prefix-consistent:
+    drawing n points and then m points gives the same points, and the same
+    generator state afterwards, as drawing n + m at once.  The rewind
+    assumes that each double takes one 64-bit output of the bit generator
+    and that the bit generator has `advance` (PCG64, numpy's default, does).
+    """
     out = np.empty(count, dtype=complex)
     filled = 0
     while filled < count:
         need = count - filled
         batch = int(need * 1.35) + 8
-        pts = rng.uniform(-1.0, 1.0, batch) + 1j * rng.uniform(-1.0, 1.0, batch)
-        accepted = pts[np.abs(pts) <= 1.0]
-        take = min(need, accepted.size)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
+        state = rng.bit_generator.state
+        pts = rng.uniform(-1.0, 1.0, (batch, 2)).view(complex)[:, 0]
+        used = np.flatnonzero(np.abs(pts) <= 1.0)
+        if used.size >= need:
+            used = used[:need]
+            rng.bit_generator.state = state
+            rng.bit_generator.advance(2 * (int(used[-1]) + 1))
+        out[filled:filled + used.size] = pts[used]
+        filled += used.size
     return out
 
 
@@ -181,9 +193,16 @@ def unit_circle_samples(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
 
 
+def check_seed(seed: int) -> int:
+    """Validate a sampling seed: numpy seeds must be integers >= 0."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def sample_disk_params(count: int, seed: int) -> list[DiskParams]:
     """Seeded draws with c uniform on [0, 2] and x, z uniform on the disk."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     cs = rng.uniform(0.0, 2.0, count)
     xs = unit_disk_samples(rng, count)
     zs = unit_disk_samples(rng, count)
@@ -197,7 +216,7 @@ def sample_herglotz_measures(
     count: int, seed: int, max_atoms: int = 6
 ) -> list[HerglotzMeasure]:
     """Seeded atomic measures with atom count uniform on {1..max_atoms}."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     measures = []
     for _ in range(count):
         n_atoms = int(rng.integers(1, max_atoms + 1))

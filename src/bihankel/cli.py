@@ -19,6 +19,7 @@ from . import bounds as bd
 from . import optimizer as opt
 from . import series as ts
 from . import verification
+from .caratheodory import check_seed
 from .errors import BihankelError, DomainError
 from .functionals import FamilyId, Order, series_residual
 
@@ -280,7 +281,7 @@ def cmd_derive(args) -> int:
         + inv_coeffs
     ]
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_seed(args.seed))
     worst = 0.0
     for family in (FamilyId.STARLIKE, FamilyId.CONVEX):
         for beta in betas:

@@ -23,6 +23,7 @@ from . import bounds as bd
 from .caratheodory import (
     DiskParams,
     PCoefficients,
+    check_seed,
     coeffs_from_disk_params,
     disk_coeffs,
     unit_circle_samples,
@@ -233,6 +234,12 @@ def maximize_surrogate(
 
 # --- empirical search over the exact parametrization -----------------------
 
+# samples drawn and evaluated per block of `empirical_max_h22`.  A block's
+# temporaries take a few MB; 2^12 was slower per sample (per-call overhead)
+# and 2^16 took 12 MB more peak RSS for no gain in speed.
+SEARCH_CHUNK = 1 << 14
+
+
 def inverse_side_coeffs(c: float, y: complex, w: complex) -> PCoefficients:
     """(d1, d2, d3) from the disk parametrization applied at d1 = -c.
 
@@ -292,6 +299,17 @@ def _sum_constraint_target(family: FamilyId, beta: float, c: np.ndarray) -> np.n
     return -2.0 * beta * c * c / gap
 
 
+def _ring_then_disk(
+    rng: np.random.Generator, start: int, stop: int, n_boundary: int
+) -> np.ndarray:
+    """Points [start, stop) of a stream whose first `n_boundary` lie on the circle."""
+    on_circle = min(max(n_boundary - start, 0), stop - start)
+    return np.concatenate(
+        [unit_circle_samples(rng, on_circle),
+         unit_disk_samples(rng, stop - start - on_circle)]
+    )
+
+
 def empirical_max_h22(
     family: FamilyId,
     beta: float,
@@ -308,37 +326,50 @@ def empirical_max_h22(
     `constrain_sum` the otherwise-dropped c2 + d2 relation is imposed by
     solving for y, discarding draws that leave the disk (an experiment, off
     by default; `evaluations` then counts the surviving samples).
+
+    Each variable has its own stream, `SeedSequence(seed).spawn(5)` in the
+    order c, x, y, z, w, and the samples are drawn and evaluated
+    `SEARCH_CHUNK` at a time, so memory does not grow with `samples`.  The
+    samplers are prefix-consistent and the running best is replaced only by
+    a strictly larger value, so the result is the one a single argmax over
+    all samples would give, whatever the chunk size.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     beta = bd.check_beta(beta)
     if not 0.0 <= boundary_fraction <= 1.0:
         raise DomainError("boundary fraction must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    seed = check_seed(seed)
+    c_rng, x_rng, y_rng, z_rng, w_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(5)
+    )
 
     n_boundary = int(round(samples * boundary_fraction))
-    c = rng.uniform(0.0, 2.0, samples)
-    x = np.concatenate(
-        [unit_circle_samples(rng, n_boundary),
-         unit_disk_samples(rng, samples - n_boundary)]
-    )
-    y = np.concatenate(
-        [unit_circle_samples(rng, n_boundary),
-         unit_disk_samples(rng, samples - n_boundary)]
-    )
-    z = unit_disk_samples(rng, samples)
-    w = unit_disk_samples(rng, samples)
+    best_val, argmax, kept = -np.inf, (), 0
+    for start in range(0, samples, SEARCH_CHUNK):
+        stop = min(start + SEARCH_CHUNK, samples)
+        c = c_rng.uniform(0.0, 2.0, stop - start)
+        x = _ring_then_disk(x_rng, start, stop, n_boundary)
+        z = unit_disk_samples(z_rng, stop - start)
+        w = unit_disk_samples(w_rng, stop - start)
+        if constrain_sum:
+            # c = 2 makes the relation vacuous (both sides vanish); away from
+            # it solve for y and keep only draws that stay inside the disk.
+            y = _sum_constraint_target(family, beta, c) - x
+            keep = np.abs(y) <= 1.0
+            c, x, y, z, w = c[keep], x[keep], y[keep], z[keep], w[keep]
+            if c.size == 0:
+                continue
+        else:
+            y = _ring_then_disk(y_rng, start, stop, n_boundary)
 
-    if constrain_sum:
-        # c = 2 makes the relation vacuous (both sides vanish); away from it
-        # solve for y and keep only draws that stay inside the disk.
-        y = _sum_constraint_target(family, beta, c) - x
-        keep = np.abs(y) <= 1.0
-        if not np.any(keep):
-            return SearchResult(0.0, (), 0, seed)
-        c, x, y, z, w = c[keep], x[keep], y[keep], z[keep], w[keep]
+        vals = h22_batch(family, beta, c, x, y, z, w)
+        kept += vals.size
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            argmax = (float(c[i]), complex(x[i]), complex(y[i]), complex(z[i]), complex(w[i]))
 
-    vals = h22_batch(family, beta, c, x, y, z, w)
-    i = int(np.argmax(vals))
-    argmax = (float(c[i]), complex(x[i]), complex(y[i]), complex(z[i]), complex(w[i]))
-    return SearchResult(float(vals[i]), argmax, int(vals.size), seed)
+    if kept == 0:
+        return SearchResult(0.0, (), 0, seed)
+    return SearchResult(best_val, argmax, kept, seed)

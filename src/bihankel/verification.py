@@ -18,6 +18,7 @@ import numpy as np
 from . import bounds as bd
 from . import optimizer as opt
 from .caratheodory import (
+    check_seed,
     coeffs_from_disk_params,
     p_coefficients_from_herglotz,
     sample_disk_params,
@@ -124,10 +125,12 @@ def run_checks(
     `clear_spot_check_cache` forgets the memo.
 
     `trials` and `spot_samples` below 1 raise DomainError: no check may
-    pass over zero draws.  So does `c_points` below 3, which would leave
-    the c-grid without an interior point for `hessian_negative`.
+    pass over zero draws.  So do `c_points` below 3, which would leave the
+    c-grid without an interior point for `hessian_negative`, and a negative
+    `seed`, which numpy rejects.
     """
     beta = bd.check_beta(beta)
+    seed = check_seed(seed)
     if trials < 1 or spot_samples < 1:
         raise DomainError("trials and samples must be >= 1")
     if c_points < 3:

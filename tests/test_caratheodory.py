@@ -10,6 +10,7 @@ from bihankel.caratheodory import (
     DiskParams,
     HerglotzMeasure,
     PCoefficients,
+    check_seed,
     coeffs_from_disk_params,
     coeffs_from_herglotz,
     p_coefficients_from_herglotz,
@@ -20,7 +21,7 @@ from bihankel.caratheodory import (
     validate_p,
     x_from_c2,
 )
-from bihankel.errors import ConstraintViolation
+from bihankel.errors import ConstraintViolation, DomainError
 
 
 class TestDiskParams:
@@ -165,3 +166,69 @@ class TestSamplers:
         pts = unit_disk_samples(rng, 10000)
         assert pts.shape == (10000,)
         assert float(np.max(np.abs(pts))) <= 1.0
+
+
+def reference_disk(seed, count):
+    """The first `count` accepted (re, im) pairs, and the state just past them.
+
+    Draws one long run of interleaved pairs, takes the accepted ones, and
+    rebuilds the end state by drawing exactly the doubles used.
+    """
+    pairs = np.random.default_rng(seed).uniform(-1.0, 1.0, (2 * count + 64, 2))
+    pts = pairs[:, 0] + 1j * pairs[:, 1]
+    used = np.flatnonzero(np.abs(pts) <= 1.0)[:count]
+    assert used.size == count
+    rng = np.random.default_rng(seed)
+    rng.uniform(-1.0, 1.0, 2 * (int(used[-1]) + 1) if count else 0)
+    return pts[used], rng.bit_generator.state
+
+
+class TestDiskSamplerPrefix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 300), st.integers(0, 300))
+    def test_split_draws_equal_one_draw(self, seed, n, m):
+        whole_rng = np.random.default_rng(seed)
+        whole = unit_disk_samples(whole_rng, n + m)
+        split_rng = np.random.default_rng(seed)
+        split = np.concatenate([unit_disk_samples(split_rng, n),
+                                unit_disk_samples(split_rng, m)])
+        assert np.array_equal(split, whole)
+        assert split_rng.bit_generator.state == whole_rng.bit_generator.state
+        assert whole.shape == (n + m,)
+        assert np.all(np.abs(whole) <= 1.0)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 50, 16384])
+    def test_matches_pair_stream(self, count):
+        rng = np.random.default_rng(count)
+        pts = unit_disk_samples(rng, count)
+        expected, state = reference_disk(count, count)
+        assert np.array_equal(pts, expected)
+        assert rng.bit_generator.state == state
+
+    def test_second_batch_matches_pair_stream(self):
+        # seeds whose 100th accepted pair lies past the first batch of
+        # int(100 * 1.35) + 8 = 143 pairs, so the sampler draws twice
+        count, first_batch = 100, 143
+        seeds = []
+        for seed in range(2000):
+            pairs = np.random.default_rng(seed).uniform(-1.0, 1.0, (first_batch, 2))
+            if np.count_nonzero(np.abs(pairs[:, 0] + 1j * pairs[:, 1]) <= 1.0) < count:
+                seeds.append(seed)
+        assert seeds
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            pts = unit_disk_samples(rng, count)
+            expected, state = reference_disk(seed, count)
+            assert np.array_equal(pts, expected)
+            assert rng.bit_generator.state == state
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [0, 1, 2**40])
+    def test_non_negative_accepted(self, seed):
+        assert check_seed(seed) == seed
+
+    @pytest.mark.parametrize("sampler", [sample_disk_params, sample_herglotz_measures])
+    def test_negative_seed_raises(self, sampler):
+        with pytest.raises(DomainError, match=r"seed must be >= 0, got -1"):
+            sampler(5, seed=-1)

@@ -358,6 +358,13 @@ class TestValidationMessages:
             (("search", "--family", "starlike", "--beta", "1"), "beta must lie in [0, 1), got 1.0"),
             (("derive", "--beta", "2", "--trials", "0"), "beta must lie in [0, 1), got 2.0"),
             (("derive", "--trials", "0"), "trials must be >= 1, got 0"),
+            (("search", "--family", "starlike", "--seed", "-1", "--samples", "10"),
+             "seed must be >= 0, got -1"),
+            (("verify", "--seed", "-2", "--trials", "2", "--samples", "5"),
+             "seed must be >= 0, got -2"),
+            (("verify", "--seed", "-1", "--trials", "2", "--samples", "5"),
+             "seed must be >= 0, got -1"),
+            (("derive", "--seed", "-1", "--trials", "2"), "seed must be >= 0, got -1"),
             (("fs-bound", "--family", "starlike", "--beta", "1", "--mu", "1"),
              "beta must lie in [0, 1), got 1.0"),
             (("table", "--step", "nan"),

@@ -1,12 +1,14 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bihankel.bounds import QuarticProfile, h22_bound, quartic_profile, surrogate_terms, thresholds
+from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
-from bihankel.caratheodory import disk_coeffs, unit_disk_samples
+from bihankel.caratheodory import disk_coeffs, unit_circle_samples, unit_disk_samples
 from bihankel.errors import DomainError
 from bihankel.functionals import FamilyId, Order
 from bihankel.optimizer import (
@@ -14,6 +16,7 @@ from bihankel.optimizer import (
     CUBE_GRID,
     SQUARE_GRID,
     GridSpec,
+    SearchResult,
     empirical_max_h22,
     h22_from_params,
     inverse_side_coeffs,
@@ -350,6 +353,10 @@ class TestEmpiricalSearch:
         with pytest.raises(DomainError):
             empirical_max_h22(FamilyId.STARLIKE, 0.0, 0, seed=1)
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            empirical_max_h22(FamilyId.STARLIKE, 0.0, 100, seed=-1)
+
 
 class TestBoundaryFraction:
     @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5, float("inf")])
@@ -368,6 +375,106 @@ class TestBoundaryFraction:
         result = empirical_max_h22(FamilyId.CONVEX, 0.3, 100, seed=1,
                                    boundary_fraction=fraction)
         assert result.evaluations == 100
+
+
+# The streaming search must give what one pass over all samples gives: the
+# same five streams drawn in one go, one kernel call, one argmax.
+
+def reference_search(family, beta, samples, seed, boundary_fraction=0.25,
+                     constrain_sum=False):
+    c_rng, x_rng, y_rng, z_rng, w_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(5)
+    )
+    n_boundary = int(round(samples * boundary_fraction))
+    c = c_rng.uniform(0.0, 2.0, samples)
+    x = np.concatenate([unit_circle_samples(x_rng, n_boundary),
+                        unit_disk_samples(x_rng, samples - n_boundary)])
+    if constrain_sum:
+        y = opt._sum_constraint_target(family, beta, c) - x
+    else:
+        y = np.concatenate([unit_circle_samples(y_rng, n_boundary),
+                            unit_disk_samples(y_rng, samples - n_boundary)])
+    z = unit_disk_samples(z_rng, samples)
+    w = unit_disk_samples(w_rng, samples)
+    if constrain_sum:
+        keep = np.abs(y) <= 1.0
+        if not np.any(keep):
+            return SearchResult(0.0, (), 0, seed)
+        c, x, y, z, w = c[keep], x[keep], y[keep], z[keep], w[keep]
+    vals = opt.h22_batch(family, beta, c, x, y, z, w)
+    i = int(np.argmax(vals))
+    argmax = (float(c[i]), complex(x[i]), complex(y[i]), complex(z[i]), complex(w[i]))
+    return SearchResult(float(vals[i]), argmax, int(vals.size), seed)
+
+
+# (family, beta, samples, seed, boundary_fraction, constrain_sum)
+SEARCH_CASES = (
+    (FamilyId.STARLIKE, 0.0, 20000, 3, 0.25, False),
+    (FamilyId.CONVEX, 0.3, 20000, 4, 0.25, True),
+    (FamilyId.STARLIKE, 0.6, 20000, 5, 0.0, False),
+    (FamilyId.CONVEX, 0.0, 20000, 6, 1.0, False),
+    # n_boundary = 18000 ends inside a chunk for every chunk size below
+    (FamilyId.CONVEX, 0.3, 40000, 7, 0.45, False),
+)
+CASE_IDS = ("plain", "constrain-sum", "fraction-0", "fraction-1", "fraction-mid-chunk")
+
+
+def search(case):
+    family, beta, samples, seed, fraction, constrained = case
+    return empirical_max_h22(family, beta, samples, seed, boundary_fraction=fraction,
+                             constrain_sum=constrained)
+
+
+class TestStreamingSearch:
+    @pytest.mark.parametrize("case", SEARCH_CASES, ids=CASE_IDS)
+    def test_default_chunk_matches_whole_array_reference(self, case):
+        assert opt.SEARCH_CHUNK == 1 << 14
+        assert search(case) == reference_search(*case)
+
+    @pytest.mark.parametrize("chunk", [7, (1 << 14) - 1, "samples", "more"])
+    @pytest.mark.parametrize("case", SEARCH_CASES, ids=CASE_IDS)
+    def test_independent_of_chunk_size(self, monkeypatch, case, chunk):
+        samples = case[2]
+        chunk = {"samples": samples, "more": samples + 1}.get(chunk, chunk)
+        monkeypatch.setattr(opt, "SEARCH_CHUNK", chunk)
+        assert search(case) == reference_search(*case)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES, ids=CASE_IDS)
+    def test_chunks_of_one_sample(self, monkeypatch, case):
+        small = case[:2] + (400,) + case[3:]
+        monkeypatch.setattr(opt, "SEARCH_CHUNK", 1)
+        assert search(small) == reference_search(*small)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_ties_go_to_the_lowest_index(self, monkeypatch, chunk):
+        # a coarse kernel makes most values tie; one argmax over the whole
+        # array reports the first of them, and so must the chunked search
+        exact = opt.h22_batch
+        monkeypatch.setattr(opt, "h22_batch", lambda *a: np.floor(exact(*a)))
+        monkeypatch.setattr(opt, "SEARCH_CHUNK", chunk)
+        case = (FamilyId.STARLIKE, 0.0, 600, 8, 0.25, False)
+        expected = reference_search(*case)
+        assert expected.max_value == 3.0
+        assert search(case) == expected
+
+    def test_nothing_kept(self, monkeypatch):
+        # |target - x| >= 2 for every draw, so no y stays in the disk
+        monkeypatch.setattr(opt, "_sum_constraint_target", lambda family, beta, c: c + 3.0)
+        result = empirical_max_h22(FamilyId.CONVEX, 0.3, 50000, seed=2, constrain_sum=True)
+        assert result == SearchResult(0.0, (), 0, 2)
+
+    def test_memory_does_not_grow_with_samples(self):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                empirical_max_h22(FamilyId.STARLIKE, 0.0, samples, seed=9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(2_000_000)
+        assert large < 8 * 2**20
+        assert large <= small + 2**18
 
 
 # The merged kernel and scans must reproduce the code they replaced bit for

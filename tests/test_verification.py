@@ -150,6 +150,12 @@ class TestRunChecksInputs:
         with pytest.raises(DomainError, match="beta"):
             vf.run_checks(FamilyId.STARLIKE, 2.0, trials=0, spot_samples=0)
 
+    @pytest.mark.parametrize("seed", [-1, -4, -5])
+    def test_negative_seed_raises(self, seed):
+        # seed + 4 and seed + 5 drive the sampling checks, so -1 used to run
+        with pytest.raises(DomainError, match=f"seed must be >= 0, got {seed}"):
+            vf.run_checks(FamilyId.STARLIKE, 0.0, seed=seed, trials=1, spot_samples=1)
+
     def test_smallest_counts_run(self):
         checks = vf.run_checks(FamilyId.CONVEX, 0.3, trials=1, spot_samples=1)
         assert vf.all_passed(checks)

@@ -44,6 +44,10 @@ COMMANDS = (
     "search --family convex --beta 0.3 --samples 500000 --seed 3 --constrain-sum",
     "search --family convex --beta 0.3 --samples 1000 --boundary-fraction 1.0",
     "search --family convex --beta 0.3 --samples 1000 --boundary-fraction 0",
+    # chunk edges of the streaming search: one sample past a chunk, and a
+    # boundary prefix (21000 of 70000 samples) that ends inside a chunk
+    "search --family starlike --samples 16385 --seed 2",
+    "search --family convex --beta 0.3 --samples 70000 --boundary-fraction 0.3 --seed 4",
     "fs-bound --family convex --beta 0 --mu 1",
     "fs-bound --family starlike --beta 0.2 --mu -2",
     # usage and domain errors (exit 2)
@@ -55,6 +59,8 @@ COMMANDS = (
     "search --family starlike --samples 0 --beta 3",
     "search --family starlike --boundary-fraction 1.5",
     "search --family starlike --boundary-fraction nan",
+    "search --family starlike --seed -1 --samples 10",
+    "verify --seed -2 --trials 2 --samples 5",
     "derive --beta -0.1",
     "derive --beta 2 --trials 0",
     "derive --trials 0",
