@@ -32,8 +32,6 @@ from .caratheodory import (
     coeffs_from_herglotz,
     p_coefficients_from_herglotz,
     rotate_to_real,
-    sample_disk_params,
-    sample_herglotz_measures,
     validate_p,
     x_from_c2,
 )
@@ -50,7 +48,6 @@ from .functionals import (
     BiCoefficients,
     FamilyId,
     Order,
-    SystemReport,
     fekete_szego,
     hankel_2_2,
     hankel_matrix_det,

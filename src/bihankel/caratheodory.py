@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,12 +61,7 @@ class DiskParams:
     z: complex
 
     def __post_init__(self) -> None:
-        if not -DOMAIN_TOL <= self.c <= 2.0 + DOMAIN_TOL:
-            raise ConstraintViolation(f"c must lie in [0, 2], got {self.c}")
-        if abs(self.x) > 1.0 + DOMAIN_TOL:
-            raise ConstraintViolation(f"|x| must be <= 1, got {abs(self.x)}")
-        if abs(self.z) > 1.0 + DOMAIN_TOL:
-            raise ConstraintViolation(f"|z| must be <= 1, got {abs(self.z)}")
+        check_disk_params(self.c, self.x, self.z)
 
 
 @dataclass(frozen=True)
@@ -77,19 +71,49 @@ class HerglotzMeasure:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.atoms) == 0:
-            raise ConstraintViolation("measure needs at least one atom")
-        total = 0.0
-        for weight, angle in self.atoms:
-            if weight < -DOMAIN_TOL:
-                raise ConstraintViolation(f"negative atom weight {weight}")
-            if not 0.0 <= angle < 2.0 * math.pi:
-                raise ConstraintViolation(
-                    f"atom angle {angle} outside [0, 2*pi)"
-                )
-            total += weight
-        if abs(total - 1.0) > 1e-12:
-            raise ConstraintViolation(f"atom weights sum to {total}, not 1")
+        check_herglotz(*self.arrays())
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (weights, angles) of the atoms, as two 1-d arrays."""
+        return np.array(self.atoms, dtype=float).reshape(-1, 2).T
+
+
+def _require(ok, message: str, values) -> None:
+    """Raise ConstraintViolation naming the first value where `ok` fails."""
+    if not np.all(ok):
+        bad = np.asarray(values)[~np.asarray(ok)]
+        raise ConstraintViolation(f"{message}, got {bad.flat[0]}")
+
+
+def check_disk_params(c, x, z) -> None:
+    """Validate (c, x, z): c in [0, 2] and |x|, |z| <= 1; scalars or arrays.
+
+    Each bound has `DOMAIN_TOL` of slack, and NaN fails every bound.
+    """
+    _require((c >= -DOMAIN_TOL) & (c <= 2.0 + DOMAIN_TOL), "c must lie in [0, 2]", c)
+    for name, value in (("x", abs(x)), ("z", abs(z))):
+        _require(value <= 1.0 + DOMAIN_TOL, f"|{name}| must be <= 1", value)
+
+
+def check_herglotz(weights: np.ndarray, angles: np.ndarray) -> None:
+    """Validate atomic measures, one per row; the last axis runs over the atoms.
+
+    Every row needs at least one atom, weights >= 0 (with `DOMAIN_TOL` of
+    slack) summing to 1 within 1e-12, and angles in [0, 2*pi).  Zero-weight
+    atoms are allowed, so rows of a packed batch can be padded with them.
+    NaN fails every check.
+    """
+    if weights.shape != angles.shape or weights.ndim == 0:
+        raise ConstraintViolation(
+            f"weights {weights.shape} and angles {angles.shape} must share one shape"
+        )
+    if weights.shape[-1] == 0:
+        raise ConstraintViolation("measure needs at least one atom")
+    _require(weights >= -DOMAIN_TOL, "negative atom weight", weights)
+    _require((angles >= 0.0) & (angles < 2.0 * math.pi),
+             "atom angle outside [0, 2*pi)", angles)
+    total = weights.sum(axis=-1)
+    _require(abs(total - 1.0) <= 1e-12, "atom weights do not sum to 1", total)
 
 
 def disk_coeffs(c, x, z):
@@ -111,19 +135,39 @@ def coeffs_from_disk_params(params: DiskParams) -> PCoefficients:
     return PCoefficients(complex(params.c), c2, c3)
 
 
-def coeffs_from_herglotz(measure: HerglotzMeasure, k_max: int) -> list[complex]:
-    """Coefficients c_k = 2 sum_j w_j e^{i k t_j} for k = 1..k_max."""
+def coeffs_from_herglotz(measure, k_max: int):
+    """Coefficients c_k = 2 sum_j w_j e^{i k t_j} for k = 1..k_max.
+
+    `measure` is a `HerglotzMeasure`, giving a list of k_max complex
+    numbers, or a packed `(weights, angles)` pair of arrays whose last axis
+    runs over the atoms (see `herglotz_samples`), giving an array with the
+    k axis last.  Both go through the same sum over the atom axis, and a
+    packed pair is validated by `check_herglotz` first.
+    """
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    out = []
+        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    if isinstance(measure, HerglotzMeasure):
+        return _herglotz_coeffs(*measure.arrays(), k_max).tolist()
+    weights, angles = measure
+    check_herglotz(weights, angles)
+    return _herglotz_coeffs(weights, angles, k_max)
+
+
+def _herglotz_coeffs(weights, angles, k_max: int) -> np.ndarray:
+    out = np.empty(weights.shape[:-1] + (k_max,), dtype=complex)
     for k in range(1, k_max + 1):
-        out.append(2.0 * sum(w * cmath.exp(1j * k * t) for w, t in measure.atoms))
+        out[..., k - 1] = 2.0 * np.sum(weights * np.exp(1j * k * angles), axis=-1)
     return out
 
 
 def p_coefficients_from_herglotz(measure: HerglotzMeasure) -> PCoefficients:
     c1, c2, c3 = coeffs_from_herglotz(measure, 3)
     return PCoefficients(c1, c2, c3)
+
+
+def coeff_excess(*coeffs) -> float:
+    """Largest |c_k| - 2 over coefficients given as scalars or arrays."""
+    return float(np.max([np.max(np.abs(c)) for c in coeffs])) - 2.0
 
 
 def validate_p(coeffs: PCoefficients) -> bool:
@@ -200,32 +244,30 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def sample_disk_params(count: int, seed: int) -> list[DiskParams]:
-    """Seeded draws with c uniform on [0, 2] and x, z uniform on the disk."""
-    rng = np.random.default_rng(check_seed(seed))
-    cs = rng.uniform(0.0, 2.0, count)
-    xs = unit_disk_samples(rng, count)
-    zs = unit_disk_samples(rng, count)
-    return [
-        DiskParams(float(c), complex(x), complex(z))
-        for c, x, z in zip(cs, xs, zs)
-    ]
+def disk_param_samples(
+    rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (c, x, z) with c uniform on [0, 2] and x, z uniform on the disk."""
+    c = rng.uniform(0.0, 2.0, count)
+    x = unit_disk_samples(rng, count)
+    z = unit_disk_samples(rng, count)
+    return c, x, z
 
 
-def sample_herglotz_measures(
-    count: int, seed: int, max_atoms: int = 6
-) -> list[HerglotzMeasure]:
-    """Seeded atomic measures with atom count uniform on {1..max_atoms}."""
-    rng = np.random.default_rng(check_seed(seed))
-    measures = []
-    for _ in range(count):
-        n_atoms = int(rng.integers(1, max_atoms + 1))
-        raw = rng.uniform(0.1, 1.0, n_atoms)
-        weights = raw / raw.sum()
-        angles = rng.uniform(0.0, 2.0 * math.pi, n_atoms)
-        measures.append(
-            HerglotzMeasure(
-                tuple((float(w), float(t)) for w, t in zip(weights, angles))
-            )
-        )
-    return measures
+def herglotz_samples(
+    rng: np.random.Generator, count: int, max_atoms: int = 6
+) -> tuple[np.ndarray, np.ndarray]:
+    """`count` atomic measures as (weights, angles) arrays of shape (count, max_atoms).
+
+    Row i has an atom count n_i uniform on {1..max_atoms}; its first n_i
+    atoms get raw weights uniform on [0.1, 1], normalized to sum 1, and
+    angles uniform on [0, 2*pi).  The other atoms are padding with weight 0
+    at angle 0, which adds nothing to any coefficient.
+    """
+    n_atoms = rng.integers(1, max_atoms + 1, count)
+    pad = np.arange(max_atoms) >= n_atoms[:, None]
+    raw = rng.uniform(0.1, 1.0, (count, max_atoms))
+    raw[pad] = 0.0
+    angles = rng.uniform(0.0, 2.0 * math.pi, (count, max_atoms))
+    angles[pad] = 0.0
+    return raw / raw.sum(axis=1, keepdims=True), angles

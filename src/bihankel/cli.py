@@ -31,6 +31,12 @@ MAX_TABLE_ROWS = 10**6
 # OS only when it frees a chunk of 64 KiB or more, so these blocks reuse
 # their memory, where 32-row blocks page-faulted it back in every round.
 TABLE_BLOCK_ROWS = 4
+# caps on requested work.  `search` streams, so its memory stays flat and
+# the cap bounds run time (10^8 samples take about 36 s); `verify` and
+# `derive` hold their draws as arrays, so memory grows with these counts.
+MAX_SEARCH_SAMPLES = 10**8
+MAX_VERIFY_SAMPLES = 10**6
+MAX_TRIALS = 10**5
 
 
 def _fmt(x: float) -> str:
@@ -50,6 +56,11 @@ def _families(name: str) -> list[FamilyId]:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise DomainError(f"{flag} must be <= {cap}, got {value}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -121,6 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_verify(args) -> int:
     betas = [bd.check_beta(b) for b in args.beta or [0.0]]
+    _check_cap("--samples", args.samples, MAX_VERIFY_SAMPLES)
+    _check_cap("--trials", args.trials, MAX_TRIALS)
 
     # the beta-independent spot checks are shared by every pair of this run
     verification.clear_spot_check_cache()
@@ -233,6 +246,7 @@ def cmd_table(args) -> int:
 
 def cmd_search(args) -> int:
     family = FamilyId(args.family)
+    _check_cap("--samples", args.samples, MAX_SEARCH_SAMPLES)
     result = opt.empirical_max_h22(
         family,
         args.beta,
@@ -272,6 +286,7 @@ def cmd_search(args) -> int:
 
 def cmd_derive(args) -> int:
     betas = [bd.check_beta(b) for b in args.beta or [0.0, 0.3, 0.7]]
+    _check_cap("--trials", args.trials, MAX_TRIALS)
 
     koebe_like = ts.TruncatedSeries.from_coeffs([0, 1, 2, 3, 4], 4)
     inverse = ts.invert_composition(koebe_like)

@@ -43,11 +43,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.points_per_axis < 3:
-            raise ValueError("points_per_axis must be >= 3")
+            raise DomainError("points_per_axis must be >= 3")
         if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
+            raise DomainError("refinement_rounds must be >= 0")
         if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("shrink_factor must lie in (0, 1)")
+            raise DomainError("shrink_factor must lie in (0, 1)")
 
 
 # smaller defaults for the multi-axis scans
@@ -113,7 +113,7 @@ def maximize_1d(
     grid = grid or GridSpec()
     lo0, hi0 = float(interval[0]), float(interval[1])
     if not lo0 < hi0:
-        raise ValueError(f"need low < high, got [{lo0}, {hi0}]")
+        raise DomainError(f"need low < high, got [{lo0}, {hi0}]")
 
     ramp = np.arange(grid.points_per_axis, dtype=float)
     xs = _linspace(lo0, hi0, ramp)

@@ -9,8 +9,12 @@ starlike and convex mappings.  Together these act as an independent oracle:
 any hand-derived polynomial identity between Taylor coefficients can be
 confirmed by direct series algebra.
 
-All values are plain Python complex numbers and every series is immutable,
-so instances are safe to share freely.
+A series holds plain Python complex numbers, or a batch of series of one
+order holds one array per coefficient, over a trailing batch axis.  Every
+operation is written with elementwise arithmetic only, so the batch runs
+the same formulas as the scalar case, one numpy pass per coefficient
+instead of one Python loop per series.  Every series is immutable, so
+instances are safe to share freely.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotNormalized, ZeroConstantTerm
+import numpy as np
+
+from .errors import DomainError, NotNormalized, ZeroConstantTerm
 
 DEFAULT_ORDER = 8
 
@@ -32,20 +38,31 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c0..c_order of a power series truncated at z**order."""
+    """Coefficients c0..c_order of a power series truncated at z**order.
+
+    If any coefficient is an array, the series is a batch: the coefficients
+    are broadcast to one batch shape and stored as one complex array of
+    shape (order + 1, *batch), so `coeffs[k]` is c_k over the batch.
+    Otherwise `coeffs` is a tuple of Python complex numbers.  A batched
+    series has no `==` or hash.
+    """
 
     order: int
-    coeffs: tuple[complex, ...]
+    coeffs: tuple[complex, ...] | np.ndarray
 
     def __post_init__(self) -> None:
         if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        coeffs = tuple(complex(c) for c in self.coeffs)
+            raise DomainError(f"order must be >= 1, got {self.order}")
+        coeffs = tuple(self.coeffs)
         if len(coeffs) != self.order + 1:
-            raise ValueError(
+            raise DomainError(
                 f"expected {self.order + 1} coefficients for order "
                 f"{self.order}, got {len(coeffs)}"
             )
+        if any(np.ndim(c) for c in coeffs):
+            coeffs = np.array(np.broadcast_arrays(*coeffs), dtype=complex)
+        else:
+            coeffs = tuple(complex(c) for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -53,7 +70,7 @@ class TruncatedSeries:
         cls, coeffs: Iterable[complex], order: int | None = None
     ) -> "TruncatedSeries":
         """Build a series from leading coefficients, zero-padded to `order`."""
-        cs = [complex(c) for c in coeffs]
+        cs = list(coeffs)
         if order is None:
             order = max(len(cs) - 1, 1)
         cs = cs[: order + 1]
@@ -73,8 +90,11 @@ class TruncatedSeries:
         return self.coeffs[k]
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        """True when f(0)=0 and f'(0)=1 within `tol`."""
-        return abs(self.coeffs[0]) <= tol and abs(self.coeffs[1] - 1.0) <= tol
+        """True when f(0)=0 and f'(0)=1 within `tol` (for every batch row)."""
+        return bool(
+            np.all(abs(self.coeffs[0]) <= tol)
+            and np.all(abs(self.coeffs[1] - 1.0) <= tol)
+        )
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """Copy of this series truncated (or zero-padded) to `order`."""
@@ -109,10 +129,10 @@ class TruncatedSeries:
 
 
 def add(a: TruncatedSeries, b) -> TruncatedSeries:
-    """Sum truncated to the smaller order; scalars add to c0."""
+    """Sum truncated to the smaller order; scalars (or batch arrays) add to c0."""
     if not isinstance(b, TruncatedSeries):
         cs = list(a.coeffs)
-        cs[0] += complex(b)
+        cs[0] = cs[0] + b
         return TruncatedSeries(a.order, tuple(cs))
     n = min(a.order, b.order)
     return TruncatedSeries(
@@ -142,7 +162,7 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     each quotient coefficient is exact up to rounding.
     """
     b0 = b.coeffs[0]
-    if abs(b0) < ZERO_DIVISOR_TOL:
+    if np.any(abs(b0) < ZERO_DIVISOR_TOL):
         raise ZeroConstantTerm(
             f"divisor constant term {b0!r} is below tolerance {ZERO_DIVISOR_TOL}"
         )
@@ -152,7 +172,7 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     for k in range(n + 1):
         acc = ca[k]
         for j in range(k):
-            acc -= q[j] * cb[k - j]
+            acc = acc - q[j] * cb[k - j]
         q[k] = acc / b0
     return TruncatedSeries(n, tuple(q))
 
@@ -163,7 +183,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     Evaluated by a Horner recurrence in the truncated ring; the zero
     constant term of g keeps truncation exact.
     """
-    if abs(g.coeffs[0]) > ZERO_DIVISOR_TOL:
+    if np.any(abs(g.coeffs[0]) > ZERO_DIVISOR_TOL):
         raise NotNormalized(
             f"inner series must have zero constant term, got {g.coeffs[0]!r}"
         )
@@ -201,7 +221,7 @@ def invert_composition(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def _require_zero_origin(f: TruncatedSeries) -> None:
-    if abs(f.coeffs[0]) > NORMALIZATION_TOL:
+    if np.any(abs(f.coeffs[0]) > NORMALIZATION_TOL):
         raise NotNormalized(
             f"functional requires f(0)=0, got constant term {f.coeffs[0]!r}"
         )
@@ -240,6 +260,6 @@ def convex_functional(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def max_coeff_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
-    """Largest |a_k - b_k| over the shared truncation range."""
+    """Largest |a_k - b_k| over the shared truncation range (and the batch)."""
     n = min(a.order, b.order)
-    return max(abs(a.coeffs[k] - b.coeffs[k]) for k in range(n + 1))
+    return max(float(np.max(abs(a.coeffs[k] - b.coeffs[k]))) for k in range(n + 1))

@@ -18,11 +18,13 @@ import numpy as np
 from . import bounds as bd
 from . import optimizer as opt
 from .caratheodory import (
+    check_disk_params,
     check_seed,
-    coeffs_from_disk_params,
-    p_coefficients_from_herglotz,
-    sample_disk_params,
-    sample_herglotz_measures,
+    coeff_excess,
+    coeffs_from_herglotz,
+    disk_coeffs,
+    disk_param_samples,
+    herglotz_samples,
     unit_disk_samples,
 )
 from .errors import DomainError
@@ -56,8 +58,9 @@ def _sign_check(name, value) -> CheckResult:
     return CheckResult(name, float(value), 0.0, float(value) < 0.0)
 
 
-# Spot checks that `run_checks` memoizes (see its docstring).  The caches
-# hold only the scalar result, never the sample lists, so memory stays flat.
+# Spot checks that `run_checks` memoizes (see its docstring).  Each runs as
+# a few numpy passes over arrays of draws, with no per-draw Python object,
+# and the caches hold only the scalar result, never the draws.
 
 @functools.lru_cache(maxsize=8)
 def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
@@ -73,21 +76,16 @@ def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
 @functools.lru_cache(maxsize=4)
 def _disk_param_excess(spot_samples: int, seed: int) -> float:
     """Largest max_k |c_k| - 2 over seeded (c, x, z) parametrization draws."""
-    params = sample_disk_params(spot_samples, seed + 2)
-    return max(
-        max(abs(c) for c in coeffs_from_disk_params(p).as_tuple()) - 2.0
-        for p in params
-    )
+    c, x, z = disk_param_samples(np.random.default_rng(seed + 2), spot_samples)
+    check_disk_params(c, x, z)
+    return coeff_excess(c, *disk_coeffs(c, x, z))
 
 
 @functools.lru_cache(maxsize=4)
 def _herglotz_excess(spot_samples: int, seed: int) -> float:
     """Largest max_k |c_k| - 2 over seeded atomic Herglotz measures."""
-    measures = sample_herglotz_measures(spot_samples, seed + 3)
-    return max(
-        max(abs(c) for c in p_coefficients_from_herglotz(m).as_tuple()) - 2.0
-        for m in measures
-    )
+    measures = herglotz_samples(np.random.default_rng(seed + 3), spot_samples)
+    return coeff_excess(coeffs_from_herglotz(measures, 3))
 
 
 def clear_spot_check_cache() -> None:

@@ -21,11 +21,11 @@ from bihankel.bounds import (
     thresholds,
 )
 from bihankel.caratheodory import (
-    coeffs_from_disk_params,
-    p_coefficients_from_herglotz,
-    sample_disk_params,
-    sample_herglotz_measures,
-    validate_p,
+    check_disk_params,
+    coeffs_from_herglotz,
+    disk_coeffs,
+    disk_param_samples,
+    herglotz_samples,
 )
 from bihankel.cli import main
 from bihankel.functionals import (
@@ -161,14 +161,11 @@ def test_criterion_05_series_oracle_residuals(capsys):
 
 
 def test_criterion_06_coefficient_bound_checks(capsys):
-    ok = all(
-        validate_p(coeffs_from_disk_params(p))
-        for p in sample_disk_params(10000, seed=1906)
-    )
-    ok &= all(
-        validate_p(p_coefficients_from_herglotz(m))
-        for m in sample_herglotz_measures(10000, seed=1907)
-    )
+    c, x, z = disk_param_samples(np.random.default_rng(1906), 10000)
+    check_disk_params(c, x, z)
+    routes = [c, *disk_coeffs(c, x, z)]
+    routes.append(coeffs_from_herglotz(herglotz_samples(np.random.default_rng(1907), 10000), 3))
+    ok = all(bool(np.all(np.abs(cs) <= 2 + 1e-12)) for cs in routes)
     with capsys.disabled():
         report(6, "coefficient bound |c_k| <= 2 on 10^4 samples per route", ok)
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,21 +8,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihankel.caratheodory import (
+    COEFF_BOUND_TOL,
     DiskParams,
     HerglotzMeasure,
     PCoefficients,
+    check_disk_params,
+    check_herglotz,
     check_seed,
+    coeff_excess,
     coeffs_from_disk_params,
     coeffs_from_herglotz,
+    disk_coeffs,
+    disk_param_samples,
+    herglotz_samples,
     p_coefficients_from_herglotz,
     rotate_to_real,
-    sample_disk_params,
-    sample_herglotz_measures,
     unit_disk_samples,
     validate_p,
     x_from_c2,
 )
 from bihankel.errors import ConstraintViolation, DomainError
+
+
+def row_params(c, x, z):
+    """One `DiskParams` object per row of the sampled arrays."""
+    return [DiskParams(float(ci), complex(xi), complex(zi)) for ci, xi, zi in zip(c, x, z)]
+
+
+def row_measures(weights, angles):
+    """One `HerglotzMeasure` per packed row, without its zero-weight padding."""
+    return [
+        HerglotzMeasure(tuple(zip(w[w > 0].tolist(), t[w > 0].tolist())))
+        for w, t in zip(weights, angles)
+    ]
+
+
+def within_class(*coeffs):
+    """|c_k| <= 2 (with `validate_p`'s slack) for every entry of every array."""
+    return all(bool(np.all(np.abs(c) <= 2.0 + COEFF_BOUND_TOL)) for c in coeffs)
 
 
 class TestDiskParams:
@@ -85,6 +109,99 @@ class TestHerglotz:
         with pytest.raises(ConstraintViolation):
             HerglotzMeasure(((1.0, 7.0),))
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_is_a_domain_error(self, k_max):
+        with pytest.raises(DomainError, match=f"k_max must be >= 1, got {k_max}"):
+            coeffs_from_herglotz(HerglotzMeasure(((1.0, 0.0),)), k_max)
+        with pytest.raises(DomainError):
+            coeffs_from_herglotz(herglotz_samples(np.random.default_rng(0), 3), k_max)
+
+
+class TestHerglotzValidator:
+    """`check_herglotz` on packed rows, and through `HerglotzMeasure`."""
+
+    @staticmethod
+    def packed():
+        weights = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
+        angles = np.array([[0.5, 6.0, 0.0], [3.0, 0.0, 0.0]])
+        return weights, angles
+
+    def test_valid_rows_with_padding_pass(self):
+        check_herglotz(*self.packed())
+        check_herglotz(*herglotz_samples(np.random.default_rng(1), 500))
+
+    @pytest.mark.parametrize("row,col,field,value,message", [
+        (0, 0, 0, -0.25, "negative atom weight, got -0.25"),
+        (1, 1, 0, 0.5, "atom weights do not sum to 1, got 1.5"),
+        (0, 1, 1, 2 * math.pi, "atom angle outside"),
+        (1, 0, 1, -1e-300, "atom angle outside"),
+        (0, 2, 0, math.nan, "negative atom weight, got nan"),
+        (1, 2, 1, math.nan, "atom angle outside"),
+    ])
+    def test_error_cases(self, row, col, field, value, message):
+        arrays = self.packed()
+        old = arrays[field][row, col]
+        arrays[field][row, col] = value
+        if message.startswith("negative") and not math.isnan(value):
+            arrays[0][row, col + 1] += old - value  # keep the row sum at 1
+            assert arrays[0][row].sum() == 1.0
+        with pytest.raises(ConstraintViolation, match=re.escape(message)):
+            check_herglotz(*arrays)
+        w, t = arrays[0][row], arrays[1][row]
+        with pytest.raises(ConstraintViolation, match=re.escape(message)):
+            HerglotzMeasure(tuple(zip(w.tolist(), t.tolist())))
+
+    def test_row_sum_slack_is_1e_12(self):
+        weights, angles = self.packed()
+        weights[1, 0] += 0.9e-12
+        check_herglotz(weights, angles)
+        weights[1, 0] += 0.2e-12
+        with pytest.raises(ConstraintViolation, match="do not sum to 1"):
+            check_herglotz(weights, angles)
+
+    @pytest.mark.parametrize("weights,angles", [
+        (np.ones((2, 3)) / 3, np.zeros((2, 2))),
+        (np.ones((2, 0)), np.ones((2, 0))),
+    ])
+    def test_shape_errors(self, weights, angles):
+        with pytest.raises(ConstraintViolation):
+            check_herglotz(weights, angles)
+
+    def test_packed_coefficients_validate_first(self):
+        weights, angles = self.packed()
+        angles[0, 0] = 2 * math.pi
+        with pytest.raises(ConstraintViolation, match="atom angle outside"):
+            coeffs_from_herglotz((weights, angles), 3)
+
+
+class TestHerglotzSamples:
+    def test_shape_padding_and_weights(self):
+        weights, angles = herglotz_samples(np.random.default_rng(21), 4000, max_atoms=6)
+        assert weights.shape == angles.shape == (4000, 6)
+        n_atoms = np.count_nonzero(weights, axis=1)
+        # atoms first, then padding: weight 0 at angle 0
+        assert np.array_equal(weights > 0, np.arange(6) < n_atoms[:, None])
+        assert np.all(angles[weights == 0] == 0.0)
+        assert set(n_atoms.tolist()) == {1, 2, 3, 4, 5, 6}
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
+
+    def test_packed_rows_equal_their_measures(self):
+        # every packed row gives exactly the coefficients of the measure made
+        # from its atoms, since both run the same sum over the atom axis
+        weights, angles = herglotz_samples(np.random.default_rng(22), 1000)
+        packed = coeffs_from_herglotz((weights, angles), 4)
+        for row, measure in zip(packed, row_measures(weights, angles)):
+            assert row.tolist() == coeffs_from_herglotz(measure, 4)
+
+    def test_packed_rows_match_the_cmath_loop(self):
+        # independent oracle: the per-atom cmath sum the measures once used
+        weights, angles = herglotz_samples(np.random.default_rng(23), 1000)
+        packed = coeffs_from_herglotz((weights, angles), 3)
+        for row, measure in zip(packed, row_measures(weights, angles)):
+            for k in (1, 2, 3):
+                ref = 2.0 * sum(w * cmath.exp(1j * k * t) for w, t in measure.atoms)
+                assert abs(row[k - 1] - ref) <= 1e-15
+
 
 class TestValidateP:
     def test_bound_attained(self):
@@ -94,12 +211,52 @@ class TestValidateP:
         assert not validate_p(PCoefficients(2.5, 0, 0))
 
     def test_sampled_params_always_valid(self):
-        for params in sample_disk_params(2000, seed=11):
+        c, x, z = disk_param_samples(np.random.default_rng(11), 2000)
+        check_disk_params(c, x, z)
+        assert within_class(c, *disk_coeffs(c, x, z))
+        for params in row_params(c, x, z):
             assert validate_p(coeffs_from_disk_params(params))
 
     def test_sampled_measures_always_valid(self):
-        for m in sample_herglotz_measures(2000, seed=12):
+        packed = herglotz_samples(np.random.default_rng(12), 2000)
+        assert within_class(coeffs_from_herglotz(packed, 3))
+        for m in row_measures(*packed):
             assert validate_p(p_coefficients_from_herglotz(m))
+
+
+class TestCoeffExcess:
+    def test_scalars_and_arrays(self):
+        assert coeff_excess(2.0, 1j, -0.5) == 0.0
+        assert coeff_excess(np.array([0.5, -1.5]), np.array([[1.5j], [0.25]])) == -0.5
+
+    def test_nan_propagates(self):
+        assert math.isnan(coeff_excess(np.array([1.0, math.nan]), 0.5))
+        assert math.isnan(coeff_excess(1.0, math.nan))
+
+
+class TestDiskParamValidator:
+    def test_sampled_draws_pass_both_validators(self):
+        c, x, z = disk_param_samples(np.random.default_rng(16), 300)
+        check_disk_params(c, x, z)
+        row_params(c, x, z)
+
+    @pytest.mark.parametrize("field,value,message", [
+        (0, 2.5, "c must lie in [0, 2], got 2.5"),
+        (0, -0.5, "c must lie in [0, 2], got -0.5"),
+        (0, math.nan, "c must lie in [0, 2], got nan"),
+        (1, 1.1 + 0j, "|x| must be <= 1, got 1.1"),
+        (2, 1.2j, "|z| must be <= 1, got 1.2"),
+        (2, complex(math.nan, 0.0), "|z| must be <= 1, got nan"),
+    ])
+    def test_error_cases(self, field, value, message):
+        arrays = [np.array([1.0, 0.5]), np.array([0.5j, 0j]), np.array([0j, -0.5])]
+        arrays[field] = arrays[field].astype(type(value))
+        arrays[field][1] = value
+        with pytest.raises(ConstraintViolation, match=re.escape(message)):
+            check_disk_params(*arrays)
+        scalars = [float(arrays[0][1]), complex(arrays[1][1]), complex(arrays[2][1])]
+        with pytest.raises(ConstraintViolation, match=re.escape(message)):
+            DiskParams(*scalars)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -137,8 +294,9 @@ class TestXRecovery:
     def test_herglotz_samples_land_in_disk(self):
         # surjectivity at the (c1, c2) level: every rotated class sample
         # admits an |x| <= 1 reproducing its second coefficient
-        for m in sample_herglotz_measures(1000, seed=14):
-            p = rotate_to_real(p_coefficients_from_herglotz(m))
+        packed = coeffs_from_herglotz(herglotz_samples(np.random.default_rng(14), 1000), 3)
+        for row in packed:
+            p = rotate_to_real(PCoefficients(*row.tolist()))
             c1 = p.c1.real
             x = x_from_c2(c1, p.c2)
             assert abs(x) <= 1 + 1e-9
@@ -147,7 +305,7 @@ class TestXRecovery:
             assert residual <= (1e-12 if gap > 1e-5 else 2e-5)
 
     def test_round_trip_from_params(self):
-        for params in sample_disk_params(500, seed=15):
+        for params in row_params(*disk_param_samples(np.random.default_rng(15), 500)):
             p = coeffs_from_disk_params(params)
             if 4 - params.c**2 <= 1e-5:
                 continue
@@ -156,10 +314,20 @@ class TestXRecovery:
 
 class TestSamplers:
     def test_seeded_reproducibility(self):
-        assert sample_disk_params(50, seed=3) == sample_disk_params(50, seed=3)
-        a = sample_herglotz_measures(50, seed=4)
-        b = sample_herglotz_measures(50, seed=4)
-        assert a == b
+        for sampler, seed in ((disk_param_samples, 3), (herglotz_samples, 4)):
+            a = sampler(np.random.default_rng(seed), 50)
+            b = sampler(np.random.default_rng(seed), 50)
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    def test_disk_params_take_c_then_x_then_z(self):
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0.0, 2.0, 50)
+        x = unit_disk_samples(rng, 50)
+        z = unit_disk_samples(rng, 50)
+        got_rng = np.random.default_rng(3)
+        got = disk_param_samples(got_rng, 50)
+        assert all(np.array_equal(u, v) for u, v in zip(got, (c, x, z)))
+        assert got_rng.bit_generator.state == rng.bit_generator.state
 
     def test_disk_rejection_stays_inside(self):
         rng = np.random.default_rng(5)
@@ -228,7 +396,6 @@ class TestSeedValidation:
     def test_non_negative_accepted(self, seed):
         assert check_seed(seed) == seed
 
-    @pytest.mark.parametrize("sampler", [sample_disk_params, sample_herglotz_measures])
-    def test_negative_seed_raises(self, sampler):
+    def test_negative_seed_raises(self):
         with pytest.raises(DomainError, match=r"seed must be >= 0, got -1"):
-            sampler(5, seed=-1)
+            check_seed(-1)

@@ -1,7 +1,11 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihankel import bounds as bd
 from bihankel import cli
@@ -324,6 +328,48 @@ class TestFsBound:
         assert code == 2
         assert out == ""
         assert "mu" in err
+
+
+# (argv before the count, flag, cap attribute) for every capped count
+CAPPED = [
+    (("search", "--family", "starlike"), "--samples", "MAX_SEARCH_SAMPLES"),
+    (("verify", "--family", "convex"), "--samples", "MAX_VERIFY_SAMPLES"),
+    (("verify", "--family", "convex"), "--trials", "MAX_TRIALS"),
+    (("derive", "--beta", "0.5"), "--trials", "MAX_TRIALS"),
+]
+
+
+class TestCountCaps:
+    """Over-cap counts exit 2 before any work; only that path runs at full size."""
+
+    @pytest.mark.parametrize("argv,flag,cap", CAPPED)
+    def test_first_value_over_the_cap_is_usage_error(self, capsys, argv, flag, cap):
+        limit = getattr(cli, cap)
+        code, out, err = run_cli(capsys, *argv, flag, str(limit + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be <= {limit}, got {limit + 1}\n"
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(CAPPED), excess=st.integers(1, 10**30))
+    def test_any_value_over_the_cap_is_usage_error(self, case, excess):
+        argv, flag, cap = case
+        value = getattr(cli, cap) + excess
+        with redirect_stderr(io.StringIO()) as err:
+            assert main([*argv, flag, str(value)]) == 2
+        assert err.getvalue().endswith(f"got {value}\n")
+
+    @pytest.mark.parametrize("argv,flag,cap", CAPPED)
+    def test_caps_are_inclusive(self, capsys, monkeypatch, argv, flag, cap):
+        monkeypatch.setattr(cli, cap, 3)
+        extra = ("--trials", "2", "--samples", "2") if argv[0] == "verify" else ()
+        assert run_cli(capsys, *argv, *extra, flag, "3")[0] == 0
+        assert run_cli(capsys, *argv, *extra, flag, "4")[0] == 2
+
+    def test_caps_are_the_documented_values(self):
+        assert cli.MAX_SEARCH_SAMPLES == 10**8
+        assert cli.MAX_VERIFY_SAMPLES == 10**6
+        assert cli.MAX_TRIALS == 10**5
 
 
 class TestUsage:

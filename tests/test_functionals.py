@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihankel import functionals
 from bihankel.caratheodory import PCoefficients, coeffs_from_disk_params, DiskParams
 from bihankel.errors import (
     ConstraintViolation,
@@ -54,7 +55,59 @@ class TestCheckBeta:
         assert bounds.check_beta is check_beta
 
 
+def reference_series_residual(family, order, rng, trials):
+    """The per-draw loop that `series_residual` replaced."""
+    worst = 0.0
+    for _ in range(trials):
+        draw = rng.uniform(-3.0, 3.0, 6)
+        a = BiCoefficients(
+            complex(draw[0], draw[1]),
+            complex(draw[2], draw[3]),
+            complex(draw[4], draw[5]),
+        )
+        worst = max(worst, verify_coefficient_system(family, order, a).max_residual)
+    return worst
+
+
+# residuals are rounding noise of coefficients up to about 1e3, and the
+# batched series algebra rounds apart from the scalar one by a few ulps
+RESIDUAL_REF_TOL = 1e-12
+
+
 class TestSeriesResidual:
+    @pytest.mark.parametrize("trials", [1, 7, 200])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_same_draws_and_state_as_the_per_draw_loop(self, family, trials, monkeypatch):
+        seen = []
+        batched = functionals._system_residuals
+
+        def recording(fam, a2, a3, a4):
+            seen.append((a2.copy(), a3.copy(), a4.copy()))
+            return batched(fam, a2, a3, a4)
+
+        monkeypatch.setattr(functionals, "_system_residuals", recording)
+        batch_rng, loop_rng = np.random.default_rng(31), np.random.default_rng(31)
+        got = series_residual(family, Order(0.3), batch_rng, trials)
+        monkeypatch.undo()
+
+        assert len(seen) == 1  # one batched pass per call
+        draws = [loop_rng.uniform(-3.0, 3.0, 6) for _ in range(trials)]
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        for k, column in enumerate(seen[0]):
+            assert column.tolist() == [complex(d[2 * k], d[2 * k + 1]) for d in draws]
+        ref = reference_series_residual(family, Order(0.3), np.random.default_rng(31), trials)
+        assert got == pytest.approx(ref, rel=0, abs=RESIDUAL_REF_TOL)
+        assert type(got) is float and 0.0 <= got < 1e-11
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_batched_residuals_match_each_draw(self, family):
+        draws = np.random.default_rng(32).uniform(-3.0, 3.0, (100, 6)).view(complex)
+        _, _, residuals = functionals._system_residuals(family, *draws.T)
+        for i, (a2, a3, a4) in enumerate(draws.tolist()):
+            report = verify_coefficient_system(family, Order(0.0), BiCoefficients(a2, a3, a4))
+            for batched, scalar in zip(residuals, report.residuals):
+                assert batched[i] == pytest.approx(scalar, rel=0, abs=RESIDUAL_REF_TOL)
+
     def test_shared_generator_continues_the_stream(self):
         one = np.random.default_rng(3)
         split = series_residual(FamilyId.STARLIKE, Order(0.2), one, 4)

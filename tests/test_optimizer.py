@@ -9,7 +9,7 @@ from bihankel.bounds import QuarticProfile, h22_bound, quartic_profile, surrogat
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
 from bihankel.caratheodory import disk_coeffs, unit_circle_samples, unit_disk_samples
-from bihankel.errors import DomainError
+from bihankel.errors import DomainError, VerificationFailure
 from bihankel.functionals import FamilyId, Order
 from bihankel.optimizer import (
     _linspace,
@@ -35,6 +35,17 @@ class TestGridSpec:
             GridSpec(refinement_rounds=-1)
         with pytest.raises(ValueError):
             GridSpec(shrink_factor=1.0)
+
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("points_per_axis", 2, "points_per_axis must be >= 3"),
+        ("refinement_rounds", -1, "refinement_rounds must be >= 0"),
+        ("shrink_factor", 0.0, r"shrink_factor must lie in \(0, 1\)"),
+        ("shrink_factor", math.nan, r"shrink_factor must lie in \(0, 1\)"),
+    ])
+    def test_invalid_fields_are_domain_errors(self, field, value, message):
+        with pytest.raises(DomainError, match=message):
+            GridSpec(**{field: value})
 
 
 class TestMaximize1d:
@@ -74,6 +85,11 @@ class TestMaximize1d:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             maximize_1d(lambda x: x, (1.0, 1.0))
+
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 0.0), (math.nan, 1.0)])
+    def test_invalid_interval_is_a_domain_error(self, interval):
+        with pytest.raises(DomainError, match="need low < high"):
+            maximize_1d(lambda x: x, interval)
 
 
 def reference_maximize_1d(objective, interval, grid=None):
@@ -222,7 +238,24 @@ class TestMaximize1dRowStack:
                 reference_maximize_1d(objective, interval)
 
 
+class OffCornerProfile:
+    """A stand-in majorant whose surface peaks inside the square, not at (1, 1)."""
+
+    def surface(self, lam, mu, c):
+        return 1.0 - (lam - 0.5) ** 2 - (mu - 0.25) ** 2 + 0.0 * c
+
+
 class TestMaximizeUnitSquare:
+    @pytest.mark.parametrize("c", [0.0, 1.0, 1.999])
+    def test_off_corner_peak_raises_verification_failure(self, c):
+        with pytest.raises(VerificationFailure, match=f"expected at \\(1, 1\\) for c={c}"):
+            maximize_unit_square(OffCornerProfile(), c)
+
+    def test_off_corner_peak_is_allowed_at_c2(self):
+        # at c = 2 the real surface is flat, so no corner is demanded there
+        result = maximize_unit_square(OffCornerProfile(), 2.0)
+        assert result.argmax == pytest.approx((0.5, 0.25), abs=1e-4)
+
     def test_nan_c_is_domain_error(self):
         with pytest.raises(DomainError):
             maximize_unit_square(quartic_profile(FamilyId.STARLIKE, 0.0), math.nan)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bihankel.errors import NotNormalized, ZeroConstantTerm
+from bihankel.errors import DomainError, NotNormalized, ZeroConstantTerm
 from bihankel.series import (
     TruncatedSeries,
     compose,
@@ -36,6 +36,36 @@ class TestConstruction:
     def test_length_must_match_order(self):
         with pytest.raises(ValueError):
             TruncatedSeries(3, (1, 2))
+
+    @pytest.mark.parametrize("order,coeffs,message", [
+        (0, (1,), "order must be >= 1, got 0"),
+        (3, (1, 2), "expected 4 coefficients for order 3, got 2"),
+        (2, (np.zeros(3), 1, 2, 3), "expected 3 coefficients for order 2, got 4"),
+    ])
+    def test_invalid_shape_is_a_domain_error(self, order, coeffs, message):
+        with pytest.raises(DomainError, match=message):
+            TruncatedSeries(order, coeffs)
+
+    def test_scalar_series_keep_python_complex(self):
+        s = TruncatedSeries(2, (np.float64(1.0), 2, np.complex128(3j)))
+        assert s.coeffs == (1, 2, 3j)
+        assert all(type(c) is complex for c in s.coeffs)
+
+    def test_array_coefficients_make_a_batch(self):
+        s = TruncatedSeries.from_coeffs([0, 1, np.array([2.0, 3.0, 4.0])], order=3)
+        assert isinstance(s.coeffs, np.ndarray)
+        assert s.coeffs.shape == (4, 3) and s.coeffs.dtype == complex
+        assert np.array_equal(s[1], [1, 1, 1])
+        assert np.array_equal(s[2], [2, 3, 4])
+        assert np.array_equal(s[3], [0, 0, 0])
+
+    def test_batch_operations_leave_operands_untouched(self):
+        a = TruncatedSeries.from_coeffs([np.array([2.0, 3.0]), 1.0, 0.5], order=2)
+        before = a.coeffs.copy()
+        divide(a, a)
+        a + 1.0
+        multiply(a, a)
+        assert np.array_equal(a.coeffs, before)
 
     def test_from_coeffs_pads(self):
         s = TruncatedSeries.from_coeffs([1, 2], order=4)
@@ -216,3 +246,80 @@ class TestFunctionals:
     def test_requires_zero_origin(self):
         with pytest.raises(NotNormalized):
             starlike_functional(TruncatedSeries.constant(1, order=4))
+
+
+def batch_of(series):
+    """One batched series holding the given scalar series as its rows."""
+    return TruncatedSeries(series[0].order, np.array([s.coeffs for s in series]).T)
+
+
+def assert_rows_match(batched, scalars, rtol=1e-13):
+    """Every batch row equals its scalar series coefficient by coefficient.
+
+    Not bit for bit: numpy divides complex numbers through a reciprocal,
+    where CPython divides directly, so quotients can differ in the last ulp,
+    and later coefficients carry that along.
+    """
+    assert batched.coeffs.shape == (scalars[0].order + 1, len(scalars))
+    for i, scalar in enumerate(scalars):
+        for k, ref in enumerate(scalar.coeffs):
+            got = batched.coeffs[k, i]
+            assert abs(got - ref) <= rtol * max(abs(ref), 1e-300) or got == ref, (i, k)
+
+
+class TestBatchedMatchesScalar:
+    """The batched path against the per-series loop it replaces."""
+
+    @staticmethod
+    def normalized(seed, count=200, order=4, radius=3.0):
+        rng = np.random.default_rng(seed)
+        return [random_series(rng, order, radius, normalized=True) for _ in range(count)]
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_invert_composition(self, order):
+        fs = self.normalized(60 + order, order=order)
+        assert_rows_match(invert_composition(batch_of(fs)), [invert_composition(f) for f in fs])
+
+    @pytest.mark.parametrize("functional", [starlike_functional, convex_functional])
+    def test_functionals(self, functional):
+        fs = self.normalized(70)
+        assert_rows_match(functional(batch_of(fs)), [functional(f) for f in fs])
+        gs = [invert_composition(f) for f in fs]
+        assert_rows_match(functional(batch_of(gs)), [functional(g) for g in gs])
+
+    def test_divide(self):
+        rng = np.random.default_rng(80)
+        nums = [random_series(rng, 5, 3.0) for _ in range(200)]
+        dens = [random_series(rng, 5, 3.0) + 4.0 for _ in range(200)]
+        assert_rows_match(
+            divide(batch_of(nums), batch_of(dens)), [divide(a, b) for a, b in zip(nums, dens)]
+        )
+
+    def test_scalar_operand_broadcasts_over_the_batch(self):
+        fs = self.normalized(81, count=20)
+        one = TruncatedSeries.from_coeffs([1, 0.5, 0.25], order=4)
+        assert_rows_match(divide(batch_of(fs), one), [divide(f, one) for f in fs])
+        assert_rows_match(multiply(one, batch_of(fs)), [multiply(one, f) for f in fs])
+
+    def test_one_bad_row_fails_the_batch(self):
+        fs = self.normalized(82, count=5)
+        bad = TruncatedSeries.from_coeffs([0, 1.5, 1], order=4)
+        with pytest.raises(NotNormalized, match="requires f\\(0\\)=0 and f'\\(0\\)=1"):
+            invert_composition(batch_of(fs + [bad]))
+        shifted_origin = TruncatedSeries.from_coeffs([0.5, 1], order=4)
+        with pytest.raises(NotNormalized, match="requires f\\(0\\)=0 and f'\\(0\\)=1"):
+            invert_composition(batch_of(fs + [shifted_origin]))
+        units = [f + 1.0 for f in fs]
+        with pytest.raises(ZeroConstantTerm, match="divisor constant term"):
+            divide(batch_of(units), batch_of(units[:-1] + [fs[-1]]))
+        shifted = TruncatedSeries.from_coeffs([0.5, 1], order=4)
+        with pytest.raises(NotNormalized, match="functional requires f\\(0\\)=0"):
+            starlike_functional(batch_of(fs + [shifted]))
+
+    def test_max_coeff_diff_covers_the_batch(self):
+        fs = self.normalized(83, count=3)
+        gs = [fs[0], fs[1], fs[2] + TruncatedSeries.from_coeffs([0, 0, 0, 1e-3], order=4)]
+        assert max_coeff_diff(batch_of(fs), batch_of(gs)) == pytest.approx(1e-3)
+        # numpy's complex modulus may round an ulp apart from Python's abs
+        assert max_coeff_diff(batch_of(fs), fs[0]) == pytest.approx(
+            max(max_coeff_diff(f, fs[0]) for f in fs), rel=1e-15)

@@ -3,12 +3,14 @@ import pytest
 
 from bihankel import verification as vf
 from bihankel.caratheodory import (
+    DiskParams,
+    HerglotzMeasure,
     coeffs_from_disk_params,
+    disk_param_samples,
+    herglotz_samples,
     p_coefficients_from_herglotz,
-    sample_disk_params,
-    sample_herglotz_measures,
 )
-from bihankel.errors import DomainError
+from bihankel.errors import ConstraintViolation, DomainError
 from bihankel.functionals import BiCoefficients, FamilyId, Order, verify_coefficient_system
 
 INVARIANT = ("series_identity_residual", "disk_param_coeff_bound", "herglotz_coeff_bound")
@@ -16,7 +18,19 @@ FAMILY_FREE = ("disk_param_coeff_bound", "herglotz_coeff_bound")
 BETAS = (0.0, 0.3, 0.7)
 
 
-# reference loops: the spot checks as run_checks computed them inline, per beta
+# The series residuals are rounding noise of coefficients up to about 1e3
+# (ulp ~1e-13), and the batched oracle rounds differently from the scalar
+# one (numpy divides complex numbers through a reciprocal), so its worst
+# residual matches the per-draw loop to a few such ulps, well below
+# SERIES_TOL = 1e-11.  The sampled coefficients are at most 2 in modulus,
+# and numpy's complex products, powers and moduli round apart from Python's
+# by an ulp.
+SERIES_REF_TOL = 1e-12
+COEFF_REF_TOL = 1e-14
+
+
+# reference loops: the spot checks as run_checks computed them inline, per
+# beta, one Python object per draw, on the draws of the array samplers
 
 def reference_series_worst(family, beta, trials, seed):
     rng = np.random.default_rng(seed + 1)
@@ -34,7 +48,8 @@ def reference_series_worst(family, beta, trials, seed):
 
 
 def reference_disk_param_excess(spot_samples, seed):
-    params = sample_disk_params(spot_samples, seed + 2)
+    c, x, z = disk_param_samples(np.random.default_rng(seed + 2), spot_samples)
+    params = [DiskParams(float(ci), complex(xi), complex(zi)) for ci, xi, zi in zip(c, x, z)]
     return max(
         max(abs(c) for c in coeffs_from_disk_params(p).as_tuple()) - 2.0
         for p in params
@@ -42,7 +57,11 @@ def reference_disk_param_excess(spot_samples, seed):
 
 
 def reference_herglotz_excess(spot_samples, seed):
-    measures = sample_herglotz_measures(spot_samples, seed + 3)
+    weights, angles = herglotz_samples(np.random.default_rng(seed + 3), spot_samples)
+    measures = [
+        HerglotzMeasure(tuple(zip(w[w > 0].tolist(), t[w > 0].tolist())))
+        for w, t in zip(weights, angles)
+    ]
     return max(
         max(abs(c) for c in p_coefficients_from_herglotz(m).as_tuple()) - 2.0
         for m in measures
@@ -81,33 +100,42 @@ class TestSpotCheckMemo:
     @pytest.mark.parametrize("family", list(FamilyId))
     @pytest.mark.parametrize("beta", BETAS)
     def test_series_helper_matches_reference_loop(self, family, beta):
-        assert vf._series_worst(family, 30, 4) == reference_series_worst(family, beta, 30, 4)
+        got = vf._series_worst(family, 30, 4)
+        assert got == pytest.approx(reference_series_worst(family, beta, 30, 4),
+                                    rel=0, abs=SERIES_REF_TOL)
 
     def test_sampling_helpers_match_reference_loops(self):
-        assert vf._disk_param_excess(300, 4) == reference_disk_param_excess(300, 4)
-        assert vf._herglotz_excess(300, 4) == reference_herglotz_excess(300, 4)
+        assert vf._disk_param_excess(300, 4) == pytest.approx(
+            reference_disk_param_excess(300, 4), rel=0, abs=COEFF_REF_TOL)
+        assert vf._herglotz_excess(300, 4) == pytest.approx(
+            reference_herglotz_excess(300, 4), rel=0, abs=COEFF_REF_TOL)
 
     def test_run_checks_reports_reference_values(self):
         got = values(vf.run_checks(FamilyId.CONVEX, 0.7, seed=6, trials=12, spot_samples=120))
-        assert got["series_identity_residual"] == reference_series_worst(
-            FamilyId.CONVEX, 0.7, 12, 6
+        assert got["series_identity_residual"] == pytest.approx(
+            reference_series_worst(FamilyId.CONVEX, 0.7, 12, 6), rel=0, abs=SERIES_REF_TOL
         )
-        assert got["disk_param_coeff_bound"] == reference_disk_param_excess(120, 6)
-        assert got["herglotz_coeff_bound"] == reference_herglotz_excess(120, 6)
+        assert got["disk_param_coeff_bound"] == pytest.approx(
+            reference_disk_param_excess(120, 6), rel=0, abs=COEFF_REF_TOL)
+        assert got["herglotz_coeff_bound"] == pytest.approx(
+            reference_herglotz_excess(120, 6), rel=0, abs=COEFF_REF_TOL)
 
     def test_changed_arguments_never_return_a_stale_value(self):
         keys = [(10, 0), (10, 1), (20, 0), (20, 1), (10, 0)]
         for n, seed in keys:
-            assert vf._disk_param_excess(n, seed) == reference_disk_param_excess(n, seed)
-            assert vf._herglotz_excess(n, seed) == reference_herglotz_excess(n, seed)
+            assert vf._disk_param_excess(n, seed) == pytest.approx(
+                reference_disk_param_excess(n, seed), rel=0, abs=COEFF_REF_TOL)
+            assert vf._herglotz_excess(n, seed) == pytest.approx(
+                reference_herglotz_excess(n, seed), rel=0, abs=COEFF_REF_TOL)
             for family in FamilyId:
-                assert vf._series_worst(family, n, seed) == reference_series_worst(
-                    family, 0.0, n, seed
+                assert vf._series_worst(family, n, seed) == pytest.approx(
+                    reference_series_worst(family, 0.0, n, seed), rel=0, abs=SERIES_REF_TOL
                 )
         # the disk-param values differ per key, so a stale hit would show above;
-        # other values can coincide (the Herglotz excess is 0.0 for every key,
-        # and more trials at one seed extend the same draws), so check that
-        # every new key was computed and only the repeated one was served
+        # other values can coincide (the Herglotz excess is 0 or an ulp of 2
+        # for every key, and more trials at one seed extend the same draws),
+        # so check that every new key was computed and only the repeated one
+        # was served
         assert len({vf._disk_param_excess(n, seed) for n, seed in keys}) == 4
         for helper, misses in (
             (vf._disk_param_excess, 4), (vf._herglotz_excess, 4), (vf._series_worst, 8)
@@ -116,19 +144,20 @@ class TestSpotCheckMemo:
 
     def test_one_verify_run_samples_once(self, monkeypatch):
         calls = []
+        seeded = np.random.default_rng(4).bit_generator.state
 
-        def counting(count, seed):
-            calls.append((count, seed))
-            return sample_herglotz_measures(count, seed)
+        def counting(rng, count):
+            calls.append((count, rng.bit_generator.state == seeded))
+            return herglotz_samples(rng, count)
 
-        monkeypatch.setattr(vf, "sample_herglotz_measures", counting)
+        monkeypatch.setattr(vf, "herglotz_samples", counting)
         for family in FamilyId:
             for beta in BETAS:
                 vf.run_checks(family, beta, seed=1, trials=2, spot_samples=50)
-        assert calls == [(50, 4)]
+        assert calls == [(50, True)]
         vf.clear_spot_check_cache()
         vf.run_checks(FamilyId.STARLIKE, 0.0, seed=1, trials=2, spot_samples=50)
-        assert calls == [(50, 4), (50, 4)]
+        assert calls == [(50, True), (50, True)]
 
     def test_caches_are_bounded_and_hold_scalars(self):
         for helper, args in (
@@ -138,6 +167,36 @@ class TestSpotCheckMemo:
         ):
             assert type(helper(*args)) is float
             assert 1 <= helper.cache_info().maxsize <= 8
+
+
+class TestArraySpotChecks:
+    def test_no_per_draw_objects(self, monkeypatch):
+        built = []
+        for cls in (DiskParams, HerglotzMeasure):
+            monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+        for family in FamilyId:
+            vf.run_checks(family, 0.3, seed=3, trials=20, spot_samples=200)
+        assert built == []
+
+    def test_disk_check_validates_the_draws(self, monkeypatch):
+        def out_of_domain(rng, count):
+            c, x, z = disk_param_samples(rng, count)
+            c[-1] = 2.5
+            return c, x, z
+
+        monkeypatch.setattr(vf, "disk_param_samples", out_of_domain)
+        with pytest.raises(ConstraintViolation, match=r"c must lie in \[0, 2\], got 2.5"):
+            vf._disk_param_excess(50, 0)
+
+    def test_herglotz_check_validates_the_draws(self, monkeypatch):
+        def full_turn(rng, count):
+            weights, angles = herglotz_samples(rng, count)
+            angles[-1, 0] = 2 * np.pi
+            return weights, angles
+
+        monkeypatch.setattr(vf, "herglotz_samples", full_turn)
+        with pytest.raises(ConstraintViolation, match="atom angle outside"):
+            vf._herglotz_excess(50, 0)
 
 
 class TestRunChecksInputs:

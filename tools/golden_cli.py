@@ -31,6 +31,8 @@ COMMANDS = (
     "verify --family convex --beta 0.95 --beta 0.5 --seed 11 --trials 30 --samples 300",
     "derive",
     "derive --beta 0.1 --beta 0.9 --trials 40 --seed 5",
+    # the batched series oracle over a larger stream shared by six blocks
+    "derive --trials 1000 --seed 2",
     "table",
     "table --family both --beta-range 0 0.99 --step 4e-4",
     "table --format json --step 0.05",
@@ -68,6 +70,11 @@ COMMANDS = (
     "fs-bound --family starlike --beta 0 --mu nan",
     "table --step nan",
     "table --beta-range 0 1",
+    # counts over their caps (exit 2 before any work)
+    "search --family starlike --samples 1000000000",
+    "verify --samples 2000000",
+    "verify --trials 200000",
+    "derive --trials 200000",
 )
 
 
