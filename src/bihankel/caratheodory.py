@@ -74,8 +74,22 @@ class HerglotzMeasure:
         check_herglotz(*self.arrays())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (weights, angles) of the atoms, as two 1-d arrays."""
-        return np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        """The (weights, angles) of the atoms, as two 1-d arrays.
+
+        Every atom must be one (weight, angle) pair of numbers; anything
+        else raises ConstraintViolation.
+        """
+        if len(self.atoms) == 0:
+            return np.empty(0), np.empty(0)
+        try:
+            atoms = np.array(self.atoms, dtype=float)
+        except (TypeError, ValueError):
+            raise ConstraintViolation("atoms must be (weight, angle) pairs of numbers") from None
+        if atoms.ndim != 2 or atoms.shape[1] != 2:
+            raise ConstraintViolation(
+                f"atoms must be (weight, angle) pairs, got shape {atoms.shape}"
+            )
+        return atoms[:, 0], atoms[:, 1]
 
 
 def _require(ok, message: str, values) -> None:
@@ -270,4 +284,5 @@ def herglotz_samples(
     raw[pad] = 0.0
     angles = rng.uniform(0.0, 2.0 * math.pi, (count, max_atoms))
     angles[pad] = 0.0
-    return raw / raw.sum(axis=1, keepdims=True), angles
+    raw /= raw.sum(axis=1, keepdims=True)
+    return raw, angles

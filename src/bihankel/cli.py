@@ -31,9 +31,11 @@ MAX_TABLE_ROWS = 10**6
 # OS only when it frees a chunk of 64 KiB or more, so these blocks reuse
 # their memory, where 32-row blocks page-faulted it back in every round.
 TABLE_BLOCK_ROWS = 4
-# caps on requested work.  `search` streams, so its memory stays flat and
-# the cap bounds run time (10^8 samples take about 36 s); `verify` and
-# `derive` hold their draws as arrays, so memory grows with these counts.
+# caps on requested work.  `search` and the series oracle of `verify` and
+# `derive` stream, so their memory stays flat and the caps bound run time
+# (10^8 search samples take about 36 s); `verify` holds its coefficient
+# and dominance draws as arrays, so its memory grows with --samples (a
+# fresh process peaks near 270 MB at the cap).
 MAX_SEARCH_SAMPLES = 10**8
 MAX_VERIFY_SAMPLES = 10**6
 MAX_TRIALS = 10**5

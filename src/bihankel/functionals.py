@@ -34,6 +34,11 @@ from .errors import ConstraintViolation, DomainError, InsufficientCoefficients
 # |p.c1 + q.c1| above this violates the d1 = -c1 coupling
 C1_COUPLING_TOL = 1e-12
 
+# draws per batched pass of `series_residual`.  At 10^5 trials a fresh
+# process peaks at 38.6 MB with 2^12 (35 MB with 2^8, four times slower;
+# 108 MB with one pass over every draw).
+SERIES_CHUNK = 1 << 12
+
 
 class FamilyId(enum.Enum):
     STARLIKE = "starlike"
@@ -261,16 +266,21 @@ def series_residual(family: FamilyId, order: Order, rng, trials: int) -> float:
     """Worst `verify_coefficient_system` residual over `trials` random draws.
 
     Each draw takes a2, a3, a4 with real and imaginary parts uniform on
-    [-3, 3] from `rng`.  All draws come from one `rng.uniform` call of shape
-    (trials, 6), which takes the same numbers from the stream, and leaves
-    the generator in the same state, as one call per draw; so consecutive
-    calls sharing one generator continue the same stream.  The series
-    algebra then runs once over the batch of draws.  Beta enters no
+    [-3, 3] from `rng`.  The draws come `SERIES_CHUNK` at a time from
+    `rng.uniform` calls of shape (rows, 6), which take the same numbers
+    from the stream, and leave the generator in the same state, as one call
+    per draw; so consecutive calls sharing one generator continue the same
+    stream.  The series algebra runs once per chunk of draws, keeping the
+    running worst, so memory does not grow with `trials`.  Beta enters no
     residual (it only rescales the reported p and q), so `order` does not
     change the result.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    a2, a3, a4 = rng.uniform(-3.0, 3.0, (trials, 6)).view(complex).T
-    _, _, residuals = _system_residuals(family, a2, a3, a4)
-    return max(float(np.max(r)) for r in residuals)
+    worst = 0.0
+    for start in range(0, trials, SERIES_CHUNK):
+        rows = min(SERIES_CHUNK, trials - start)
+        a2, a3, a4 = rng.uniform(-3.0, 3.0, (rows, 6)).view(complex).T
+        _, _, residuals = _system_residuals(family, a2, a3, a4)
+        worst = max(worst, *(float(np.max(r)) for r in residuals))
+    return worst

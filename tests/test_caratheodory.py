@@ -109,6 +109,17 @@ class TestHerglotz:
         with pytest.raises(ConstraintViolation):
             HerglotzMeasure(((1.0, 7.0),))
 
+    @pytest.mark.parametrize("atoms", [
+        ((0.5, 0.1, 0.5, 0.2),),  # one 4-tuple is not two atoms
+        (1.0, 0.0),  # a flat pair is not one atom
+        ((1.0,),),
+        ((1.0, 0.0), (0.5,)),
+        (((1.0, 0.0),),),
+    ])
+    def test_malformed_atoms_rejected(self, atoms):
+        with pytest.raises(ConstraintViolation, match=r"atoms must be \(weight, angle\) pairs"):
+            HerglotzMeasure(atoms)
+
     @pytest.mark.parametrize("k_max", [0, -1])
     def test_k_max_below_one_is_a_domain_error(self, k_max):
         with pytest.raises(DomainError, match=f"k_max must be >= 1, got {k_max}"):

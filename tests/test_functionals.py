@@ -55,23 +55,21 @@ class TestCheckBeta:
         assert bounds.check_beta is check_beta
 
 
-def reference_series_residual(family, order, rng, trials):
-    """The per-draw loop that `series_residual` replaced."""
-    worst = 0.0
-    for _ in range(trials):
-        draw = rng.uniform(-3.0, 3.0, 6)
-        a = BiCoefficients(
-            complex(draw[0], draw[1]),
-            complex(draw[2], draw[3]),
-            complex(draw[4], draw[5]),
-        )
-        worst = max(worst, verify_coefficient_system(family, order, a).max_residual)
-    return worst
+# The residuals are rounding noise, so the batched and the per-draw route
+# cannot be compared through them; their coefficients must agree within this
+# relative tolerance (numpy divides complex numbers through a reciprocal,
+# CPython directly).
+COEFF_REF_REL = 1e-13
 
 
-# residuals are rounding noise of coefficients up to about 1e3, and the
-# batched series algebra rounds apart from the scalar one by a few ulps
-RESIDUAL_REF_TOL = 1e-12
+def assert_matches_scalar_path(family, order, draws, func_f, func_g):
+    """Batched (c1..c3), (d1..d3) equal `verify_coefficient_system`'s per draw."""
+    w = 1.0 - order.beta
+    for i, (a2, a3, a4) in enumerate(draws):
+        report = verify_coefficient_system(family, order, BiCoefficients(a2, a3, a4))
+        for func, scalar in ((func_f, report.p), (func_g, report.q)):
+            for k, ref in enumerate(scalar.as_tuple(), start=1):
+                assert func[k][i] / w == pytest.approx(ref, rel=COEFF_REF_REL, abs=0)
 
 
 class TestSeriesResidual:
@@ -82,8 +80,9 @@ class TestSeriesResidual:
         batched = functionals._system_residuals
 
         def recording(fam, a2, a3, a4):
-            seen.append((a2.copy(), a3.copy(), a4.copy()))
-            return batched(fam, a2, a3, a4)
+            out = batched(fam, a2, a3, a4)
+            seen.append(((a2.copy(), a3.copy(), a4.copy()), out))
+            return out
 
         monkeypatch.setattr(functionals, "_system_residuals", recording)
         batch_rng, loop_rng = np.random.default_rng(31), np.random.default_rng(31)
@@ -91,22 +90,38 @@ class TestSeriesResidual:
         monkeypatch.undo()
 
         assert len(seen) == 1  # one batched pass per call
+        (columns, (func_f, func_g, residuals)), = seen
         draws = [loop_rng.uniform(-3.0, 3.0, 6) for _ in range(trials)]
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
-        for k, column in enumerate(seen[0]):
+        for k, column in enumerate(columns):
             assert column.tolist() == [complex(d[2 * k], d[2 * k + 1]) for d in draws]
-        ref = reference_series_residual(family, Order(0.3), np.random.default_rng(31), trials)
-        assert got == pytest.approx(ref, rel=0, abs=RESIDUAL_REF_TOL)
-        assert type(got) is float and 0.0 <= got < 1e-11
+        assert got == max(float(np.max(r)) for r in residuals)
+        assert type(got) is float and 0.0 < got < 1e-11
+        assert_matches_scalar_path(family, Order(0.3), zip(*columns), func_f, func_g)
 
     @pytest.mark.parametrize("family", list(FamilyId))
-    def test_batched_residuals_match_each_draw(self, family):
+    def test_batched_coefficients_match_each_draw(self, family):
         draws = np.random.default_rng(32).uniform(-3.0, 3.0, (100, 6)).view(complex)
-        _, _, residuals = functionals._system_residuals(family, *draws.T)
-        for i, (a2, a3, a4) in enumerate(draws.tolist()):
-            report = verify_coefficient_system(family, Order(0.0), BiCoefficients(a2, a3, a4))
-            for batched, scalar in zip(residuals, report.residuals):
-                assert batched[i] == pytest.approx(scalar, rel=0, abs=RESIDUAL_REF_TOL)
+        func_f, func_g, _ = functionals._system_residuals(family, *draws.T)
+        assert_matches_scalar_path(family, Order(0.0), draws.tolist(), func_f, func_g)
+
+    @pytest.mark.parametrize("trials", [3, 10, 11])
+    def test_chunks_take_the_same_draws_and_worst(self, trials, monkeypatch):
+        whole_rng, chunked_rng = np.random.default_rng(33), np.random.default_rng(33)
+        whole = series_residual(FamilyId.CONVEX, Order(0.0), whole_rng, trials)
+        passes = []
+        batched = functionals._system_residuals
+
+        def counting(fam, a2, a3, a4):
+            passes.append(a2.size)
+            return batched(fam, a2, a3, a4)
+
+        monkeypatch.setattr(functionals, "SERIES_CHUNK", 3)
+        monkeypatch.setattr(functionals, "_system_residuals", counting)
+        chunked = series_residual(FamilyId.CONVEX, Order(0.0), chunked_rng, trials)
+        assert passes == [3] * (trials // 3) + ([trials % 3] if trials % 3 else [])
+        assert chunked == whole
+        assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
 
     def test_shared_generator_continues_the_stream(self):
         one = np.random.default_rng(3)

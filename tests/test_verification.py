@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bihankel import functionals
 from bihankel import verification as vf
 from bihankel.caratheodory import (
     DiskParams,
@@ -18,54 +19,67 @@ FAMILY_FREE = ("disk_param_coeff_bound", "herglotz_coeff_bound")
 BETAS = (0.0, 0.3, 0.7)
 
 
-# The series residuals are rounding noise of coefficients up to about 1e3
-# (ulp ~1e-13), and the batched oracle rounds differently from the scalar
-# one (numpy divides complex numbers through a reciprocal), so its worst
-# residual matches the per-draw loop to a few such ulps, well below
-# SERIES_TOL = 1e-11.  The sampled coefficients are at most 2 in modulus,
-# and numpy's complex products, powers and moduli round apart from Python's
-# by an ulp.
-SERIES_REF_TOL = 1e-12
-COEFF_REF_TOL = 1e-14
+# numpy rounds complex products, powers and moduli apart from CPython by an
+# ulp, so the array coefficient checks match the per-object loops to a few
+# ulps of the largest |c_k| (near 2), not bit for bit.
+COEFF_ULPS = 4 * np.finfo(float).eps
+# The batched series algebra matches the scalar one coefficient by
+# coefficient within this relative tolerance (numpy divides complex numbers
+# through a reciprocal, CPython directly).
+SERIES_COEFF_REL = 1e-13
 
 
 # reference loops: the spot checks as run_checks computed them inline, per
 # beta, one Python object per draw, on the draws of the array samplers
 
-def reference_series_worst(family, beta, trials, seed):
+def reference_series_draws(trials, seed):
+    """(a2, a3, a4) per draw, as the per-draw loop took them from the stream."""
     rng = np.random.default_rng(seed + 1)
-    order = Order(beta)
-    worst = 0.0
-    for _ in range(trials):
-        draw = rng.uniform(-3.0, 3.0, 6)
-        a = BiCoefficients(
-            complex(draw[0], draw[1]),
-            complex(draw[2], draw[3]),
-            complex(draw[4], draw[5]),
-        )
-        worst = max(worst, verify_coefficient_system(family, order, a).max_residual)
-    return worst
+    return [rng.uniform(-3.0, 3.0, 6).view(complex).tolist() for _ in range(trials)]
 
 
-def reference_disk_param_excess(spot_samples, seed):
+def check_series_worst(got, family, beta, trials, seed):
+    """`got` is the worst batched residual over the per-draw loop's draws.
+
+    The series residuals are rounding noise, so they cannot be compared
+    across two routes; instead `got` must be exactly the largest residual
+    of the batched algebra on those draws, and that algebra must give every
+    draw's (c1..c3) and (d1..d3) of the scalar `verify_coefficient_system`.
+    """
+    draws = reference_series_draws(trials, seed)
+    func_f, func_g, residuals = functionals._system_residuals(family, *np.array(draws).T)
+    assert got == max(float(np.max(r)) for r in residuals)
+    assert 0.0 < got <= vf.SERIES_TOL
+    w = 1.0 - beta
+    for i, a in enumerate(draws):
+        report = verify_coefficient_system(family, Order(beta), BiCoefficients(*a))
+        for func, scalar in ((func_f, report.p), (func_g, report.q)):
+            for k, ref in enumerate(scalar.as_tuple(), start=1):
+                assert func[k][i] / w == pytest.approx(ref, rel=SERIES_COEFF_REL, abs=0)
+
+
+def reference_disk_param_max(spot_samples, seed):
+    """Largest |c_k| over one `DiskParams` per draw."""
     c, x, z = disk_param_samples(np.random.default_rng(seed + 2), spot_samples)
     params = [DiskParams(float(ci), complex(xi), complex(zi)) for ci, xi, zi in zip(c, x, z)]
-    return max(
-        max(abs(c) for c in coeffs_from_disk_params(p).as_tuple()) - 2.0
-        for p in params
-    )
+    return max(max(abs(c) for c in coeffs_from_disk_params(p).as_tuple()) for p in params)
 
 
-def reference_herglotz_excess(spot_samples, seed):
+def reference_herglotz_max(spot_samples, seed):
+    """Largest |c_k| over one `HerglotzMeasure` per draw."""
     weights, angles = herglotz_samples(np.random.default_rng(seed + 3), spot_samples)
     measures = [
         HerglotzMeasure(tuple(zip(w[w > 0].tolist(), t[w > 0].tolist())))
         for w, t in zip(weights, angles)
     ]
     return max(
-        max(abs(c) for c in p_coefficients_from_herglotz(m).as_tuple()) - 2.0
-        for m in measures
+        max(abs(c) for c in p_coefficients_from_herglotz(m).as_tuple()) for m in measures
     )
+
+
+def check_coeff_excess(got, reference_max):
+    """`got` = max|c_k| - 2 with max|c_k| within a few ulps of the reference."""
+    assert got + 2.0 == pytest.approx(reference_max, rel=COEFF_ULPS, abs=0)
 
 
 @pytest.fixture(autouse=True)
@@ -100,37 +114,25 @@ class TestSpotCheckMemo:
     @pytest.mark.parametrize("family", list(FamilyId))
     @pytest.mark.parametrize("beta", BETAS)
     def test_series_helper_matches_reference_loop(self, family, beta):
-        got = vf._series_worst(family, 30, 4)
-        assert got == pytest.approx(reference_series_worst(family, beta, 30, 4),
-                                    rel=0, abs=SERIES_REF_TOL)
+        check_series_worst(vf._series_worst(family, 30, 4), family, beta, 30, 4)
 
     def test_sampling_helpers_match_reference_loops(self):
-        assert vf._disk_param_excess(300, 4) == pytest.approx(
-            reference_disk_param_excess(300, 4), rel=0, abs=COEFF_REF_TOL)
-        assert vf._herglotz_excess(300, 4) == pytest.approx(
-            reference_herglotz_excess(300, 4), rel=0, abs=COEFF_REF_TOL)
+        check_coeff_excess(vf._disk_param_excess(300, 4), reference_disk_param_max(300, 4))
+        check_coeff_excess(vf._herglotz_excess(300, 4), reference_herglotz_max(300, 4))
 
     def test_run_checks_reports_reference_values(self):
         got = values(vf.run_checks(FamilyId.CONVEX, 0.7, seed=6, trials=12, spot_samples=120))
-        assert got["series_identity_residual"] == pytest.approx(
-            reference_series_worst(FamilyId.CONVEX, 0.7, 12, 6), rel=0, abs=SERIES_REF_TOL
-        )
-        assert got["disk_param_coeff_bound"] == pytest.approx(
-            reference_disk_param_excess(120, 6), rel=0, abs=COEFF_REF_TOL)
-        assert got["herglotz_coeff_bound"] == pytest.approx(
-            reference_herglotz_excess(120, 6), rel=0, abs=COEFF_REF_TOL)
+        check_series_worst(got["series_identity_residual"], FamilyId.CONVEX, 0.7, 12, 6)
+        check_coeff_excess(got["disk_param_coeff_bound"], reference_disk_param_max(120, 6))
+        check_coeff_excess(got["herglotz_coeff_bound"], reference_herglotz_max(120, 6))
 
     def test_changed_arguments_never_return_a_stale_value(self):
         keys = [(10, 0), (10, 1), (20, 0), (20, 1), (10, 0)]
         for n, seed in keys:
-            assert vf._disk_param_excess(n, seed) == pytest.approx(
-                reference_disk_param_excess(n, seed), rel=0, abs=COEFF_REF_TOL)
-            assert vf._herglotz_excess(n, seed) == pytest.approx(
-                reference_herglotz_excess(n, seed), rel=0, abs=COEFF_REF_TOL)
+            check_coeff_excess(vf._disk_param_excess(n, seed), reference_disk_param_max(n, seed))
+            check_coeff_excess(vf._herglotz_excess(n, seed), reference_herglotz_max(n, seed))
             for family in FamilyId:
-                assert vf._series_worst(family, n, seed) == pytest.approx(
-                    reference_series_worst(family, 0.0, n, seed), rel=0, abs=SERIES_REF_TOL
-                )
+                check_series_worst(vf._series_worst(family, n, seed), family, 0.0, n, seed)
         # the disk-param values differ per key, so a stale hit would show above;
         # other values can coincide (the Herglotz excess is 0 or an ulp of 2
         # for every key, and more trials at one seed extend the same draws),
@@ -178,7 +180,10 @@ class TestArraySpotChecks:
             vf.run_checks(family, 0.3, seed=3, trials=20, spot_samples=200)
         assert built == []
 
-    def test_disk_check_validates_the_draws(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [7, vf.SPOT_CHUNK])
+    def test_disk_check_validates_the_draws(self, chunk, monkeypatch):
+        monkeypatch.setattr(vf, "SPOT_CHUNK", chunk)
+
         def out_of_domain(rng, count):
             c, x, z = disk_param_samples(rng, count)
             c[-1] = 2.5
@@ -188,7 +193,10 @@ class TestArraySpotChecks:
         with pytest.raises(ConstraintViolation, match=r"c must lie in \[0, 2\], got 2.5"):
             vf._disk_param_excess(50, 0)
 
-    def test_herglotz_check_validates_the_draws(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [7, vf.SPOT_CHUNK])
+    def test_herglotz_check_validates_the_draws(self, chunk, monkeypatch):
+        monkeypatch.setattr(vf, "SPOT_CHUNK", chunk)
+
         def full_turn(rng, count):
             weights, angles = herglotz_samples(rng, count)
             angles[-1, 0] = 2 * np.pi
@@ -197,6 +205,27 @@ class TestArraySpotChecks:
         monkeypatch.setattr(vf, "herglotz_samples", full_turn)
         with pytest.raises(ConstraintViolation, match="atom angle outside"):
             vf._herglotz_excess(50, 0)
+
+    def test_herglotz_check_reports_the_largest_modulus(self, monkeypatch):
+        # two atoms of weight 1/2 a quarter turn apart: |c1| = |c3| = sqrt(2)
+        # and c2 = 0, so the excess is sqrt(2) - 2, not the 0 of an extreme point
+        def quarter_turns(rng, count):
+            weights = np.full((count, 3), 0.5)
+            weights[:, 2] = 0.0
+            angles = np.zeros((count, 3))
+            angles[:, 1] = np.pi / 2
+            angles[1::2, :2] += np.pi / 2
+            return weights, angles
+
+        monkeypatch.setattr(vf, "herglotz_samples", quarter_turns)
+        assert vf._herglotz_excess(5, 0) == pytest.approx(np.sqrt(2.0) - 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_give_the_whole_batch_value(self, chunk, monkeypatch):
+        whole = (vf._disk_param_excess(300, 5), vf._herglotz_excess(300, 5))
+        vf.clear_spot_check_cache()
+        monkeypatch.setattr(vf, "SPOT_CHUNK", chunk)
+        assert (vf._disk_param_excess(300, 5), vf._herglotz_excess(300, 5)) == whole
 
 
 class TestRunChecksInputs:
