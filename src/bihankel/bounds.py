@@ -297,6 +297,13 @@ def fekete_szego_bound(family: FamilyId, beta: float, mu: float) -> float:
     STARLIKE: 1 - b on mu in [1/2, 3/2], else 2 (1-b) |mu - 1|.
     CONVEX:   (1-b)/3 on mu in [2/3, 4/3], else (1-b) |mu - 1|.
     Both pieces agree at the joins.  Non-finite mu raises DomainError.
+
+    The bound needs the relation 2 a2^2 = (1-b)(c2 + d2), which the H2,2
+    relaxation drops; without it the starlike bound is false.  At c = 2 the
+    relaxed set gives |a3 - mu a2^2| = 4 (1-b)^2 |1 - mu| for any x, y, z, w:
+    above 2 (1-b) |mu - 1| whenever b < 1/2 and mu != 1, and above 1 - b
+    where 4 (1-b) |1 - mu| > 1.  The convex value there, (1-b)^2 |1 - mu|,
+    never exceeds its bound.
     """
     beta = check_beta(beta)
     w = 1.0 - beta

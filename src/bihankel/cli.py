@@ -31,11 +31,10 @@ MAX_TABLE_ROWS = 10**6
 # OS only when it frees a chunk of 64 KiB or more, so these blocks reuse
 # their memory, where 32-row blocks page-faulted it back in every round.
 TABLE_BLOCK_ROWS = 4
-# caps on requested work.  `search` and the series oracle of `verify` and
-# `derive` stream, so their memory stays flat and the caps bound run time
-# (10^8 search samples take about 36 s); `verify` holds its coefficient
-# and dominance draws as arrays, so its memory grows with --samples (a
-# fresh process peaks near 270 MB at the cap).
+# caps on requested work.  `search`, the sampled spot checks of `verify` and
+# the series oracle of `verify` and `derive` all stream, so their memory
+# stays flat and the caps bound run time (10^8 search samples take about
+# 36 s, and `verify` at the --samples cap about 2.7 s).
 MAX_SEARCH_SAMPLES = 10**8
 MAX_VERIFY_SAMPLES = 10**6
 MAX_TRIALS = 10**5
@@ -68,9 +67,12 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise BihankelError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,19 +229,9 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         lines = ["beta,family,bound,branch,critical_c,grid_max,abs_err"]
         for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row["beta"]),
-                        row["family"],
-                        _fmt(row["bound"]),
-                        row["branch"],
-                        _fmt(row["critical_c"]),
-                        _fmt(row["grid_max"]),
-                        _fmt(row["abs_err"]),
-                    ]
-                )
-            )
+            lines.append(",".join(
+                v if isinstance(v, str) else _fmt(v) for v in row.values()
+            ))
         _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit(json.dumps(rows, indent=2) + "\n", args.output)

@@ -23,11 +23,9 @@ from . import bounds as bd
 from .caratheodory import (
     DiskParams,
     PCoefficients,
-    check_seed,
     coeffs_from_disk_params,
     disk_coeffs,
-    unit_circle_samples,
-    unit_disk_samples,
+    disk_param_blocks,
 )
 from .errors import DomainError, VerificationFailure
 from .functionals import FamilyId, Order, bi_coeffs, hankel_2_2, reconstruct
@@ -234,12 +232,6 @@ def maximize_surrogate(
 
 # --- empirical search over the exact parametrization -----------------------
 
-# samples drawn and evaluated per block of `empirical_max_h22`.  A block's
-# temporaries take a few MB; 2^12 was slower per sample (per-call overhead)
-# and 2^16 took 12 MB more peak RSS for no gain in speed.
-SEARCH_CHUNK = 1 << 14
-
-
 def inverse_side_coeffs(c: float, y: complex, w: complex) -> PCoefficients:
     """(d1, d2, d3) from the disk parametrization applied at d1 = -c.
 
@@ -299,17 +291,6 @@ def _sum_constraint_target(family: FamilyId, beta: float, c: np.ndarray) -> np.n
     return -2.0 * beta * c * c / gap
 
 
-def _ring_then_disk(
-    rng: np.random.Generator, start: int, stop: int, n_boundary: int
-) -> np.ndarray:
-    """Points [start, stop) of a stream whose first `n_boundary` lie on the circle."""
-    on_circle = min(max(n_boundary - start, 0), stop - start)
-    return np.concatenate(
-        [unit_circle_samples(rng, on_circle),
-         unit_disk_samples(rng, stop - start - on_circle)]
-    )
-
-
 def empirical_max_h22(
     family: FamilyId,
     beta: float,
@@ -327,31 +308,22 @@ def empirical_max_h22(
     solving for y, discarding draws that leave the disk (an experiment, off
     by default; `evaluations` then counts the surviving samples).
 
-    Each variable has its own stream, `SeedSequence(seed).spawn(5)` in the
-    order c, x, y, z, w, and the samples are drawn and evaluated
-    `SEARCH_CHUNK` at a time, so memory does not grow with `samples`.  The
-    samplers are prefix-consistent and the running best is replaced only by
-    a strictly larger value, so the result is the one a single argmax over
-    all samples would give, whatever the chunk size.
+    The draws come from `disk_param_blocks(samples, seed, boundary_fraction)`
+    and are evaluated one block at a time, so memory does not grow with
+    `samples`.  The draws do not depend on the block size and the running
+    best is replaced only by a strictly larger value, so the result is the
+    one a single argmax over all samples would give.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     beta = bd.check_beta(beta)
     if not 0.0 <= boundary_fraction <= 1.0:
         raise DomainError("boundary fraction must lie in [0, 1]")
-    seed = check_seed(seed)
-    c_rng, x_rng, y_rng, z_rng, w_rng = (
-        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(5)
-    )
 
-    n_boundary = int(round(samples * boundary_fraction))
     best_val, argmax, kept = -np.inf, (), 0
-    for start in range(0, samples, SEARCH_CHUNK):
-        stop = min(start + SEARCH_CHUNK, samples)
-        c = c_rng.uniform(0.0, 2.0, stop - start)
-        x = _ring_then_disk(x_rng, start, stop, n_boundary)
-        z = unit_disk_samples(z_rng, stop - start)
-        w = unit_disk_samples(w_rng, stop - start)
+    for c, x, y, z, w in disk_param_blocks(
+        samples, seed, boundary_fraction, draw_y=not constrain_sum
+    ):
         if constrain_sum:
             # c = 2 makes the relation vacuous (both sides vanish); away from
             # it solve for y and keep only draws that stay inside the disk.
@@ -360,8 +332,6 @@ def empirical_max_h22(
             c, x, y, z, w = c[keep], x[keep], y[keep], z[keep], w[keep]
             if c.size == 0:
                 continue
-        else:
-            y = _ring_then_disk(y_rng, start, stop, n_boundary)
 
         vals = h22_batch(family, beta, c, x, y, z, w)
         kept += vals.size

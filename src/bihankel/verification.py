@@ -23,9 +23,8 @@ from .caratheodory import (
     coeff_excess,
     coeffs_from_herglotz,
     disk_coeffs,
-    disk_param_samples,
-    herglotz_samples,
-    unit_disk_samples,
+    disk_param_blocks,
+    herglotz_blocks,
 )
 from .errors import DomainError
 from .functionals import FamilyId, Order, series_residual
@@ -59,20 +58,8 @@ def _sign_check(name, value) -> CheckResult:
 
 
 # Spot checks that `run_checks` memoizes (see its docstring).  Each runs as
-# a few numpy passes over arrays of draws, with no per-draw Python object,
-# and the caches hold only the scalar result, never the draws.  The
-# coefficient checks draw all their samples at once, as one stream, but
-# evaluate them `SPOT_CHUNK` rows at a time, so the complex temporaries of
-# the formulas do not grow with `spot_samples`.  Blocks of 2^12 to 2^16
-# rows gave the same peak memory at 10^6 samples, and 2^14 the best time.
-SPOT_CHUNK = 1 << 14
-
-
-def _row_blocks(count: int):
-    """Slices of `SPOT_CHUNK` consecutive rows covering range(count)."""
-    return (slice(start, start + SPOT_CHUNK) for start in range(0, count, SPOT_CHUNK))
-
-
+# numpy passes over the blocks of a streamed sampler, with no per-draw
+# Python object, and the caches hold only the scalar result.
 @functools.lru_cache(maxsize=8)
 def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
     """Worst series-algebra residual of the coefficient system over seeded draws.
@@ -87,21 +74,19 @@ def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
 @functools.lru_cache(maxsize=4)
 def _disk_param_excess(spot_samples: int, seed: int) -> float:
     """Largest max_k |c_k| - 2 over seeded (c, x, z) parametrization draws."""
-    c, x, z = disk_param_samples(np.random.default_rng(seed + 2), spot_samples)
-    check_disk_params(c, x, z)
-    return max(
-        coeff_excess(c[rows], *disk_coeffs(c[rows], x[rows], z[rows]))
-        for rows in _row_blocks(spot_samples)
-    )
+    excess = -math.inf
+    for c, x, _, z, _ in disk_param_blocks(spot_samples, seed + 2, draw_y=False):
+        check_disk_params(c, x, z)
+        excess = max(excess, coeff_excess(c, *disk_coeffs(c, x, z)))
+    return excess
 
 
 @functools.lru_cache(maxsize=4)
 def _herglotz_excess(spot_samples: int, seed: int) -> float:
     """Largest max_k |c_k| - 2 over seeded atomic Herglotz measures."""
-    weights, angles = herglotz_samples(np.random.default_rng(seed + 3), spot_samples)
     return max(
-        coeff_excess(coeffs_from_herglotz((weights[rows], angles[rows]), 3))
-        for rows in _row_blocks(spot_samples)
+        coeff_excess(coeffs_from_herglotz(block, 3))
+        for block in herglotz_blocks(spot_samples, seed + 3)
     )
 
 
@@ -226,17 +211,12 @@ def run_checks(
     )
 
     # ... and the majorant dominates sample by sample
-    rng = np.random.default_rng(seed + 5)
-    cs_s = rng.uniform(0.0, 2.0, spot_samples)
-    xs = unit_disk_samples(rng, spot_samples)
-    ys = unit_disk_samples(rng, spot_samples)
-    zs = unit_disk_samples(rng, spot_samples)
-    ws = unit_disk_samples(rng, spot_samples)
-    vals = opt.h22_batch(family, beta, cs_s, xs, ys, zs, ws)
-    majorant = profile.surface(np.abs(xs), np.abs(ys), cs_s)
-    checks.append(
-        _check("pointwise_majorant_dominance", float(np.max(vals - majorant)), POINTWISE_SLACK)
+    dominance = max(
+        float(np.max(opt.h22_batch(family, beta, c, x, y, z, w)
+                     - profile.surface(np.abs(x), np.abs(y), c)))
+        for c, x, y, z, w in disk_param_blocks(spot_samples, seed + 5)
     )
+    checks.append(_check("pointwise_majorant_dominance", dominance, POINTWISE_SLACK))
 
     # branch structure of the closed form
     if family is FamilyId.STARLIKE:

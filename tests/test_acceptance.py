@@ -24,8 +24,8 @@ from bihankel.caratheodory import (
     check_disk_params,
     coeffs_from_herglotz,
     disk_coeffs,
-    disk_param_samples,
-    herglotz_samples,
+    disk_param_blocks,
+    herglotz_blocks,
 )
 from bihankel.cli import main
 from bihankel.functionals import (
@@ -161,11 +161,15 @@ def test_criterion_05_series_oracle_residuals(capsys):
 
 
 def test_criterion_06_coefficient_bound_checks(capsys):
-    c, x, z = disk_param_samples(np.random.default_rng(1906), 10000)
-    check_disk_params(c, x, z)
-    routes = [c, *disk_coeffs(c, x, z)]
-    routes.append(coeffs_from_herglotz(herglotz_samples(np.random.default_rng(1907), 10000), 3))
-    ok = all(bool(np.all(np.abs(cs) <= 2 + 1e-12)) for cs in routes)
+    disk_routes, herglotz_route = [], []
+    for c, x, _, z, _ in disk_param_blocks(10000, 1906, draw_y=False):
+        check_disk_params(c, x, z)
+        disk_routes.append(np.stack([c, *disk_coeffs(c, x, z)]))
+    for block in herglotz_blocks(10000, 1907):
+        herglotz_route.append(coeffs_from_herglotz(block, 3))
+    routes = [*np.concatenate(disk_routes, axis=1), *np.concatenate(herglotz_route).T]
+    ok = [cs.size for cs in routes] == [10000] * 6
+    ok &= all(bool(np.all(np.abs(cs) <= 2 + 1e-12)) for cs in routes)
     with capsys.disabled():
         report(6, "coefficient bound |c_k| <= 2 on 10^4 samples per route", ok)
 

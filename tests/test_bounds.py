@@ -17,8 +17,10 @@ from bihankel.bounds import (
     starlike_surrogate_terms,
     thresholds,
 )
+from bihankel.caratheodory import DiskParams, coeffs_from_disk_params, unit_disk_samples
 from bihankel.errors import DomainError
-from bihankel.functionals import FamilyId
+from bihankel.functionals import FamilyId, Order, fekete_szego, reconstruct
+from bihankel.optimizer import inverse_side_coeffs
 
 BETAS = [0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 0.98]
 
@@ -291,6 +293,61 @@ class TestFeketeSzegoBound:
                 inner = fekete_szego_bound(family, beta, mu)
                 for side in (math.nextafter(mu, -10), math.nextafter(mu, 10)):
                     assert abs(fekete_szego_bound(family, beta, side) - inner) < 1e-12
+
+
+def relaxed_fs_at_c2(family, beta, mu, x, y, z, w):
+    """|a3 - mu a2^2| at c = 2 of the relaxed set, through the public scalar route."""
+    p = coeffs_from_disk_params(DiskParams(2.0, x, z))
+    q = inverse_side_coeffs(2.0, y, w)
+    return abs(fekete_szego(reconstruct(family, Order(beta), p, q), mu))
+
+
+def relaxed_draws():
+    """(x, y, z, w) draws: the centre, a boundary point and seeded disk points."""
+    pts = unit_disk_samples(np.random.default_rng(31), 4 * 6).reshape(6, 4)
+    return [(0j, 0j, 0j, 0j), (1 + 0j, -1j, 1j, -1 + 0j), *(tuple(map(complex, r)) for r in pts)]
+
+
+class TestFeketeSzegoNeedsTheSumRelation:
+    """Without the c2 + d2 relation the starlike bound is false.
+
+    At c = 2 the relaxed set gives |a3 - mu a2^2| = 4 (1-b)^2 |1 - mu| for
+    every x, y, z, w.  This pins that counterexample, so the bound can only
+    be checked where the relation holds.
+    """
+
+    # beta, value, bound at mu = 0
+    STARLIKE_MU0 = [(0.0, 4.0, 2.0), (0.45, 1.21, 1.1), (0.5, 1.0, 1.0), (0.55, 0.81, 0.9)]
+
+    @pytest.mark.parametrize("beta,value,bound", STARLIKE_MU0)
+    def test_starlike_values_at_mu_0(self, beta, value, bound):
+        assert fekete_szego_bound(FamilyId.STARLIKE, beta, 0.0) == pytest.approx(bound, rel=1e-15)
+        for draw in relaxed_draws():
+            got = relaxed_fs_at_c2(FamilyId.STARLIKE, beta, 0.0, *draw)
+            assert got == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("mu", [0.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.45, 0.5, 0.55, 0.9])
+    def test_starlike_bound_fails_exactly_below_one_half(self, beta, mu):
+        bound = fekete_szego_bound(FamilyId.STARLIKE, beta, mu)
+        for draw in relaxed_draws():
+            got = relaxed_fs_at_c2(FamilyId.STARLIKE, beta, mu, *draw)
+            assert got == pytest.approx(4 * (1 - beta) ** 2 * abs(1 - mu), rel=1e-14)
+            if beta < 0.5:
+                assert got > bound
+            elif beta == 0.5:
+                assert got == pytest.approx(bound, rel=1e-14)
+            else:
+                assert got < bound
+
+    @pytest.mark.parametrize("mu", [0.0, 3.0])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_convex_value_stays_below_its_bound(self, beta, mu):
+        bound = fekete_szego_bound(FamilyId.CONVEX, beta, mu)
+        for draw in relaxed_draws():
+            got = relaxed_fs_at_c2(FamilyId.CONVEX, beta, mu, *draw)
+            assert got == pytest.approx((1 - beta) ** 2 * abs(1 - mu), rel=1e-14)
+            assert got <= bound + 1e-15
 
 
 class TestValidatorsRejectNaN:

@@ -1,12 +1,14 @@
 import cmath
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihankel import caratheodory as car
 from bihankel.caratheodory import (
     COEFF_BOUND_TOL,
     DiskParams,
@@ -19,15 +21,32 @@ from bihankel.caratheodory import (
     coeffs_from_disk_params,
     coeffs_from_herglotz,
     disk_coeffs,
-    disk_param_samples,
-    herglotz_samples,
+    disk_param_blocks,
+    herglotz_blocks,
     p_coefficients_from_herglotz,
     rotate_to_real,
+    unit_circle_samples,
     unit_disk_samples,
     validate_p,
     x_from_c2,
 )
 from bihankel.errors import ConstraintViolation, DomainError
+
+
+def whole(blocks):
+    """The fields of a streamed sampler's blocks, each joined into one array."""
+    return tuple(None if f[0] is None else np.concatenate(f) for f in zip(*blocks))
+
+
+def disk_draws(count, seed):
+    """(c, x, z) of `disk_param_blocks`, joined over its blocks."""
+    c, x, _, z, _ = whole(disk_param_blocks(count, seed, draw_y=False))
+    return c, x, z
+
+
+def herglotz_draws(count, seed, max_atoms=6):
+    """(weights, angles) of `herglotz_blocks`, joined over its blocks."""
+    return whole(herglotz_blocks(count, seed, max_atoms))
 
 
 def row_params(c, x, z):
@@ -125,7 +144,7 @@ class TestHerglotz:
         with pytest.raises(DomainError, match=f"k_max must be >= 1, got {k_max}"):
             coeffs_from_herglotz(HerglotzMeasure(((1.0, 0.0),)), k_max)
         with pytest.raises(DomainError):
-            coeffs_from_herglotz(herglotz_samples(np.random.default_rng(0), 3), k_max)
+            coeffs_from_herglotz(herglotz_draws(3, 0), k_max)
 
 
 class TestHerglotzValidator:
@@ -139,7 +158,7 @@ class TestHerglotzValidator:
 
     def test_valid_rows_with_padding_pass(self):
         check_herglotz(*self.packed())
-        check_herglotz(*herglotz_samples(np.random.default_rng(1), 500))
+        check_herglotz(*herglotz_draws(500, 1))
 
     @pytest.mark.parametrize("row,col,field,value,message", [
         (0, 0, 0, -0.25, "negative atom weight, got -0.25"),
@@ -187,7 +206,7 @@ class TestHerglotzValidator:
 
 class TestHerglotzSamples:
     def test_shape_padding_and_weights(self):
-        weights, angles = herglotz_samples(np.random.default_rng(21), 4000, max_atoms=6)
+        weights, angles = herglotz_draws(4000, 21, max_atoms=6)
         assert weights.shape == angles.shape == (4000, 6)
         n_atoms = np.count_nonzero(weights, axis=1)
         # atoms first, then padding: weight 0 at angle 0
@@ -199,14 +218,14 @@ class TestHerglotzSamples:
     def test_packed_rows_equal_their_measures(self):
         # every packed row gives exactly the coefficients of the measure made
         # from its atoms, since both run the same sum over the atom axis
-        weights, angles = herglotz_samples(np.random.default_rng(22), 1000)
+        weights, angles = herglotz_draws(1000, 22)
         packed = coeffs_from_herglotz((weights, angles), 4)
         for row, measure in zip(packed, row_measures(weights, angles)):
             assert row.tolist() == coeffs_from_herglotz(measure, 4)
 
     def test_packed_rows_match_the_cmath_loop(self):
         # independent oracle: the per-atom cmath sum the measures once used
-        weights, angles = herglotz_samples(np.random.default_rng(23), 1000)
+        weights, angles = herglotz_draws(1000, 23)
         packed = coeffs_from_herglotz((weights, angles), 3)
         for row, measure in zip(packed, row_measures(weights, angles)):
             for k in (1, 2, 3):
@@ -222,14 +241,14 @@ class TestValidateP:
         assert not validate_p(PCoefficients(2.5, 0, 0))
 
     def test_sampled_params_always_valid(self):
-        c, x, z = disk_param_samples(np.random.default_rng(11), 2000)
+        c, x, z = disk_draws(2000, 11)
         check_disk_params(c, x, z)
         assert within_class(c, *disk_coeffs(c, x, z))
         for params in row_params(c, x, z):
             assert validate_p(coeffs_from_disk_params(params))
 
     def test_sampled_measures_always_valid(self):
-        packed = herglotz_samples(np.random.default_rng(12), 2000)
+        packed = herglotz_draws(2000, 12)
         assert within_class(coeffs_from_herglotz(packed, 3))
         for m in row_measures(*packed):
             assert validate_p(p_coefficients_from_herglotz(m))
@@ -247,7 +266,7 @@ class TestCoeffExcess:
 
 class TestDiskParamValidator:
     def test_sampled_draws_pass_both_validators(self):
-        c, x, z = disk_param_samples(np.random.default_rng(16), 300)
+        c, x, z = disk_draws(300, 16)
         check_disk_params(c, x, z)
         row_params(c, x, z)
 
@@ -305,7 +324,7 @@ class TestXRecovery:
     def test_herglotz_samples_land_in_disk(self):
         # surjectivity at the (c1, c2) level: every rotated class sample
         # admits an |x| <= 1 reproducing its second coefficient
-        packed = coeffs_from_herglotz(herglotz_samples(np.random.default_rng(14), 1000), 3)
+        packed = coeffs_from_herglotz(herglotz_draws(1000, 14), 3)
         for row in packed:
             p = rotate_to_real(PCoefficients(*row.tolist()))
             c1 = p.c1.real
@@ -316,35 +335,115 @@ class TestXRecovery:
             assert residual <= (1e-12 if gap > 1e-5 else 2e-5)
 
     def test_round_trip_from_params(self):
-        for params in row_params(*disk_param_samples(np.random.default_rng(15), 500)):
+        for params in row_params(*disk_draws(500, 15)):
             p = coeffs_from_disk_params(params)
             if 4 - params.c**2 <= 1e-5:
                 continue
             assert abs(x_from_c2(params.c, p.c2) - params.x) < 1e-9
 
 
+def reference_disk_params(samples, seed, boundary_fraction=0.0):
+    """All of (c, x, y, z, w) drawn in one go from the five spawned streams."""
+    c_rng, x_rng, y_rng, z_rng, w_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(5)
+    )
+    n_boundary = int(round(samples * boundary_fraction))
+
+    def ring_then_disk(rng):
+        return np.concatenate([unit_circle_samples(rng, n_boundary),
+                               unit_disk_samples(rng, samples - n_boundary)])
+
+    return (c_rng.uniform(0.0, 2.0, samples), ring_then_disk(x_rng), ring_then_disk(y_rng),
+            unit_disk_samples(z_rng, samples), unit_disk_samples(w_rng, samples))
+
+
+def reference_herglotz(samples, seed, max_atoms=6):
+    """All packed measures drawn in one go from the three spawned streams."""
+    n_rng, w_rng, t_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)
+    )
+    n_atoms = n_rng.integers(1, max_atoms + 1, samples)
+    weights = w_rng.uniform(0.1, 1.0, (samples, max_atoms))
+    angles = t_rng.uniform(0.0, 2 * math.pi, (samples, max_atoms))
+    pad = np.arange(max_atoms) >= n_atoms[:, None]
+    weights[pad] = 0.0
+    angles[pad] = 0.0
+    return weights / weights.sum(axis=1, keepdims=True), angles
+
+
+def arrays_equal(got, expected):
+    return len(got) == len(expected) and all(
+        np.array_equal(u, v) for u, v in zip(got, expected)
+    )
+
+
+# block sizes for the streamed samplers: one draw, a prime, one short of the
+# default, and one block of exactly / more than all the draws
+CHUNKS = (1, 7, (1 << 14) - 1, "samples", "more")
+
+
+def chunk_size(chunk, samples):
+    return {"samples": samples, "more": samples + 1}.get(chunk, chunk)
+
+
 class TestSamplers:
     def test_seeded_reproducibility(self):
-        for sampler, seed in ((disk_param_samples, 3), (herglotz_samples, 4)):
-            a = sampler(np.random.default_rng(seed), 50)
-            b = sampler(np.random.default_rng(seed), 50)
-            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        for sampler, seed in ((disk_param_blocks, 3), (herglotz_blocks, 4)):
+            assert arrays_equal(whole(sampler(50, seed)), whole(sampler(50, seed)))
 
-    def test_disk_params_take_c_then_x_then_z(self):
-        rng = np.random.default_rng(3)
-        c = rng.uniform(0.0, 2.0, 50)
-        x = unit_disk_samples(rng, 50)
-        z = unit_disk_samples(rng, 50)
-        got_rng = np.random.default_rng(3)
-        got = disk_param_samples(got_rng, 50)
-        assert all(np.array_equal(u, v) for u, v in zip(got, (c, x, z)))
-        assert got_rng.bit_generator.state == rng.bit_generator.state
+    def test_disk_params_take_one_stream_per_variable(self):
+        assert arrays_equal(whole(disk_param_blocks(50, 3)), reference_disk_params(50, 3))
+
+    def test_default_block_size(self):
+        assert car.SAMPLE_CHUNK == 1 << 14
+        sizes = [block[0].size for block in disk_param_blocks(40000, 1)]
+        assert sizes == [1 << 14, 1 << 14, 40000 - (2 << 14)]
+        assert [w.shape for w, _ in herglotz_blocks(20000, 1)] == [(1 << 14, 6), (3616, 6)]
 
     def test_disk_rejection_stays_inside(self):
         rng = np.random.default_rng(5)
         pts = unit_disk_samples(rng, 10000)
         assert pts.shape == (10000,)
         assert float(np.max(np.abs(pts))) <= 1.0
+
+
+class TestStreamedSamplers:
+    """The blocks of a streamed sampler, joined, are the draws of one whole batch."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    def test_disk_blocks_match_one_whole_draw(self, monkeypatch, chunk, fraction):
+        samples = 400 if chunk == 1 else 20000
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk_size(chunk, samples))
+        got = whole(disk_param_blocks(samples, 8, fraction))
+        assert arrays_equal(got, reference_disk_params(samples, 8, fraction))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_herglotz_blocks_match_one_whole_draw(self, monkeypatch, chunk):
+        samples = 400 if chunk == 1 else 20000
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk_size(chunk, samples))
+        got = whole(herglotz_blocks(samples, 9))
+        assert arrays_equal(got, reference_herglotz(samples, 9))
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
+    def test_skipping_y_leaves_the_other_streams(self, monkeypatch, chunk):
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
+        c, x, y, z, w = whole(disk_param_blocks(20000, 4, 0.25, draw_y=False))
+        assert y is None
+        expected = reference_disk_params(20000, 4, 0.25)
+        assert arrays_equal((c, x, z, w), expected[:2] + expected[3:])
+
+    def test_no_reference_to_a_yielded_block(self):
+        for blocks in (disk_param_blocks(100, 1), herglotz_blocks(100, 1)):
+            block = next(blocks)
+            refs = [weakref.ref(a) for a in block]
+            del block
+            assert [r() for r in refs] == [None] * len(refs)
+
+    def test_negative_seed_raises(self):
+        for sampler in (disk_param_blocks, herglotz_blocks):
+            with pytest.raises(DomainError, match="seed must be >= 0, got -3"):
+                next(sampler(10, -3))
 
 
 def reference_disk(seed, count):

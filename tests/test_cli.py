@@ -383,6 +383,28 @@ class TestUsage:
         assert main([]) == 2
 
 
+class TestUnwritableOutput:
+    """An --output path that cannot be written is a usage error, not a failed check."""
+
+    @pytest.mark.parametrize("argv", [
+        ("table",),
+        ("search", "--family", "starlike", "--samples", "10"),
+        ("verify", "--family", "convex", "--trials", "2", "--samples", "5"),
+    ])
+    def test_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
+
+    def test_directory_as_output_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "table", "--output", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 class TestValidationMessages:
     """Validation lives in the library; the CLI reports it as a usage error."""
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bihankel.bounds import QuarticProfile, h22_bound, quartic_profile, surrogate_terms, thresholds
+from bihankel import caratheodory as car
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
 from bihankel.caratheodory import disk_coeffs, unit_circle_samples, unit_disk_samples
@@ -461,7 +462,7 @@ def search(case):
 class TestStreamingSearch:
     @pytest.mark.parametrize("case", SEARCH_CASES, ids=CASE_IDS)
     def test_default_chunk_matches_whole_array_reference(self, case):
-        assert opt.SEARCH_CHUNK == 1 << 14
+        assert car.SAMPLE_CHUNK == 1 << 14
         assert search(case) == reference_search(*case)
 
     @pytest.mark.parametrize("chunk", [7, (1 << 14) - 1, "samples", "more"])
@@ -469,13 +470,13 @@ class TestStreamingSearch:
     def test_independent_of_chunk_size(self, monkeypatch, case, chunk):
         samples = case[2]
         chunk = {"samples": samples, "more": samples + 1}.get(chunk, chunk)
-        monkeypatch.setattr(opt, "SEARCH_CHUNK", chunk)
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
         assert search(case) == reference_search(*case)
 
     @pytest.mark.parametrize("case", SEARCH_CASES, ids=CASE_IDS)
     def test_chunks_of_one_sample(self, monkeypatch, case):
         small = case[:2] + (400,) + case[3:]
-        monkeypatch.setattr(opt, "SEARCH_CHUNK", 1)
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", 1)
         assert search(small) == reference_search(*small)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -484,7 +485,7 @@ class TestStreamingSearch:
         # array reports the first of them, and so must the chunked search
         exact = opt.h22_batch
         monkeypatch.setattr(opt, "h22_batch", lambda *a: np.floor(exact(*a)))
-        monkeypatch.setattr(opt, "SEARCH_CHUNK", chunk)
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
         case = (FamilyId.STARLIKE, 0.0, 600, 8, 0.25, False)
         expected = reference_search(*case)
         assert expected.max_value == 3.0

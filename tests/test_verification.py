@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bihankel import caratheodory as car
 from bihankel import functionals
 from bihankel import verification as vf
 from bihankel.caratheodory import (
     DiskParams,
     HerglotzMeasure,
     coeffs_from_disk_params,
-    disk_param_samples,
-    herglotz_samples,
+    disk_param_blocks,
+    herglotz_blocks,
     p_coefficients_from_herglotz,
+    unit_disk_samples,
 )
 from bihankel.errors import ConstraintViolation, DomainError
 from bihankel.functionals import BiCoefficients, FamilyId, Order, verify_coefficient_system
@@ -30,7 +34,8 @@ SERIES_COEFF_REL = 1e-13
 
 
 # reference loops: the spot checks as run_checks computed them inline, per
-# beta, one Python object per draw, on the draws of the array samplers
+# beta, one Python object per draw, on the same draws taken in one batch
+# straight from the spawned streams
 
 def reference_series_draws(trials, seed):
     """(a2, a3, a4) per draw, as the per-draw loop took them from the stream."""
@@ -58,20 +63,28 @@ def check_series_worst(got, family, beta, trials, seed):
                 assert func[k][i] / w == pytest.approx(ref, rel=SERIES_COEFF_REL, abs=0)
 
 
+def spawned(seed, count):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
 def reference_disk_param_max(spot_samples, seed):
     """Largest |c_k| over one `DiskParams` per draw."""
-    c, x, z = disk_param_samples(np.random.default_rng(seed + 2), spot_samples)
+    c_rng, x_rng, _, z_rng, _ = spawned(seed + 2, 5)
+    c = c_rng.uniform(0.0, 2.0, spot_samples)
+    x, z = unit_disk_samples(x_rng, spot_samples), unit_disk_samples(z_rng, spot_samples)
     params = [DiskParams(float(ci), complex(xi), complex(zi)) for ci, xi, zi in zip(c, x, z)]
     return max(max(abs(c) for c in coeffs_from_disk_params(p).as_tuple()) for p in params)
 
 
 def reference_herglotz_max(spot_samples, seed):
     """Largest |c_k| over one `HerglotzMeasure` per draw."""
-    weights, angles = herglotz_samples(np.random.default_rng(seed + 3), spot_samples)
-    measures = [
-        HerglotzMeasure(tuple(zip(w[w > 0].tolist(), t[w > 0].tolist())))
-        for w, t in zip(weights, angles)
-    ]
+    n_rng, w_rng, t_rng = spawned(seed + 3, 3)
+    measures = []
+    for n in n_rng.integers(1, 7, spot_samples):
+        weights = w_rng.uniform(0.1, 1.0, 6)[:n]
+        angles = t_rng.uniform(0.0, 2 * np.pi, 6)[:n]
+        measures.append(HerglotzMeasure(tuple(zip((weights / weights.sum()).tolist(),
+                                                  angles.tolist()))))
     return max(
         max(abs(c) for c in p_coefficients_from_herglotz(m).as_tuple()) for m in measures
     )
@@ -127,7 +140,9 @@ class TestSpotCheckMemo:
         check_coeff_excess(got["herglotz_coeff_bound"], reference_herglotz_max(120, 6))
 
     def test_changed_arguments_never_return_a_stale_value(self):
-        keys = [(10, 0), (10, 1), (20, 0), (20, 1), (10, 0)]
+        # 30 rather than 20 draws: the samplers are prefix-consistent, and at
+        # seed 1 the largest of the first 20 disk draws is among the first 10
+        keys = [(10, 0), (10, 1), (30, 0), (30, 1), (10, 0)]
         for n, seed in keys:
             check_coeff_excess(vf._disk_param_excess(n, seed), reference_disk_param_max(n, seed))
             check_coeff_excess(vf._herglotz_excess(n, seed), reference_herglotz_max(n, seed))
@@ -135,7 +150,7 @@ class TestSpotCheckMemo:
                 check_series_worst(vf._series_worst(family, n, seed), family, 0.0, n, seed)
         # the disk-param values differ per key, so a stale hit would show above;
         # other values can coincide (the Herglotz excess is 0 or an ulp of 2
-        # for every key, and more trials at one seed extend the same draws),
+        # for every key, and more draws at one seed extend the same draws),
         # so check that every new key was computed and only the repeated one
         # was served
         assert len({vf._disk_param_excess(n, seed) for n, seed in keys}) == 4
@@ -146,20 +161,19 @@ class TestSpotCheckMemo:
 
     def test_one_verify_run_samples_once(self, monkeypatch):
         calls = []
-        seeded = np.random.default_rng(4).bit_generator.state
 
-        def counting(rng, count):
-            calls.append((count, rng.bit_generator.state == seeded))
-            return herglotz_samples(rng, count)
+        def counting(samples, seed):
+            calls.append((samples, seed))
+            return herglotz_blocks(samples, seed)
 
-        monkeypatch.setattr(vf, "herglotz_samples", counting)
+        monkeypatch.setattr(vf, "herglotz_blocks", counting)
         for family in FamilyId:
             for beta in BETAS:
                 vf.run_checks(family, beta, seed=1, trials=2, spot_samples=50)
-        assert calls == [(50, True)]
+        assert calls == [(50, 4)]
         vf.clear_spot_check_cache()
         vf.run_checks(FamilyId.STARLIKE, 0.0, seed=1, trials=2, spot_samples=50)
-        assert calls == [(50, True), (50, True)]
+        assert calls == [(50, 4), (50, 4)]
 
     def test_caches_are_bounded_and_hold_scalars(self):
         for helper, args in (
@@ -180,52 +194,79 @@ class TestArraySpotChecks:
             vf.run_checks(family, 0.3, seed=3, trials=20, spot_samples=200)
         assert built == []
 
-    @pytest.mark.parametrize("chunk", [7, vf.SPOT_CHUNK])
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
     def test_disk_check_validates_the_draws(self, chunk, monkeypatch):
-        monkeypatch.setattr(vf, "SPOT_CHUNK", chunk)
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
 
-        def out_of_domain(rng, count):
-            c, x, z = disk_param_samples(rng, count)
-            c[-1] = 2.5
-            return c, x, z
+        def out_of_domain(samples, seed, **kwargs):
+            blocks = list(disk_param_blocks(samples, seed, **kwargs))
+            blocks[-1][0][-1] = 2.5
+            return iter(blocks)
 
-        monkeypatch.setattr(vf, "disk_param_samples", out_of_domain)
+        monkeypatch.setattr(vf, "disk_param_blocks", out_of_domain)
         with pytest.raises(ConstraintViolation, match=r"c must lie in \[0, 2\], got 2.5"):
             vf._disk_param_excess(50, 0)
 
-    @pytest.mark.parametrize("chunk", [7, vf.SPOT_CHUNK])
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
     def test_herglotz_check_validates_the_draws(self, chunk, monkeypatch):
-        monkeypatch.setattr(vf, "SPOT_CHUNK", chunk)
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
 
-        def full_turn(rng, count):
-            weights, angles = herglotz_samples(rng, count)
-            angles[-1, 0] = 2 * np.pi
-            return weights, angles
+        def full_turn(samples, seed):
+            blocks = list(herglotz_blocks(samples, seed))
+            blocks[-1][1][-1, 0] = 2 * np.pi
+            return iter(blocks)
 
-        monkeypatch.setattr(vf, "herglotz_samples", full_turn)
+        monkeypatch.setattr(vf, "herglotz_blocks", full_turn)
         with pytest.raises(ConstraintViolation, match="atom angle outside"):
             vf._herglotz_excess(50, 0)
 
     def test_herglotz_check_reports_the_largest_modulus(self, monkeypatch):
         # two atoms of weight 1/2 a quarter turn apart: |c1| = |c3| = sqrt(2)
         # and c2 = 0, so the excess is sqrt(2) - 2, not the 0 of an extreme point
-        def quarter_turns(rng, count):
-            weights = np.full((count, 3), 0.5)
+        def quarter_turns(samples, seed):
+            weights = np.full((samples, 3), 0.5)
             weights[:, 2] = 0.0
-            angles = np.zeros((count, 3))
+            angles = np.zeros((samples, 3))
             angles[:, 1] = np.pi / 2
             angles[1::2, :2] += np.pi / 2
-            return weights, angles
+            return iter([(weights[:2], angles[:2]), (weights[2:], angles[2:])])
 
-        monkeypatch.setattr(vf, "herglotz_samples", quarter_turns)
+        monkeypatch.setattr(vf, "herglotz_blocks", quarter_turns)
         assert vf._herglotz_excess(5, 0) == pytest.approx(np.sqrt(2.0) - 2.0, rel=1e-15)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("chunk", [1, 7, (1 << 14) - 1, "samples", "more"])
     def test_chunks_give_the_whole_batch_value(self, chunk, monkeypatch):
-        whole = (vf._disk_param_excess(300, 5), vf._herglotz_excess(300, 5))
+        samples = 300
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", samples + 1)
+        whole = values(vf.run_checks(FamilyId.STARLIKE, 0.3, seed=5, trials=2,
+                                     spot_samples=samples))
         vf.clear_spot_check_cache()
-        monkeypatch.setattr(vf, "SPOT_CHUNK", chunk)
-        assert (vf._disk_param_excess(300, 5), vf._herglotz_excess(300, 5)) == whole
+        chunk = {"samples": samples, "more": samples + 1}.get(chunk, chunk)
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
+        got = values(vf.run_checks(FamilyId.STARLIKE, 0.3, seed=5, trials=2,
+                                   spot_samples=samples))
+        assert got == whole
+
+    def test_memory_does_not_grow_with_samples(self):
+        def peaks(samples):
+            vf.clear_spot_check_cache()
+            out = []
+            for run in (
+                lambda: vf._disk_param_excess(samples, 0),
+                lambda: vf._herglotz_excess(samples, 0),
+                lambda: vf.run_checks(FamilyId.STARLIKE, 0.0, trials=1, spot_samples=samples),
+            ):
+                vf.clear_spot_check_cache()
+                tracemalloc.start()
+                try:
+                    run()
+                    out.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return out
+
+        for small, large in zip(peaks(200_000), peaks(2_000_000)):
+            assert abs(large - small) <= 2**18
 
 
 class TestRunChecksInputs:

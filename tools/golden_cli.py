@@ -32,6 +32,10 @@ COMMANDS = (
     "verify",
     "verify --family starlike --beta 0.3 --strict",
     "verify --family convex --beta 0.95 --beta 0.5 --seed 11 --trials 30 --samples 300",
+    # block edges of the streamed spot checks: one sample past a block, and
+    # a single sample
+    "verify --family starlike --beta 0.3 --samples 16385 --trials 1 --seed 3",
+    "verify --family convex --beta 0 --samples 1 --trials 1",
     "derive",
     "derive --beta 0.1 --beta 0.9 --trials 40 --seed 5",
     # the batched series oracle over a larger stream shared by six blocks
@@ -73,6 +77,7 @@ COMMANDS = (
     "fs-bound --family starlike --beta 0 --mu nan",
     "table --step nan",
     "table --beta-range 0 1",
+    "table --output /nonexistent/dir/x.csv",
 )
 # counts over their caps (exit 2 before any work).  A checkout without the
 # caps would start runs of minutes to hours and of gigabytes on these, so
