@@ -146,8 +146,8 @@ class QuarticProfile:
 
     Q is the corner value of the majorant surface; `terms` exposes the
     underlying c-profiles so that Q(c) = t1 + 2 t2 + 2 t3 + 4 t4 can be
-    cross-checked term by term.  A profile built by `stack` holds column
-    arrays instead of floats and only supports the Q methods.
+    cross-checked term by term.  A profile built from a beta array holds
+    (rows, 1) columns instead of floats and only supports the Q methods.
     """
 
     family: FamilyId
@@ -156,33 +156,18 @@ class QuarticProfile:
     alpha2: float
     alpha0: float
 
-    @classmethod
-    def stack(cls, profiles) -> QuarticProfile:
-        """One profile per row: beta and the alphas become column arrays.
-
-        `value` then broadcasts a grid of c to shape (rows, points), each row
-        computed with the same elementwise arithmetic as its own profile.
-        """
-        family = profiles[0].family
-        if any(p.family is not family for p in profiles):
-            raise DomainError("stacked profiles must share one family")
-
-        def column(name):
-            return np.array([getattr(p, name) for p in profiles])[:, None]
-
-        return cls(family, column("beta"), column("alpha4"), column("alpha2"),
-                   column("alpha0"))
-
     def terms(self, c):
         return surrogate_terms(self.family, c, self.beta)
 
-    def value(self, c):
-        """alpha4 c2 c2 + alpha2 c2 + alpha0, summed in place on arrays."""
+    def value(self, c, out=None):
+        """alpha4 c2 c2 + alpha2 c2 + alpha0, summed in place on arrays; with
+        `out=(scratch, result)` c2 goes to scratch and Q to result, returned."""
         _check_c(c)
-        c2 = c * c
-        q = self.alpha4 * c2
+        scratch, result = (None, None) if out is None else out
+        c2 = np.multiply(c, c, out=scratch)
+        q = np.multiply(self.alpha4, c2, out=result)
         q *= c2
-        q += self.alpha2 * c2
+        q += np.multiply(self.alpha2, c2, out=scratch)
         q += self.alpha0
         return q
 
@@ -207,9 +192,16 @@ class QuarticProfile:
         return t1 + t2 * s + t3 * (lam * lam + mu * mu) + t4 * (s * s)
 
 
-def quartic_profile(family: FamilyId, beta: float) -> QuarticProfile:
+def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
+    """Corner quartic of beta; a 1-d beta array gives (rows, 1) columns, each
+    row bit for bit its own profile (`float_power` rounds (1-b)^2 like libm's
+    pow, as float `**` does; numpy's `**` and `w * w` may not)."""
     beta = check_beta(beta)
-    w2 = (1.0 - beta) ** 2
+    if np.ndim(beta):
+        beta = beta[:, None]
+        w2 = np.float_power(1.0 - beta, 2)
+    else:
+        w2 = (1.0 - beta) ** 2
     if family is FamilyId.STARLIKE:
         scale = w2 / 48.0
         return QuarticProfile(

@@ -45,8 +45,10 @@ class FamilyId(enum.Enum):
     CONVEX = "convex"
 
 
-def check_beta(beta: float) -> float:
-    """Validate beta in [0, 1); out-of-domain values raise, never clamp."""
+def check_beta(beta):
+    """Validate beta (or each of a 1-d array) in [0, 1); never clamps."""
+    if np.ndim(beta) == 1:
+        return np.array([check_beta(b) for b in beta])
     beta = float(beta)
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")

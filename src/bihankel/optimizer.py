@@ -23,6 +23,7 @@ from . import bounds as bd
 from .caratheodory import (
     DiskParams,
     PCoefficients,
+    check_seed,
     coeffs_from_disk_params,
     disk_coeffs,
     disk_param_blocks,
@@ -66,9 +67,9 @@ class SearchResult:
     seed: int = 0
 
 
-def _evaluate(objective, xs: np.ndarray) -> np.ndarray:
+def _evaluate(objective, xs: np.ndarray, **out) -> np.ndarray:
     """Call the objective on the array; a scalar result is broadcast."""
-    ys = np.asarray(objective(xs), dtype=float)
+    ys = np.asarray(objective(xs, **out), dtype=float)
     if ys.shape != xs.shape:
         ys = np.broadcast_to(ys, xs.shape)
     return ys
@@ -78,14 +79,14 @@ def _window(center: float, half: float, lo: float, hi: float) -> tuple[float, fl
     return max(lo, center - half), min(hi, center + half)
 
 
-def _linspace(lo, hi, ramp: np.ndarray) -> np.ndarray:
+def _linspace(lo, hi, ramp: np.ndarray, out=None) -> np.ndarray:
     """`np.linspace(lo, hi, ramp.size)`, row by row for column arrays lo, hi.
 
     Same arithmetic as `np.linspace` (bar its branch for a step that
     underflows to zero): `ramp * step + lo` with `ramp = arange(size)`, and
-    the last point set to `hi`.
+    the last point set to `hi`.  The points go to `out` when it is given.
     """
-    xs = ramp * ((hi - lo) / (ramp.size - 1))
+    xs = np.multiply(ramp, (hi - lo) / (ramp.size - 1), out=out)
     xs += lo
     xs[..., -1:] = hi
     return xs
@@ -101,12 +102,13 @@ def maximize_1d(
 
     The scan runs on a stack of rows at once.  The first round calls the
     objective on the 1-d base grid; if it answers with shape (rows, points)
-    (say, a `QuarticProfile.stack`), each row is its own maximization and
+    (say, a profile of a beta array), each row is its own maximization and
     `max_value` and `argmax[0]` are arrays over the rows, `evaluations` the
-    total.  Later rounds call it on a (rows, points) array of per-row
-    windows, so the objective must work elementwise.  A single objective is
-    the one-row case and reports floats.  Each row's windows, points,
-    incumbent and strict-`>` updates match a scan of that row alone.
+    total.  Later rounds call `objective(xs, out=(scratch, values))` with
+    (rows, points) arrays it may overwrite, allocated once per call with the
+    points (see `QuarticProfile.value`).  A single objective is the one-row case:
+    it reports floats and is called without `out`.  Each row's windows,
+    points, incumbent and strict-`>` updates match a scan of that row alone.
     """
     grid = grid or GridSpec()
     lo0, hi0 = float(interval[0]), float(interval[1])
@@ -117,7 +119,11 @@ def maximize_1d(
     xs = _linspace(lo0, hi0, ramp)
     ys = np.asarray(objective(xs), dtype=float)
     batched = ys.ndim == 2
-    if not batched:
+    points, out = None, {}
+    if batched:  # one block, not three: glibc then reuses it across calls
+        points, scratch, values = np.empty((3, *ys.shape))
+        out = {"out": (scratch, values)}
+    else:
         ys = np.broadcast_to(ys, (1, ramp.size))
     xs = np.broadcast_to(xs, ys.shape)
     rows = np.arange(ys.shape[0])
@@ -132,8 +138,8 @@ def maximize_1d(
             half = width / 2.0
             lo = np.maximum(lo0, best_x - half)
             hi = np.minimum(hi0, best_x + half)
-            xs = _linspace(lo[:, None], hi[:, None], ramp)
-            ys = _evaluate(objective, xs)
+            xs = _linspace(lo[:, None], hi[:, None], ramp, out=points)
+            ys = _evaluate(objective, xs, **out)
         evals += ys.size
         i = ys.argmax(axis=1)
         vals = ys[rows, i]
@@ -291,6 +297,17 @@ def _sum_constraint_target(family: FamilyId, beta: float, c: np.ndarray) -> np.n
     return -2.0 * beta * c * c / gap
 
 
+def check_search_args(samples: int, beta: float, boundary_fraction: float, seed: int) -> float:
+    """Validate the arguments of `empirical_max_h22`; returns beta as a float."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    beta = bd.check_beta(beta)
+    if not 0.0 <= boundary_fraction <= 1.0:
+        raise DomainError("boundary fraction must lie in [0, 1]")
+    check_seed(seed)
+    return beta
+
+
 def empirical_max_h22(
     family: FamilyId,
     beta: float,
@@ -314,11 +331,7 @@ def empirical_max_h22(
     best is replaced only by a strictly larger value, so the result is the
     one a single argmax over all samples would give.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    beta = bd.check_beta(beta)
-    if not 0.0 <= boundary_fraction <= 1.0:
-        raise DomainError("boundary fraction must lie in [0, 1]")
+    beta = check_search_args(samples, beta, boundary_fraction, seed)
 
     best_val, argmax, kept = -np.inf, (), 0
     for c, x, y, z, w in disk_param_blocks(

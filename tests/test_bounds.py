@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bihankel.bounds import (
     Branch,
-    QuarticProfile,
     convex_h22_bound,
     convex_surrogate_terms,
     corner_value,
@@ -382,18 +382,32 @@ class TestValidatorsRejectNaN:
         assert np.isfinite(self.profile.surface(np.array([0.0, 1.0]), 1.0, 2.0)).all()
 
 
-class TestStackedProfile:
+# the table-sweep grid plus a beta where numpy's ** rounds (1-b)^2 apart
+# from the float ** of the scalar path
+SWEEP_BETAS = [k * 4e-4 for k in range(2476)] + [0.311221784]
+
+
+class TestArrayProfile:
+    """A beta array gives (rows, 1) alpha columns, bit for bit the scalar profiles."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_columns_equal_scalar_profiles_over_the_sweep(self, family):
+        stacked = quartic_profile(family, SWEEP_BETAS)
+        for name in ("beta", "alpha4", "alpha2", "alpha0"):
+            column = getattr(stacked, name)
+            assert column.shape == (len(SWEEP_BETAS), 1)
+            expected = [getattr(quartic_profile(family, b), name) for b in SWEEP_BETAS]
+            assert np.array_equal(column[:, 0], expected), name
+
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_rows_equal_each_profile_bit_for_bit(self, family):
-        profiles = [quartic_profile(family, beta) for beta in BETAS]
-        stacked = QuarticProfile.stack(profiles)
-        assert stacked.alpha4.shape == (len(BETAS), 1)
+        stacked = quartic_profile(family, np.array(BETAS))
         cs = np.linspace(0.0, 2.0, 2001)
         grid = np.tile(cs, (len(BETAS), 1))
         for values in (stacked.value(cs), stacked.value(grid)):
             assert values.shape == (len(BETAS), cs.size)
-            for row, profile in zip(values, profiles):
-                assert np.array_equal(row, profile.value(cs))
+            for row, beta in zip(values, BETAS):
+                assert np.array_equal(row, quartic_profile(family, beta).value(cs))
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_value_is_the_written_formula(self, family):
@@ -409,15 +423,65 @@ class TestStackedProfile:
                 assert p.value(c) == expected
                 assert p.value(np.array(c)) == expected
 
-    def test_mixed_families_rejected(self):
-        with pytest.raises(DomainError, match="one family"):
-            QuarticProfile.stack(
-                [quartic_profile(FamilyId.STARLIKE, 0.0), quartic_profile(FamilyId.CONVEX, 0.0)]
-            )
+    @pytest.mark.parametrize("beta", [[0.2, 1.0], [math.nan], [-0.1, 0.5], np.array([0.5, math.inf])])
+    def test_out_of_domain_betas_rejected(self, beta):
+        with pytest.raises(DomainError, match=r"beta must lie in \[0, 1\)"):
+            quartic_profile(FamilyId.STARLIKE, beta)
+
+    def test_empty_beta_array_gives_no_rows(self):
+        assert quartic_profile(FamilyId.CONVEX, []).value(np.linspace(0.0, 2.0, 5)).shape == (0, 5)
 
     def test_stacked_value_checks_every_point(self):
-        stacked = QuarticProfile.stack([quartic_profile(FamilyId.CONVEX, b) for b in (0.0, 0.5)])
+        stacked = quartic_profile(FamilyId.CONVEX, [0.0, 0.5])
         grid = np.full((2, 5), 1.0)
         grid[1, 3] = math.nan
         with pytest.raises(DomainError):
             stacked.value(grid)
+
+
+class TestValueOut:
+    """`value(c, out=(scratch, result))` writes Q into `result`, bit for bit."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_out_equals_allocating_value(self, family):
+        stacked = quartic_profile(family, SWEEP_BETAS[::97])
+        shape = (stacked.alpha4.shape[0], 2001)
+        rng = np.random.default_rng(11)
+        for c in (np.linspace(0.0, 2.0, 2001), rng.uniform(0.0, 2.0, shape)):
+            out = (np.full(shape, np.nan), np.full(shape, np.nan))
+            got = stacked.value(c, out=out)
+            assert got is out[1]
+            assert np.array_equal(got, stacked.value(c))
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_one_profile_into_out(self, family):
+        profile = quartic_profile(family, 0.311221784)
+        cs = np.linspace(0.0, 2.0, 2001)
+        out = (np.empty(cs.shape), np.empty(cs.shape))
+        assert np.array_equal(profile.value(cs, out=out), profile.value(cs))
+
+    def test_out_allocates_no_array(self):
+        stacked = quartic_profile(FamilyId.STARLIKE, SWEEP_BETAS[:16])
+        c = np.tile(np.linspace(0.0, 2.0, 2001), (16, 1))
+        out = (np.empty(c.shape), np.empty(c.shape))
+        stacked.value(c, out=out)
+        tracemalloc.start()
+        try:
+            stacked.value(c, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (16, 2001) temporary would take 250 KiB; numpy's broadcasting
+        # ops may still take a 64 KiB iterator buffer each
+        assert peak < c.nbytes // 2
+
+    @pytest.mark.parametrize("bad", [-1e-12, 2.0 + 1e-12, math.nan])
+    def test_out_still_checks_c(self, bad):
+        stacked = quartic_profile(FamilyId.STARLIKE, [0.1, 0.7])
+        c = np.full((2, 5), 1.0)
+        c[1, 2] = bad
+        out = (np.zeros(c.shape), np.zeros(c.shape))
+        with pytest.raises(DomainError, match="c must lie in"):
+            stacked.value(c, out=out)
+        # rejected before anything is written
+        assert not out[0].any() and not out[1].any()

@@ -176,6 +176,12 @@ def table_rows(capsys, *argv):
     return [line.split(",") for line in out.strip().split("\n")[1:]]
 
 
+def cli_stdout(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    return out
+
+
 class TestTableRowBlocks:
     """`table` scans its rows in blocks; the output is the per-row scan's."""
 
@@ -187,6 +193,22 @@ class TestTableRowBlocks:
         for beta, family, *_, grid_max, _ in rows:
             profile = bd.quartic_profile(FamilyId(family), float(beta))
             assert grid_max == repr(opt.maximize_1d(profile.value, (0.0, 2.0)).max_value)
+
+    @pytest.mark.parametrize("lo,hi,step,extra,rows", [
+        ("0", "0.16", "0.01", ("--family", "both"), 17),
+        ("0.2", "0.6", "0.0037", ("--family", "starlike"), 109),
+        ("0", "0.99", "0.01", ("--format", "json"), 100),
+    ])
+    def test_stdout_byte_identical_across_block_sizes(self, capsys, monkeypatch, lo, hi, step,
+                                                      extra, rows):
+        # one row per call, blocks that do and do not divide the rows, one call
+        assert len(cli._beta_grid(float(lo), float(hi), float(step))) == rows
+        argv = ("table", "--beta-range", lo, hi, "--step", step, *extra)
+        outputs = set()
+        for block in (1, 7, 16, rows + 1):
+            monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block)
+            outputs.add(cli_stdout(capsys, *argv))
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("block", [1, 3, 32, 1000])
     def test_output_independent_of_block_size(self, capsys, monkeypatch, block):
@@ -402,7 +424,68 @@ class TestUnwritableOutput:
     def test_directory_as_output_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "table", "--output", str(tmp_path))
         assert code == 2
-        assert err.startswith(f"error: cannot write {tmp_path}: ")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    # each command's work function; an unwritable --output must stop the run
+    # before it is reached
+    WORK = {
+        "table": (cli, "_grid_maxima"),
+        "search": (opt, "empirical_max_h22"),
+        "verify": (cli.verification, "run_checks"),
+    }
+    COMMANDS = [
+        ("table",),
+        ("search", "--family", "starlike", "--samples", "10"),
+        ("verify", "--family", "convex", "--trials", "2", "--samples", "5"),
+    ]
+
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/out.txt", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_rejected_before_any_work(self, capsys, monkeypatch, tmp_path, argv, target, reason):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the --output check")
+
+        monkeypatch.setattr(*self.WORK[argv[0]], never)
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--step", "nan"),
+        ("search", "--family", "starlike", "--samples", "0", "--beta", "3"),
+        ("search", "--family", "starlike", "--seed", "-1", "--samples", "10"),
+        ("verify", "--beta", "1.5"),
+    ])
+    def test_usage_errors_come_first_and_touch_nothing(self, capsys, tmp_path, argv):
+        existing = tmp_path / "kept.txt"
+        existing.write_text("kept\n")
+        for path in (existing, tmp_path / "missing" / "out.txt"):
+            code, out, err = run_cli(capsys, *argv, "--output", str(path))
+            assert (code, out) == (2, "")
+            assert "cannot write" not in err
+        assert existing.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+
+    def test_other_errors_are_reported_at_write_time(self, capsys, tmp_path):
+        # a regular file where a directory should be passes the early check
+        # and fails, with the same message format, when the report is written
+        parent = tmp_path / "file"
+        parent.write_text("")
+        path = parent / "out.csv"
+        code, out, err = run_cli(capsys, "table", "--beta-range", "0", "0.1", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: Not a directory\n"
+
+    def test_writable_output_is_written(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        code, out, _ = run_cli(capsys, "table", "--beta-range", "0", "0.1", "--output", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_text() == cli_stdout(capsys, "table", "--beta-range", "0", "0.1")
 
 
 class TestValidationMessages:

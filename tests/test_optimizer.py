@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bihankel.bounds import QuarticProfile, h22_bound, quartic_profile, surrogate_terms, thresholds
+from bihankel.bounds import h22_bound, quartic_profile, surrogate_terms, thresholds
 from bihankel import caratheodory as car
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
@@ -122,11 +122,11 @@ def reference_rows(objectives, interval=(0.0, 2.0)):
             sum(s[2] for s in scans))
 
 
-def stacked_rows(profiles, block):
-    """maximize_1d over the profiles stacked `block` rows per call."""
+def stacked_rows(family, betas, block):
+    """maximize_1d over the betas' array profiles, `block` rows per call."""
     values, argmaxes, evals = [], [], 0
-    for start in range(0, len(profiles), block):
-        scan = maximize_1d(QuarticProfile.stack(profiles[start:start + block]).value, (0.0, 2.0))
+    for start in range(0, len(betas), block):
+        scan = maximize_1d(quartic_profile(family, betas[start:start + block]).value, (0.0, 2.0))
         values.append(scan.max_value)
         argmaxes.append(scan.argmax[0])
         evals += scan.evaluations
@@ -138,9 +138,8 @@ SWEEP_BETAS = tuple(k * 4e-4 for k in range(2476))
 
 
 @functools.lru_cache(maxsize=None)
-def sweep_profiles_and_reference(family):
-    profiles = [quartic_profile(family, beta) for beta in SWEEP_BETAS]
-    return profiles, reference_rows([p.value for p in profiles])
+def sweep_reference(family):
+    return reference_rows([quartic_profile(family, beta).value for beta in SWEEP_BETAS])
 
 
 def assert_rows_equal(got, expected):
@@ -172,23 +171,22 @@ class TestMaximize1dRowStack:
         assert SWEEP_BETAS[0] == 0.0 and abs(SWEEP_BETAS[-1] - 0.99) < 1e-12
         assert 0.0 < t.quartic_sign_change < t.branch_split < SWEEP_BETAS[-1]
 
-    @pytest.mark.parametrize("block", [TABLE_BLOCK_ROWS, 7, 32])
+    @pytest.mark.parametrize("block", [7, 16, 32])
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_sweep_rows_match_reference_scan(self, family, block):
-        profiles, expected = sweep_profiles_and_reference(family)
-        assert_rows_equal(stacked_rows(profiles, block), expected)
+        assert_rows_equal(stacked_rows(family, SWEEP_BETAS, block), sweep_reference(family))
 
     def test_block_size_not_dividing_row_count(self):
-        profiles = [quartic_profile(FamilyId.STARLIKE, 0.2 + k * 0.0037) for k in range(109)]
-        assert len(profiles) % TABLE_BLOCK_ROWS != 0
-        expected = reference_rows([p.value for p in profiles])
-        for block in (1, TABLE_BLOCK_ROWS, 16, 108, 109, 500):
-            assert_rows_equal(stacked_rows(profiles, block), expected)
+        betas = [0.2 + k * 0.0037 for k in range(109)]
+        assert len(betas) % TABLE_BLOCK_ROWS != 0
+        expected = reference_rows([quartic_profile(FamilyId.STARLIKE, b).value for b in betas])
+        for block in (1, 7, TABLE_BLOCK_ROWS, 108, 109, 500):
+            assert_rows_equal(stacked_rows(FamilyId.STARLIKE, betas, block), expected)
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_single_row_stack_reports_arrays(self, family):
         profile = quartic_profile(family, 0.5)
-        scan = maximize_1d(QuarticProfile.stack([profile]).value, (0.0, 2.0))
+        scan = maximize_1d(quartic_profile(family, [0.5]).value, (0.0, 2.0))
         assert scan.max_value.shape == (1,) and scan.argmax[0].shape == (1,)
         single = maximize_1d(profile.value, (0.0, 2.0))
         assert (scan.max_value[0], scan.argmax[0][0], scan.evaluations) == \
@@ -198,10 +196,10 @@ class TestMaximize1dRowStack:
         # argmax lands on a NaN and the strict > never accepts it: an all-NaN
         # row keeps -inf at the left endpoint, a partly-NaN row may miss rounds
         profiles = [quartic_profile(FamilyId.CONVEX, b) for b in (0.1, 0.5, 0.9)]
-        stacked = QuarticProfile.stack(profiles)
+        stacked = quartic_profile(FamilyId.CONVEX, [0.1, 0.5, 0.9])
 
-        def objective(x):
-            ys = np.array(stacked.value(x))
+        def objective(x, out=None):
+            ys = stacked.value(x, out=out)
             ys[1] = np.nan
             ys[2][np.broadcast_to(x, ys.shape)[2] < 1.0] = np.nan
             return ys
@@ -217,9 +215,45 @@ class TestMaximize1dRowStack:
 
     def test_constant_rows_report_left_endpoint(self):
         levels = np.array([[1.0], [3.0], [2.0]])
-        scan = maximize_1d(lambda x: np.broadcast_to(levels, (3, x.shape[-1])), (0.5, 2.0))
+        scan = maximize_1d(lambda x, out=None: np.broadcast_to(levels, (3, x.shape[-1])),
+                           (0.5, 2.0))
         assert scan.max_value.tolist() == [1.0, 3.0, 2.0]
         assert scan.argmax[0].tolist() == [0.5, 0.5, 0.5]
+
+    def test_later_rounds_reuse_the_same_buffers(self):
+        stacked = quartic_profile(FamilyId.STARLIKE, SWEEP_BETAS[:16])
+        rounds = []
+
+        def objective(x, out=None):
+            # per round: the points, then the `out` pair, as the call sees them
+            rounds.append([(b.shape, b.dtype, b.flags.c_contiguous, b.flags.writeable,
+                            b.ctypes.data) for b in (x, *(out or ()))])
+            return stacked.value(x, out=out)
+
+        scan = maximize_1d(objective, (0.0, 2.0))
+        first, *later = rounds
+        assert len(first) == 1 and first[0][0] == (2001,)
+        assert len(later) == GridSpec().refinement_rounds
+        for bufs in later:
+            assert [b[:4] for b in bufs] == [((16, 2001), np.float64, True, True)] * 3
+        pointers = {tuple(b[4] for b in bufs) for bufs in later}
+        assert len(pointers) == 1 and len(set(*pointers)) == 3
+        assert_rows_equal((scan.max_value, scan.argmax[0], scan.evaluations),
+                          reference_rows([quartic_profile(FamilyId.STARLIKE, b).value
+                                          for b in SWEEP_BETAS[:16]]))
+
+    def test_one_row_objective_is_never_given_out(self):
+        profile = quartic_profile(FamilyId.CONVEX, 0.3)
+        shapes = []
+
+        def objective(x):
+            shapes.append(x.shape)
+            return profile.value(x)
+
+        scan = maximize_1d(objective, (0.0, 2.0))
+        assert shapes == [(2001,)] + [(1, 2001)] * GridSpec().refinement_rounds
+        assert (scan.max_value, scan.argmax[0], scan.evaluations) == \
+            reference_maximize_1d(profile.value, (0.0, 2.0))
 
     @pytest.mark.parametrize(
         "objective",

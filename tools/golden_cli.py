@@ -48,6 +48,8 @@ COMMANDS = (
     "table --family convex --beta-range 0.5 0.5 --step 0.1",
     "table --family starlike --beta-range 0.2 0.6 --step 0.0037",
     "table --format json --beta-range 0 0.99 --step 0.01",
+    # 17 rows per family: one row past a 16-row block
+    "table --family both --beta-range 0 0.16 --step 0.01",
     "search --family starlike --seed 7",
     "search --family starlike --beta 0 --samples 500000 --seed 3",
     "search --family convex --beta 0.3 --samples 500000 --seed 3 --constrain-sum",
@@ -78,6 +80,9 @@ COMMANDS = (
     "table --step nan",
     "table --beta-range 0 1",
     "table --output /nonexistent/dir/x.csv",
+    "table --output .",
+    "search --family starlike --samples 10 --output /nonexistent/dir/x.json",
+    "verify --family convex --trials 2 --samples 5 --output /nonexistent/dir/x.txt",
 )
 # counts over their caps (exit 2 before any work).  A checkout without the
 # caps would start runs of minutes to hours and of gigabytes on these, so
