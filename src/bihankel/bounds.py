@@ -194,14 +194,13 @@ class QuarticProfile:
 
 def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
     """Corner quartic of beta; a 1-d beta array gives (rows, 1) columns, each
-    row bit for bit its own profile (`float_power` rounds (1-b)^2 like libm's
-    pow, as float `**` does; numpy's `**` and `w * w` may not)."""
+    row bit for bit its own profile.  (1-b)^2 is libm's pow through
+    `float_power` on both paths, as the closed forms' float `**` rounds it;
+    numpy's `**` and `w * w` may round it apart."""
     beta = check_beta(beta)
     if np.ndim(beta):
         beta = beta[:, None]
-        w2 = np.float_power(1.0 - beta, 2)
-    else:
-        w2 = (1.0 - beta) ** 2
+    w2 = np.float_power(1.0 - beta, 2)
     if family is FamilyId.STARLIKE:
         scale = w2 / 48.0
         return QuarticProfile(

@@ -23,7 +23,6 @@ from . import bounds as bd
 from .caratheodory import (
     DiskParams,
     PCoefficients,
-    check_seed,
     coeffs_from_disk_params,
     disk_coeffs,
     disk_param_blocks,
@@ -104,10 +103,11 @@ def maximize_1d(
     objective on the 1-d base grid; if it answers with shape (rows, points)
     (say, a profile of a beta array), each row is its own maximization and
     `max_value` and `argmax[0]` are arrays over the rows, `evaluations` the
-    total.  Later rounds call `objective(xs, out=(scratch, values))` with
-    (rows, points) arrays it may overwrite, allocated once per call with the
-    points (see `QuarticProfile.value`).  A single objective is the one-row case:
-    it reports floats and is called without `out`.  Each row's windows,
+    total.  Such a row-stacked objective must accept an `out` keyword: later
+    rounds call `objective(xs, out=(scratch, values))` with (rows, points)
+    arrays it may overwrite, allocated once per call with the points (see
+    `QuarticProfile.value`).  A single objective is the one-row case: it
+    reports floats and is called without `out`.  Each row's windows,
     points, incumbent and strict-`>` updates match a scan of that row alone.
     """
     grid = grid or GridSpec()
@@ -297,14 +297,14 @@ def _sum_constraint_target(family: FamilyId, beta: float, c: np.ndarray) -> np.n
     return -2.0 * beta * c * c / gap
 
 
-def check_search_args(samples: int, beta: float, boundary_fraction: float, seed: int) -> float:
-    """Validate the arguments of `empirical_max_h22`; returns beta as a float."""
+def check_search_args(samples: int, beta: float, boundary_fraction: float) -> float:
+    """Validate the arguments of `empirical_max_h22` but the seed, which its
+    sampler checks; returns beta as a float."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     beta = bd.check_beta(beta)
     if not 0.0 <= boundary_fraction <= 1.0:
         raise DomainError("boundary fraction must lie in [0, 1]")
-    check_seed(seed)
     return beta
 
 
@@ -331,7 +331,7 @@ def empirical_max_h22(
     best is replaced only by a strictly larger value, so the result is the
     one a single argmax over all samples would give.
     """
-    beta = check_search_args(samples, beta, boundary_fraction, seed)
+    beta = check_search_args(samples, beta, boundary_fraction)
 
     best_val, argmax, kept = -np.inf, (), 0
     for c, x, y, z, w in disk_param_blocks(

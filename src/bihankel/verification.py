@@ -97,6 +97,13 @@ def clear_spot_check_cache() -> None:
     _herglotz_excess.cache_clear()
 
 
+def check_run_args(seed: int, trials: int, spot_samples: int) -> None:
+    """Validate the sampling arguments of `run_checks`, in its order."""
+    check_seed(seed)
+    if trials < 1 or spot_samples < 1:
+        raise DomainError("trials and samples must be >= 1")
+
+
 def run_checks(
     family: FamilyId,
     beta: float,
@@ -130,9 +137,7 @@ def run_checks(
     `seed`, which numpy rejects.
     """
     beta = bd.check_beta(beta)
-    seed = check_seed(seed)
-    if trials < 1 or spot_samples < 1:
-        raise DomainError("trials and samples must be >= 1")
+    check_run_args(seed, trials, spot_samples)
     if c_points < 3:
         raise DomainError(f"c_points must be >= 3, got {c_points}")
     profile = bd.quartic_profile(family, beta)

@@ -383,7 +383,7 @@ class TestValidatorsRejectNaN:
 
 
 # the table-sweep grid plus a beta where numpy's ** rounds (1-b)^2 apart
-# from the float ** of the scalar path
+# from the float ** of the closed forms
 SWEEP_BETAS = [k * 4e-4 for k in range(2476)] + [0.311221784]
 
 
@@ -398,6 +398,22 @@ class TestArrayProfile:
             assert column.shape == (len(SWEEP_BETAS), 1)
             expected = [getattr(quartic_profile(family, b), name) for b in SWEEP_BETAS]
             assert np.array_equal(column[:, 0], expected), name
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_alphas_are_the_float_formulas_over_the_sweep(self, family):
+        # the closed forms round (1-b)^2 with float **; the profile must too
+        def alphas(b):
+            w2 = (1.0 - b) ** 2
+            if family is FamilyId.STARLIKE:
+                s = w2 / 48.0
+                return s * (16.0 * b * b - 26.0 * b + 5.0), s * 24.0 * (2.0 - b), s * 48.0
+            s = w2 / 288.0
+            return s * (3.0 * b * b - 3.0 * b - 4.0), s * 4.0 * (8.0 - 3.0 * b), s * 32.0
+
+        stacked = quartic_profile(family, SWEEP_BETAS)
+        expected = np.array([alphas(b) for b in SWEEP_BETAS])
+        got = np.hstack([stacked.alpha4, stacked.alpha2, stacked.alpha0])
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_rows_equal_each_profile_bit_for_bit(self, family):

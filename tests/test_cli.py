@@ -460,14 +460,17 @@ class TestUnwritableOutput:
         ("search", "--family", "starlike", "--samples", "0", "--beta", "3"),
         ("search", "--family", "starlike", "--seed", "-1", "--samples", "10"),
         ("verify", "--beta", "1.5"),
+        ("verify", "--seed", "-1"),
+        ("verify", "--trials", "0"),
+        ("verify", "--samples", "0"),
     ])
     def test_usage_errors_come_first_and_touch_nothing(self, capsys, tmp_path, argv):
         existing = tmp_path / "kept.txt"
         existing.write_text("kept\n")
+        usage = run_cli(capsys, *argv)
+        assert usage[:2] == (2, "") and "cannot write" not in usage[2]
         for path in (existing, tmp_path / "missing" / "out.txt"):
-            code, out, err = run_cli(capsys, *argv, "--output", str(path))
-            assert (code, out) == (2, "")
-            assert "cannot write" not in err
+            assert run_cli(capsys, *argv, "--output", str(path)) == usage
         assert existing.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
 
