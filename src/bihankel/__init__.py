@@ -14,7 +14,6 @@ from .bounds import (
     Thresholds,
     convex_h22_bound,
     convex_surrogate_terms,
-    corner_value,
     critical_point,
     fekete_szego_bound,
     h22_bound,
@@ -41,7 +40,6 @@ from .errors import (
     DomainError,
     InsufficientCoefficients,
     NotNormalized,
-    VerificationFailure,
     ZeroConstantTerm,
 )
 from .functionals import (
@@ -52,18 +50,15 @@ from .functionals import (
     hankel_2_2,
     hankel_matrix_det,
     reconstruct,
-    series_from_bicoefficients,
     verify_coefficient_system,
 )
 from .optimizer import (
-    GridSpec,
     SearchResult,
     empirical_max_h22,
     h22_from_params,
     inverse_side_coeffs,
     maximize_1d,
     maximize_surrogate,
-    maximize_unit_square,
 )
 from .series import (
     TruncatedSeries,

@@ -220,11 +220,6 @@ def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
     )
 
 
-def corner_value(family: FamilyId, c, beta: float):
-    """Q(c): the majorant surface at lam = mu = 1."""
-    return quartic_profile(family, beta).value(c)
-
-
 def critical_point(family: FamilyId, beta: float) -> float | None:
     """Interior stationary point of Q, when the quartic has one.
 

@@ -210,8 +210,11 @@ def x_from_c2(c1: float, c2: complex) -> complex:
     Inverts 2 c2 = c1^2 + x (4 - c1^2).  When 4 - c1^2 is numerically
     degenerate (c1 ~ 2) the equation constrains nothing and x = 0 is
     returned; genuine class data then satisfies |2 c2 - c1^2| <= 4 - c1^2,
-    so the residual is below the degeneracy threshold as well.
+    so the residual is below the degeneracy threshold as well.  A c1
+    outside [0, 2] (with `DOMAIN_TOL` of slack) or NaN raises DomainError.
     """
+    if not -DOMAIN_TOL <= c1 <= 2.0 + DOMAIN_TOL:
+        raise DomainError(f"c1 must lie in [0, 2], got {c1}")
     gap = 4.0 - c1 * c1
     if gap < DEGENERATE_DENOM_TOL:
         return 0j
@@ -264,6 +267,9 @@ def check_seed(seed: int) -> int:
 # took 12 MB more peak RSS for no gain in speed.
 SAMPLE_CHUNK = 1 << 14
 
+# atoms per sampled Herglotz measure, padding included
+MAX_ATOMS = 6
+
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(check_seed(seed)).spawn(count)
@@ -311,10 +317,10 @@ def _padded_measures(n_atoms, raw, angles):
     return raw, angles
 
 
-def herglotz_blocks(samples: int, seed: int, max_atoms: int = 6):
-    """Yield `(weights, angles)` blocks of `SAMPLE_CHUNK` rows by `max_atoms`.
+def herglotz_blocks(samples: int, seed: int):
+    """Yield `(weights, angles)` blocks of `SAMPLE_CHUNK` rows by `MAX_ATOMS`.
 
-    Row i has an atom count n_i uniform on {1..max_atoms}; its first n_i
+    Row i has an atom count n_i uniform on {1..MAX_ATOMS}; its first n_i
     atoms get raw weights uniform on [0.1, 1], normalized to sum 1, and
     angles uniform on [0, 2*pi).  The other atoms are padding with weight 0
     at angle 0, which adds nothing to any coefficient.  Counts, weights and
@@ -325,7 +331,7 @@ def herglotz_blocks(samples: int, seed: int, max_atoms: int = 6):
     for start in range(0, samples, SAMPLE_CHUNK):
         rows = min(SAMPLE_CHUNK, samples - start)
         yield _padded_measures(
-            count_rng.integers(1, max_atoms + 1, rows),
-            weight_rng.uniform(0.1, 1.0, (rows, max_atoms)),
-            angle_rng.uniform(0.0, 2.0 * math.pi, (rows, max_atoms)),
+            count_rng.integers(1, MAX_ATOMS + 1, rows),
+            weight_rng.uniform(0.1, 1.0, (rows, MAX_ATOMS)),
+            angle_rng.uniform(0.0, 2.0 * math.pi, (rows, MAX_ATOMS)),
         )

@@ -23,12 +23,3 @@ class ConstraintViolation(BihankelError, ValueError):
 
 class InsufficientCoefficients(BihankelError, ValueError):
     """Too few Taylor coefficients to fill the requested Hankel matrix."""
-
-
-class VerificationFailure(BihankelError, ArithmeticError):
-    """An internal mathematical consistency check failed.
-
-    Raised only for conditions that are provably impossible when the
-    implementation is correct; seeing this exception means a bug, not a
-    bad input.
-    """

@@ -169,13 +169,6 @@ def hankel_matrix_det(coeffs, n: int, q: int) -> complex:
     )
 
 
-def series_from_bicoefficients(
-    a: BiCoefficients, order: int = 4
-) -> ts.TruncatedSeries:
-    """The normalized polynomial z + a2 z^2 + a3 z^3 + a4 z^4."""
-    return ts.TruncatedSeries.from_coeffs([0, 1, a.a2, a.a3, a.a4], order)
-
-
 # closed-form left-hand sides of the six coefficient equations, per family
 def _lhs_starlike(a2: complex, a3: complex, a4: complex):
     direct = (

@@ -27,30 +27,15 @@ from .caratheodory import (
     disk_coeffs,
     disk_param_blocks,
 )
-from .errors import DomainError, VerificationFailure
+from .errors import DomainError
 from .functionals import FamilyId, Order, bi_coeffs, hankel_2_2, reconstruct
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid-scan parameters: base resolution plus refinement schedule."""
-
-    points_per_axis: int = 2001
-    refinement_rounds: int = 3
-    shrink_factor: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.points_per_axis < 3:
-            raise DomainError("points_per_axis must be >= 3")
-        if self.refinement_rounds < 0:
-            raise DomainError("refinement_rounds must be >= 0")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise DomainError("shrink_factor must lie in (0, 1)")
-
-
-# smaller defaults for the multi-axis scans
-SQUARE_GRID = GridSpec(points_per_axis=101, refinement_rounds=2, shrink_factor=0.1)
-CUBE_GRID = GridSpec(points_per_axis=61, refinement_rounds=5, shrink_factor=0.2)
+# Grid schedules: (points per axis, refinement rounds, shrink factor).  The
+# 1-d scan of the corner quartic and the 3-d scan of the full majorant each
+# run on one fixed schedule.
+LINE_SCHEDULE = (2001, 3, 0.1)
+CUBE_SCHEDULE = (61, 5, 0.2)
 
 
 @dataclass(frozen=True)
@@ -91,10 +76,12 @@ def _linspace(lo, hi, ramp: np.ndarray, out=None) -> np.ndarray:
     return xs
 
 
-def maximize_1d(
-    objective, interval: tuple[float, float], grid: GridSpec | None = None
-) -> SearchResult:
+def maximize_1d(objective, interval: tuple[float, float]) -> SearchResult:
     """Grid maximization over a closed interval with window refinement.
+
+    The scan follows `LINE_SCHEDULE`: 2001 points over the interval, then 3
+    more rounds of 2001 points, each over a window a tenth as wide as the
+    one before, centred on the incumbent and clipped to the interval.
 
     Ties go to the lowest index, so a constant objective reports the left
     endpoint.  The reported maximum is the best over *all* evaluated points.
@@ -110,12 +97,12 @@ def maximize_1d(
     reports floats and is called without `out`.  Each row's windows,
     points, incumbent and strict-`>` updates match a scan of that row alone.
     """
-    grid = grid or GridSpec()
+    n, rounds, shrink = LINE_SCHEDULE
     lo0, hi0 = float(interval[0]), float(interval[1])
     if not lo0 < hi0:
         raise DomainError(f"need low < high, got [{lo0}, {hi0}]")
 
-    ramp = np.arange(grid.points_per_axis, dtype=float)
+    ramp = np.arange(n, dtype=float)
     xs = _linspace(lo0, hi0, ramp)
     ys = np.asarray(objective(xs), dtype=float)
     batched = ys.ndim == 2
@@ -132,9 +119,9 @@ def maximize_1d(
     best_x = np.full(rows.size, lo0)
     evals = 0
     width = hi0 - lo0
-    for round_idx in range(grid.refinement_rounds + 1):
+    for round_idx in range(rounds + 1):
         if round_idx > 0:
-            width *= grid.shrink_factor
+            width *= shrink
             half = width / 2.0
             lo = np.maximum(lo0, best_x - half)
             hi = np.minimum(hi0, best_x + half)
@@ -151,28 +138,29 @@ def maximize_1d(
     return SearchResult(float(best_val[0]), (float(best_x[0]),), evals)
 
 
-def _refine_max(objective, axes, grid: GridSpec) -> tuple[SearchResult, float]:
+def _refine_max(objective, axes, schedule) -> SearchResult:
     """Grid maximization over a box, refined around the incumbent.
 
     Each axis is a `(start, stop)` pair enumerated from start toward stop, and
     the objective is called once per round on the open mesh of the axes (one
     array per axis, broadcasting to the full grid).  Ties go to the lowest
     flat index, so the enumeration direction decides which point a plateau
-    reports.  Every later round rescans a window of `shrink_factor` times the
-    previous width around the incumbent, clipped to the box; the incumbent is
-    only replaced by a strictly larger value.  Also returns the largest grid
-    spacing of the last round.
+    reports.  `schedule` is a `(points per axis, refinement rounds, shrink
+    factor)` triple such as `CUBE_SCHEDULE`: every later round rescans a
+    window of shrink factor times the previous width around the incumbent,
+    clipped to the box; the incumbent is only replaced by a strictly larger
+    value.
     """
-    n = grid.points_per_axis
+    n, rounds, shrink = schedule
     box = [(min(a, b), max(a, b)) for a, b in axes]
     widths = [hi - lo for lo, hi in box]
     best_val = -np.inf
     best = tuple(float(start) for start, _ in axes)
     evals = 0
-    for round_idx in range(grid.refinement_rounds + 1):
+    for round_idx in range(rounds + 1):
         wins = box
         if round_idx > 0:
-            widths = [w * grid.shrink_factor for w in widths]
+            widths = [w * shrink for w in widths]
             wins = [
                 _window(b, w / 2.0, lo, hi)
                 for b, w, (lo, hi) in zip(best, widths, box)
@@ -187,53 +175,25 @@ def _refine_max(objective, axes, grid: GridSpec) -> tuple[SearchResult, float]:
         if vals[idx] > best_val:
             best_val = float(vals[idx])
             best = tuple(float(p[i]) for p, i in zip(points, idx))
-    cell = max(abs(p[1] - p[0]) for p in points)
-    return SearchResult(best_val, best, evals), cell
+    return SearchResult(best_val, best, evals)
 
 
-def maximize_unit_square(
-    profile: bd.QuarticProfile, c: float, grid: GridSpec | None = None
-) -> SearchResult:
-    """Maximize the majorant surface over (lam, mu) in [0, 1]^2 at fixed c.
-
-    For c < 2 the surface increases toward the corner, so the argmax must
-    land on (1, 1); that is checked here and a violation raises, since it
-    would mean the surface itself is wrong.  At c = 2 the surface is
-    constant and the tie-break reports (0, 0).
-    """
-    c = float(c)
-    result, cell = _refine_max(
-        lambda lam, mu: profile.surface(lam, mu, c),
-        ((0.0, 1.0), (0.0, 1.0)),
-        grid or SQUARE_GRID,
-    )
-    lam, mu = result.argmax
-    if c < 2.0 and (abs(lam - 1.0) > cell or abs(mu - 1.0) > cell):
-        raise VerificationFailure(
-            f"surface maximum expected at (1, 1) for c={c}, found {result.argmax}"
-        )
-    return result
-
-
-def maximize_surrogate(
-    family: FamilyId, beta: float, grid: GridSpec | None = None
-) -> SearchResult:
+def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:
     """Maximize the full majorant over (c, lam, mu) in [0,2] x [0,1]^2.
 
     This is the brute-force counterpart of the closed-form bound: the two
     must agree to grid accuracy.  The scan is vectorized over a 3-d mesh
-    and refined around the incumbent.  Ties break at the lowest flat index;
-    the lam and mu axes are enumerated from 1 downward, so planes where the
-    surface degenerates to a constant (c = 2) still report the corner
-    (1, 1) the maximum is approached through.
+    and refined around the incumbent on `CUBE_SCHEDULE`.  Ties break at the
+    lowest flat index; the lam and mu axes are enumerated from 1 downward,
+    so planes where the surface degenerates to a constant (c = 2) still
+    report the corner (1, 1) the maximum is approached through.
     """
     profile = bd.quartic_profile(family, beta)
-    result, _ = _refine_max(
+    return _refine_max(
         lambda c, lam, mu: profile.surface(lam, mu, c),
         ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)),
-        grid or CUBE_GRID,
+        CUBE_SCHEDULE,
     )
-    return result
 
 
 # --- empirical search over the exact parametrization -----------------------

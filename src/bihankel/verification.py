@@ -38,6 +38,9 @@ CONTINUITY_TOL = 1e-9
 DOMINANCE_SLACK = 1e-12
 POINTWISE_SLACK = 1e-10
 
+# points of the c-grid on [0, 2] behind the term-level checks
+C_POINTS = 401
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -111,8 +114,6 @@ def run_checks(
     seed: int = 0,
     trials: int = 100,
     spot_samples: int = 2000,
-    c_points: int = 401,
-    cube_grid: opt.GridSpec | None = None,
 ) -> list[CheckResult]:
     """Run the full invariant suite for one (family, beta).
 
@@ -131,15 +132,15 @@ def run_checks(
     check depends on both family and beta and runs on every call.
     `clear_spot_check_cache` forgets the memo.
 
+    The grid checks run on fixed schedules: `maximize_1d` and
+    `maximize_surrogate` on theirs, the term-level checks on `C_POINTS`
+    points of [0, 2].
+
     `trials` and `spot_samples` below 1 raise DomainError: no check may
-    pass over zero draws.  So do `c_points` below 3, which would leave the
-    c-grid without an interior point for `hessian_negative`, and a negative
-    `seed`, which numpy rejects.
+    pass over zero draws.  So does a negative `seed`, which numpy rejects.
     """
     beta = bd.check_beta(beta)
     check_run_args(seed, trials, spot_samples)
-    if c_points < 3:
-        raise DomainError(f"c_points must be >= 3, got {c_points}")
     profile = bd.quartic_profile(family, beta)
     bound = bd.h22_bound(family, beta)
     checks: list[CheckResult] = []
@@ -151,7 +152,7 @@ def run_checks(
     )
 
     # closed form vs. full 3-d scan of the majorant
-    grid_3d = opt.maximize_surrogate(family, beta, cube_grid)
+    grid_3d = opt.maximize_surrogate(family, beta)
     checks.append(
         _check("surrogate_scan_matches_bound", abs(grid_3d.max_value - bound.bound), SURROGATE_TOL)
     )
@@ -159,7 +160,7 @@ def run_checks(
     checks.append(_check("surrogate_argmax_at_corner", corner_dev, 1e-4))
 
     # term-level structure of the majorant on a c-grid
-    cs = np.linspace(0.0, 2.0, c_points)
+    cs = np.linspace(0.0, 2.0, C_POINTS)
     t1, t2, t3, t4 = profile.terms(cs)
     corner = profile.surface(1.0, 1.0, cs)
     checks.append(
@@ -170,8 +171,7 @@ def run_checks(
     )
     checks.append(_check("term_sign_pattern", sign_violation, ALGEBRA_TOL))
 
-    interior = cs[1:-1]
-    i1, i2, i3, i4 = profile.terms(interior)
+    i3, i4 = t3[1:-1], t4[1:-1]  # the interior of the c-grid
     checks.append(
         _sign_check("hessian_negative", float(np.max(4.0 * i3 * (i3 + 2.0 * i4))))
     )

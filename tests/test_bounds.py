@@ -8,7 +8,6 @@ from bihankel.bounds import (
     Branch,
     convex_h22_bound,
     convex_surrogate_terms,
-    corner_value,
     critical_point,
     fekete_szego_bound,
     h22_bound,
@@ -123,6 +122,16 @@ class TestSurface:
         for _ in range(10):
             lam, mu = rng.uniform(0, 1, 2)
             assert abs(profile.surface(lam, mu, 2.0) - expected) < 1e-13
+
+    @pytest.mark.parametrize("c", [0.0, 0.25, 0.8, 1.0, 1.3, 1.9])
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_strict_maximum_at_corner(self, family, beta, c):
+        # for c < 2 the majorant peaks at lam = mu = 1 and nowhere else
+        mesh = np.linspace(0.0, 1.0, 101)
+        surf = quartic_profile(family, beta).surface(mesh[:, None], mesh[None, :], c)
+        assert surf.shape == (101, 101)
+        assert np.all(surf.ravel()[:-1] < surf[-1, -1])
 
     def test_hessian_identity_against_finite_differences(self):
         # F_ll * F_mm - F_lm^2 must equal 4 t3 (t3 + 2 t4) and be negative

@@ -44,9 +44,9 @@ def disk_draws(count, seed):
     return c, x, z
 
 
-def herglotz_draws(count, seed, max_atoms=6):
+def herglotz_draws(count, seed):
     """(weights, angles) of `herglotz_blocks`, joined over its blocks."""
-    return whole(herglotz_blocks(count, seed, max_atoms))
+    return whole(herglotz_blocks(count, seed))
 
 
 def row_params(c, x, z):
@@ -206,7 +206,7 @@ class TestHerglotzValidator:
 
 class TestHerglotzSamples:
     def test_shape_padding_and_weights(self):
-        weights, angles = herglotz_draws(4000, 21, max_atoms=6)
+        weights, angles = herglotz_draws(4000, 21)
         assert weights.shape == angles.shape == (4000, 6)
         n_atoms = np.count_nonzero(weights, axis=1)
         # atoms first, then padding: weight 0 at angle 0
@@ -340,6 +340,15 @@ class TestXRecovery:
             if 4 - params.c**2 <= 1e-5:
                 continue
             assert abs(x_from_c2(params.c, p.c2) - params.x) < 1e-9
+
+    @pytest.mark.parametrize("c1", [3.0, -2.5, -1.0, math.nan])
+    def test_c1_outside_its_range_raises(self, c1):
+        with pytest.raises(DomainError, match=r"c1 must lie in \[0, 2\]"):
+            x_from_c2(c1, 1)
+
+    def test_c1_endpoints_take_the_domain_slack(self):
+        assert x_from_c2(-1e-13, 1) == 0.5
+        assert x_from_c2(2.0 + 1e-13, 1) == 0j
 
 
 def reference_disk_params(samples, seed, boundary_fraction=0.0):

@@ -10,43 +10,20 @@ from bihankel import caratheodory as car
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
 from bihankel.caratheodory import disk_coeffs, unit_circle_samples, unit_disk_samples
-from bihankel.errors import DomainError, VerificationFailure
+from bihankel.errors import DomainError
 from bihankel.functionals import FamilyId, Order
 from bihankel.optimizer import (
     _linspace,
-    CUBE_GRID,
-    SQUARE_GRID,
-    GridSpec,
+    CUBE_SCHEDULE,
+    LINE_SCHEDULE,
     SearchResult,
     empirical_max_h22,
     h22_from_params,
     inverse_side_coeffs,
     maximize_1d,
     maximize_surrogate,
-    maximize_unit_square,
     h22_batch,
 )
-
-
-class TestGridSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(points_per_axis=2)
-        with pytest.raises(ValueError):
-            GridSpec(refinement_rounds=-1)
-        with pytest.raises(ValueError):
-            GridSpec(shrink_factor=1.0)
-
-
-    @pytest.mark.parametrize("field,value,message", [
-        ("points_per_axis", 2, "points_per_axis must be >= 3"),
-        ("refinement_rounds", -1, "refinement_rounds must be >= 0"),
-        ("shrink_factor", 0.0, r"shrink_factor must lie in \(0, 1\)"),
-        ("shrink_factor", math.nan, r"shrink_factor must lie in \(0, 1\)"),
-    ])
-    def test_invalid_fields_are_domain_errors(self, field, value, message):
-        with pytest.raises(DomainError, match=message):
-            GridSpec(**{field: value})
 
 
 class TestMaximize1d:
@@ -74,18 +51,22 @@ class TestMaximize1d:
 
     def test_refinement_never_loses_ground(self):
         profile = quartic_profile(FamilyId.CONVEX, 0.35)
-        coarse = maximize_1d(
-            profile.value, (0.0, 2.0), GridSpec(points_per_axis=101, refinement_rounds=0)
-        )
-        refined = maximize_1d(
-            profile.value, (0.0, 2.0), GridSpec(points_per_axis=101, refinement_rounds=4)
-        )
-        assert refined.max_value >= coarse.max_value
+        coarse, _, _ = reference_maximize_1d(profile.value, (0.0, 2.0), rounds=0)
+        refined = maximize_1d(profile.value, (0.0, 2.0))
+        assert refined.max_value >= coarse
         assert abs(refined.max_value - h22_bound(FamilyId.CONVEX, 0.35).bound) < 1e-9
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             maximize_1d(lambda x: x, (1.0, 1.0))
+
+    def test_schedule_is_pinned(self):
+        # 2001 points in each of 1 + 3 rounds, per row
+        assert LINE_SCHEDULE == (2001, 3, 0.1)
+        profile = quartic_profile(FamilyId.STARLIKE, 0.3)
+        assert maximize_1d(profile.value, (0.0, 2.0)).evaluations == 8004
+        stacked = quartic_profile(FamilyId.STARLIKE, [0.1, 0.3, 0.5, 0.7, 0.9])
+        assert maximize_1d(stacked.value, (0.0, 2.0)).evaluations == 5 * 8004
 
     @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 0.0), (math.nan, 1.0)])
     def test_invalid_interval_is_a_domain_error(self, interval):
@@ -93,20 +74,20 @@ class TestMaximize1d:
             maximize_1d(lambda x: x, interval)
 
 
-def reference_maximize_1d(objective, interval, grid=None):
+def reference_maximize_1d(objective, interval, rounds=LINE_SCHEDULE[1]):
     """maximize_1d before the row stack: one scalar scan per objective."""
-    grid = grid or GridSpec()
+    points, _, shrink = LINE_SCHEDULE
     lo0, hi0 = float(interval[0]), float(interval[1])
     best_val = -np.inf
     best_x = lo0
     evals = 0
     width = hi0 - lo0
     lo, hi = lo0, hi0
-    for round_idx in range(grid.refinement_rounds + 1):
+    for round_idx in range(rounds + 1):
         if round_idx > 0:
-            width *= grid.shrink_factor
+            width *= shrink
             lo, hi = max(lo0, best_x - width / 2.0), min(hi0, best_x + width / 2.0)
-        xs = np.linspace(lo, hi, grid.points_per_axis)
+        xs = np.linspace(lo, hi, points)
         ys = np.broadcast_to(np.asarray(objective(xs), dtype=float), xs.shape)
         evals += xs.size
         i = int(np.argmax(ys))
@@ -233,7 +214,7 @@ class TestMaximize1dRowStack:
         scan = maximize_1d(objective, (0.0, 2.0))
         first, *later = rounds
         assert len(first) == 1 and first[0][0] == (2001,)
-        assert len(later) == GridSpec().refinement_rounds
+        assert len(later) == 3
         for bufs in later:
             assert [b[:4] for b in bufs] == [((16, 2001), np.float64, True, True)] * 3
         pointers = {tuple(b[4] for b in bufs) for bufs in later}
@@ -251,7 +232,7 @@ class TestMaximize1dRowStack:
             return profile.value(x)
 
         scan = maximize_1d(objective, (0.0, 2.0))
-        assert shapes == [(2001,)] + [(1, 2001)] * GridSpec().refinement_rounds
+        assert shapes == [(2001,)] + [(1, 2001)] * 3
         assert (scan.max_value, scan.argmax[0], scan.evaluations) == \
             reference_maximize_1d(profile.value, (0.0, 2.0))
 
@@ -273,56 +254,6 @@ class TestMaximize1dRowStack:
                 reference_maximize_1d(objective, interval)
 
 
-class OffCornerProfile:
-    """A stand-in majorant whose surface peaks inside the square, not at (1, 1)."""
-
-    def surface(self, lam, mu, c):
-        return 1.0 - (lam - 0.5) ** 2 - (mu - 0.25) ** 2 + 0.0 * c
-
-
-class TestMaximizeUnitSquare:
-    @pytest.mark.parametrize("c", [0.0, 1.0, 1.999])
-    def test_off_corner_peak_raises_verification_failure(self, c):
-        with pytest.raises(VerificationFailure, match=f"expected at \\(1, 1\\) for c={c}"):
-            maximize_unit_square(OffCornerProfile(), c)
-
-    def test_off_corner_peak_is_allowed_at_c2(self):
-        # at c = 2 the real surface is flat, so no corner is demanded there
-        result = maximize_unit_square(OffCornerProfile(), 2.0)
-        assert result.argmax == pytest.approx((0.5, 0.25), abs=1e-4)
-
-    def test_nan_c_is_domain_error(self):
-        with pytest.raises(DomainError):
-            maximize_unit_square(quartic_profile(FamilyId.STARLIKE, 0.0), math.nan)
-
-    def test_constant_plane_at_c2(self):
-        profile = quartic_profile(FamilyId.STARLIKE, 0.0)
-        result = maximize_unit_square(profile, 2.0)
-        assert abs(result.max_value - 20 / 3) < 1e-13
-        assert result.argmax == (0.0, 0.0)  # first-index tie-break
-
-    def test_corner_max_at_c1(self):
-        profile = quartic_profile(FamilyId.STARLIKE, 0.0)
-        result = maximize_unit_square(profile, 1.0)
-        assert result.argmax == (1.0, 1.0)
-        assert abs(result.max_value - 101 / 48) < 1e-13
-
-    def test_square_term_only_at_c0(self):
-        for family in FamilyId:
-            for beta in (0.0, 0.5):
-                profile = quartic_profile(family, beta)
-                result = maximize_unit_square(profile, 0.0)
-                assert result.argmax == (1.0, 1.0)
-                t4 = profile.terms(0.0)[3]
-                assert abs(result.max_value - 4 * t4) < 1e-14
-
-    @pytest.mark.parametrize("c", [0.25, 0.8, 1.3, 1.9])
-    def test_interior_c_always_corner(self, c):
-        profile = quartic_profile(FamilyId.CONVEX, 0.2)
-        result = maximize_unit_square(profile, c)
-        assert result.argmax == (1.0, 1.0)
-
-
 class TestMaximizeSurrogate:
     @pytest.mark.parametrize(
         "family,beta,expected",
@@ -340,10 +271,15 @@ class TestMaximizeSurrogate:
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_argmax_at_corner(self, family, beta):
         result = maximize_surrogate(family, beta)
-        cell = 1.0 / (CUBE_GRID.points_per_axis - 1)
+        cell = 1.0 / 60
         assert abs(result.argmax[1] - 1.0) <= cell
         assert abs(result.argmax[2] - 1.0) <= cell
         assert abs(result.max_value - h22_bound(family, beta).bound) < 1e-6
+
+    def test_schedule_is_pinned(self):
+        # 61 points per axis in each of 1 + 5 rounds
+        assert CUBE_SCHEDULE == (61, 5, 0.2)
+        assert maximize_surrogate(FamilyId.CONVEX, 0.3).evaluations == 6 * 61**3 == 1_361_886
 
     def test_deterministic(self):
         a = maximize_surrogate(FamilyId.STARLIKE, 0.42)
@@ -572,16 +508,16 @@ def reference_h22_batch(family, beta, c, x, y, z, w):
     return np.abs(a2 * a4 - a3 * a3)
 
 
-def reference_maximize_surrogate(family, beta, grid=CUBE_GRID):
-    n = grid.points_per_axis
+def reference_maximize_surrogate(family, beta):
+    n, rounds, shrink = CUBE_SCHEDULE
     best_val = -np.inf
     best = (0.0, 1.0, 1.0)
     evals = 0
     widths = (2.0, 1.0, 1.0)
     wins = ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0))
-    for round_idx in range(grid.refinement_rounds + 1):
+    for round_idx in range(rounds + 1):
         if round_idx > 0:
-            widths = tuple(w * grid.shrink_factor for w in widths)
+            widths = tuple(w * shrink for w in widths)
             wins = tuple(
                 (max(lo, b - w / 2.0), min(hi, b + w / 2.0))
                 for b, w, (lo, hi) in zip(best, widths, ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0)))
@@ -603,28 +539,6 @@ def reference_maximize_surrogate(family, beta, grid=CUBE_GRID):
         if vals[i, j, k] > best_val:
             best_val = float(vals[i, j, k])
             best = (float(cs[i]), float(lam[j]), float(mu[k]))
-    return best_val, best, evals
-
-
-def reference_maximize_unit_square(profile, c, grid=SQUARE_GRID):
-    best_val = -np.inf
-    best = (0.0, 0.0)
-    evals = 0
-    width = 1.0
-    lam_win = mu_win = (0.0, 1.0)
-    for round_idx in range(grid.refinement_rounds + 1):
-        if round_idx > 0:
-            width *= grid.shrink_factor
-            lam_win = (max(0.0, best[0] - width / 2.0), min(1.0, best[0] + width / 2.0))
-            mu_win = (max(0.0, best[1] - width / 2.0), min(1.0, best[1] + width / 2.0))
-        lam = np.linspace(*lam_win, grid.points_per_axis)
-        mu = np.linspace(*mu_win, grid.points_per_axis)
-        surf = profile.surface(lam[:, None], mu[None, :], c)
-        evals += surf.size
-        i, j = np.unravel_index(int(np.argmax(surf)), surf.shape)
-        if surf[i, j] > best_val:
-            best_val = float(surf[i, j])
-            best = (float(lam[i]), float(mu[j]))
     return best_val, best, evals
 
 
@@ -658,14 +572,6 @@ class TestMergedFormulasMatchReferences:
         t1, t2, t3, t4 = surrogate_terms(family, c, beta)
         inline = t1 + t2 * (lam + mu) + t3 * (lam**2 + mu**2) + t4 * (lam + mu) ** 2
         assert np.array_equal(quartic_profile(family, beta).surface(lam, mu, c), inline)
-
-    @pytest.mark.parametrize("c", [0.0, 0.5, 1.3, 2.0])
-    def test_maximize_unit_square_identical(self, c):
-        for family in FamilyId:
-            profile = quartic_profile(family, 0.4)
-            result = maximize_unit_square(profile, c)
-            assert (result.max_value, result.argmax, result.evaluations) == \
-                reference_maximize_unit_square(profile, c)
 
     def test_inverse_side_matches_docstring_formula(self):
         rng = np.random.default_rng(11)

@@ -288,12 +288,3 @@ class TestRunChecksInputs:
     def test_smallest_counts_run(self):
         checks = vf.run_checks(FamilyId.CONVEX, 0.3, trials=1, spot_samples=1)
         assert vf.all_passed(checks)
-
-    @pytest.mark.parametrize("c_points", [2, 1, 0, -4])
-    def test_c_grid_without_interior_raises(self, c_points):
-        with pytest.raises(DomainError, match=f"c_points must be >= 3, got {c_points}"):
-            vf.run_checks(FamilyId.STARLIKE, 0.0, trials=1, spot_samples=1, c_points=c_points)
-
-    def test_smallest_c_grid_runs(self):
-        checks = vf.run_checks(FamilyId.STARLIKE, 0.0, trials=1, spot_samples=1, c_points=3)
-        assert vf.all_passed(checks)
