@@ -31,7 +31,6 @@ from .caratheodory import (
     coeffs_from_herglotz,
     p_coefficients_from_herglotz,
     rotate_to_real,
-    validate_p,
     x_from_c2,
 )
 from .errors import (

@@ -282,7 +282,8 @@ def fekete_szego_bound(family: FamilyId, beta: float, mu: float) -> float:
 
     STARLIKE: 1 - b on mu in [1/2, 3/2], else 2 (1-b) |mu - 1|.
     CONVEX:   (1-b)/3 on mu in [2/3, 4/3], else (1-b) |mu - 1|.
-    Both pieces agree at the joins.  Non-finite mu raises DomainError.
+    Both pieces agree at the joins.  Non-finite mu, or a mu so large that
+    the bound overflows to inf, raises DomainError.
 
     The bound needs the relation 2 a2^2 = (1-b)(c2 + d2), which the H2,2
     relaxation drops; without it the starlike bound is false.  At c = 2 the
@@ -297,9 +298,11 @@ def fekete_szego_bound(family: FamilyId, beta: float, mu: float) -> float:
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu}")
     if family is FamilyId.STARLIKE:
-        if 0.5 <= mu <= 1.5:
-            return w
-        return 2.0 * w * abs(mu - 1.0)
-    if 2.0 / 3.0 <= mu <= 4.0 / 3.0:
-        return w / 3.0
-    return w * abs(mu - 1.0)
+        bound = w if 0.5 <= mu <= 1.5 else 2.0 * w * abs(mu - 1.0)
+    elif 2.0 / 3.0 <= mu <= 4.0 / 3.0:
+        bound = w / 3.0
+    else:
+        bound = w * abs(mu - 1.0)
+    if not math.isfinite(bound):
+        raise DomainError(f"Fekete-Szego bound overflows at mu={mu}")
+    return bound

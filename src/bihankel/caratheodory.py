@@ -185,11 +185,6 @@ def coeff_excess(*coeffs) -> float:
     return float(np.max([np.max(np.abs(c)) for c in coeffs])) - 2.0
 
 
-def validate_p(coeffs: PCoefficients) -> bool:
-    """True iff all three moduli respect the |c_k| <= 2 coefficient bound."""
-    return all(abs(c) <= 2.0 + COEFF_BOUND_TOL for c in coeffs.as_tuple())
-
-
 def rotate_to_real(coeffs: PCoefficients) -> PCoefficients:
     """Rotate c_k -> c_k e^{-i k phi} so the first coefficient is real >= 0.
 

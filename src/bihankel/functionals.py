@@ -257,7 +257,7 @@ def verify_coefficient_system(
     return SystemReport(family, order.beta, p, q, residuals)
 
 
-def series_residual(family: FamilyId, order: Order, rng, trials: int) -> float:
+def series_residual(family: FamilyId, rng, trials: int) -> float:
     """Worst `verify_coefficient_system` residual over `trials` random draws.
 
     Each draw takes a2, a3, a4 with real and imaginary parts uniform on
@@ -267,8 +267,7 @@ def series_residual(family: FamilyId, order: Order, rng, trials: int) -> float:
     per draw; so consecutive calls sharing one generator continue the same
     stream.  The series algebra runs once per chunk of draws, keeping the
     running worst, so memory does not grow with `trials`.  Beta enters no
-    residual (it only rescales the reported p and q), so `order` does not
-    change the result.
+    residual: it only rescales the p and q of `verify_coefficient_system`.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")

@@ -2,12 +2,13 @@
 
 A series is a fixed-length coefficient vector c0..cN understood modulo
 z^(N+1); binary operations truncate to the smaller operand order, so every
-stored coefficient of a result is exact (up to rounding).  On top of the
-ring operations the module provides compositional inversion and the two
-analytic functionals z f'(z)/f(z) and 1 + z f''(z)/f'(z) that characterize
-starlike and convex mappings.  Together these act as an independent oracle:
-any hand-derived polynomial identity between Taylor coefficients can be
-confirmed by direct series algebra.
+stored coefficient of a result is exact (up to rounding).  The ring
+operations are the functions `add`, `multiply` and `divide`.  On top of
+them the module provides compositional inversion and the two analytic
+functionals z f'(z)/f(z) and 1 + z f''(z)/f'(z) that characterize
+starlike and convex mappings.  Together these act as an independent
+oracle: any hand-derived polynomial identity between Taylor coefficients
+can be confirmed by direct series algebra.
 
 A series holds plain Python complex numbers, or a batch of series of one
 order holds one array per coefficient, over a trailing batch axis.  Every
@@ -25,8 +26,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, NotNormalized, ZeroConstantTerm
-
-DEFAULT_ORDER = 8
 
 # |b0| below this means the divisor is treated as having a vanishing
 # constant term.
@@ -78,54 +77,22 @@ class TruncatedSeries:
         return cls(order, tuple(cs))
 
     @classmethod
-    def constant(cls, value: complex, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def constant(cls, value: complex, order: int) -> "TruncatedSeries":
         return cls.from_coeffs([value], order)
-
-    @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        """The series z."""
-        return cls.from_coeffs([0, 1], order)
 
     def __getitem__(self, k: int) -> complex:
         return self.coeffs[k]
 
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        """True when f(0)=0 and f'(0)=1 within `tol` (for every batch row)."""
+    def is_normalized(self) -> bool:
+        """True when f(0)=0 and f'(0)=1 within `NORMALIZATION_TOL` (every row)."""
         return bool(
-            np.all(abs(self.coeffs[0]) <= tol)
-            and np.all(abs(self.coeffs[1] - 1.0) <= tol)
+            np.all(abs(self.coeffs[0]) <= NORMALIZATION_TOL)
+            and np.all(abs(self.coeffs[1] - 1.0) <= NORMALIZATION_TOL)
         )
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """Copy of this series truncated (or zero-padded) to `order`."""
         return TruncatedSeries.from_coeffs(self.coeffs, order)
-
-    # Operator sugar; the module-level functions hold the actual logic.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1) if isinstance(other, TruncatedSeries) else -other)
-
-    def __rsub__(self, other):
-        return add(scale(self, -1), other)
-
-    def __neg__(self):
-        return scale(self, -1)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return multiply(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return divide(self, other)
-        return scale(self, 1.0 / complex(other))
 
 
 def add(a: TruncatedSeries, b) -> TruncatedSeries:
@@ -138,11 +105,6 @@ def add(a: TruncatedSeries, b) -> TruncatedSeries:
     return TruncatedSeries(
         n, tuple(a.coeffs[k] + b.coeffs[k] for k in range(n + 1))
     )
-
-
-def scale(a: TruncatedSeries, factor: complex) -> TruncatedSeries:
-    f = complex(factor)
-    return TruncatedSeries(a.order, tuple(f * c for c in a.coeffs))
 
 
 def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -18,6 +18,7 @@ import numpy as np
 from . import bounds as bd
 from . import optimizer as opt
 from .caratheodory import (
+    COEFF_BOUND_TOL,
     check_disk_params,
     check_seed,
     coeff_excess,
@@ -27,7 +28,7 @@ from .caratheodory import (
     herglotz_blocks,
 )
 from .errors import DomainError
-from .functionals import FamilyId, Order, series_residual
+from .functionals import FamilyId, series_residual
 
 GRID_MAX_TOL = 1e-8
 SURROGATE_TOL = 1e-6
@@ -68,10 +69,9 @@ def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
     """Worst series-algebra residual of the coefficient system over seeded draws.
 
     The residuals compare the series functionals of f and of its inverse g
-    with the closed-form left-hand sides; beta enters neither, it only
-    rescales the reported p and q.  Any valid order gives the same value.
+    with the closed-form left-hand sides; beta enters neither.
     """
-    return series_residual(family, Order(0.0), np.random.default_rng(seed + 1), trials)
+    return series_residual(family, np.random.default_rng(seed + 1), trials)
 
 
 @functools.lru_cache(maxsize=4)
@@ -203,10 +203,12 @@ def run_checks(
         _check("series_identity_residual", _series_worst(family, trials, seed), SERIES_TOL)
     )
     checks.append(
-        _check("disk_param_coeff_bound", _disk_param_excess(spot_samples, seed), ALGEBRA_TOL)
+        _check("disk_param_coeff_bound", _disk_param_excess(spot_samples, seed),
+               COEFF_BOUND_TOL)
     )
     checks.append(
-        _check("herglotz_coeff_bound", _herglotz_excess(spot_samples, seed), ALGEBRA_TOL)
+        _check("herglotz_coeff_bound", _herglotz_excess(spot_samples, seed),
+               COEFF_BOUND_TOL)
     )
 
     # empirical search never beats the closed form ...
@@ -254,11 +256,13 @@ def run_checks(
         )
         checks.append(_check("endpoint_values", endpoint_dev, ALGEBRA_TOL))
 
-    # continuity of the Fekete-Szego bound at its branch joins
+    # continuity of the Fekete-Szego bound across each branch join
     joins = (0.5, 1.5) if family is FamilyId.STARLIKE else (2.0 / 3.0, 4.0 / 3.0)
-    factor = 2.0 if family is FamilyId.STARLIKE else 1.0
-    flat = (1.0 - beta) if family is FamilyId.STARLIKE else (1.0 - beta) / 3.0
-    join_dev = max(abs(flat - factor * (1.0 - beta) * abs(m - 1.0)) for m in joins)
+    join_dev = max(
+        abs(bd.fekete_szego_bound(family, beta, m)
+            - bd.fekete_szego_bound(family, beta, math.nextafter(m, outward)))
+        for m, outward in zip(joins, (-math.inf, math.inf))
+    )
     checks.append(_check("fs_branch_continuity", join_dev, ALGEBRA_TOL))
 
     return checks

@@ -27,7 +27,6 @@ from bihankel.caratheodory import (
     rotate_to_real,
     unit_circle_samples,
     unit_disk_samples,
-    validate_p,
     x_from_c2,
 )
 from bihankel.errors import ConstraintViolation, DomainError
@@ -63,7 +62,7 @@ def row_measures(weights, angles):
 
 
 def within_class(*coeffs):
-    """|c_k| <= 2 (with `validate_p`'s slack) for every entry of every array."""
+    """|c_k| <= 2 (with `COEFF_BOUND_TOL` of slack) for every entry of every array."""
     return all(bool(np.all(np.abs(c) <= 2.0 + COEFF_BOUND_TOL)) for c in coeffs)
 
 
@@ -233,25 +232,27 @@ class TestHerglotzSamples:
                 assert abs(row[k - 1] - ref) <= 1e-15
 
 
-class TestValidateP:
+class TestCoeffBound:
     def test_bound_attained(self):
-        assert validate_p(PCoefficients(2, 2, 2))
+        assert coeff_excess(*PCoefficients(2, 2, 2).as_tuple()) <= COEFF_BOUND_TOL
 
     def test_violation_detected(self):
-        assert not validate_p(PCoefficients(2.5, 0, 0))
+        assert coeff_excess(*PCoefficients(2.5, 0, 0).as_tuple()) > COEFF_BOUND_TOL
 
     def test_sampled_params_always_valid(self):
         c, x, z = disk_draws(2000, 11)
         check_disk_params(c, x, z)
         assert within_class(c, *disk_coeffs(c, x, z))
         for params in row_params(c, x, z):
-            assert validate_p(coeffs_from_disk_params(params))
+            coeffs = coeffs_from_disk_params(params).as_tuple()
+            assert coeff_excess(*coeffs) <= COEFF_BOUND_TOL
 
     def test_sampled_measures_always_valid(self):
         packed = herglotz_draws(2000, 12)
         assert within_class(coeffs_from_herglotz(packed, 3))
         for m in row_measures(*packed):
-            assert validate_p(p_coefficients_from_herglotz(m))
+            coeffs = p_coefficients_from_herglotz(m).as_tuple()
+            assert coeff_excess(*coeffs) <= COEFF_BOUND_TOL
 
 
 class TestCoeffExcess:
@@ -299,7 +300,7 @@ class TestDiskParamValidator:
 )
 def test_parametrization_stays_in_class(c, rx, tx, rz, tz):
     params = DiskParams(c, rx * cmath.exp(1j * tx), rz * cmath.exp(1j * tz))
-    assert validate_p(coeffs_from_disk_params(params))
+    assert coeff_excess(*coeffs_from_disk_params(params).as_tuple()) <= COEFF_BOUND_TOL
 
 
 class TestRotation:

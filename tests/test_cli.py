@@ -3,6 +3,7 @@ import json
 import math
 from contextlib import redirect_stderr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from bihankel import cli
 from bihankel import optimizer as opt
 from bihankel.cli import main
 from bihankel.errors import DomainError
-from bihankel.functionals import FamilyId
+from bihankel.functionals import FamilyId, series_residual
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +319,15 @@ class TestDerive:
         code, _, _ = run_cli(capsys, "derive", "--trials", "0")
         assert code == 2
 
+    def test_reports_the_worst_of_both_families_on_one_stream(self, capsys):
+        rng = np.random.default_rng(7)
+        worst = max(series_residual(family, rng, 25)
+                    for family in (FamilyId.STARLIKE, FamilyId.CONVEX))
+        code, out, _ = run_cli(capsys, "derive", "--trials", "25", "--seed", "7")
+        assert code == 0
+        assert "trials=25 per family, seed=7\n" in out
+        assert f"max residual: {worst!r}\n" in out
+
 
 class TestFsBound:
     @pytest.mark.parametrize(
@@ -327,6 +337,7 @@ class TestFsBound:
             ("convex", "0", "1", "0.3333333333333333"),
             ("starlike", "0", "3", "4.0"),
             ("starlike", "0", "2", "2.0"),
+            ("convex", "0", "1e308", "1e+308"),
         ],
     )
     def test_values(self, capsys, family, beta, mu, expected):
@@ -351,13 +362,22 @@ class TestFsBound:
         assert out == ""
         assert "mu" in err
 
+    @pytest.mark.parametrize("mu", ["1e308", "-1e308"])
+    def test_overflowing_bound_is_usage_error(self, capsys, mu):
+        code, out, err = run_cli(
+            capsys, "fs-bound", "--family", "starlike", "--beta", "0", f"--mu={mu}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: Fekete-Szego bound overflows at mu={float(mu)!r}\n"
+
 
 # (argv before the count, flag, cap attribute) for every capped count
 CAPPED = [
     (("search", "--family", "starlike"), "--samples", "MAX_SEARCH_SAMPLES"),
     (("verify", "--family", "convex"), "--samples", "MAX_VERIFY_SAMPLES"),
     (("verify", "--family", "convex"), "--trials", "MAX_TRIALS"),
-    (("derive", "--beta", "0.5"), "--trials", "MAX_TRIALS"),
+    (("derive",), "--trials", "MAX_TRIALS"),
 ]
 
 
@@ -510,7 +530,6 @@ class TestValidationMessages:
             (("search", "--family", "starlike", "--samples", "0", "--beta", "3"),
              "samples must be >= 1, got 0"),
             (("search", "--family", "starlike", "--beta", "1"), "beta must lie in [0, 1), got 1.0"),
-            (("derive", "--beta", "2", "--trials", "0"), "beta must lie in [0, 1), got 2.0"),
             (("derive", "--trials", "0"), "trials must be >= 1, got 0"),
             (("search", "--family", "starlike", "--seed", "-1", "--samples", "10"),
              "seed must be >= 0, got -1"),

@@ -86,7 +86,7 @@ class TestSeriesResidual:
 
         monkeypatch.setattr(functionals, "_system_residuals", recording)
         batch_rng, loop_rng = np.random.default_rng(31), np.random.default_rng(31)
-        got = series_residual(family, Order(0.3), batch_rng, trials)
+        got = series_residual(family, batch_rng, trials)
         monkeypatch.undo()
 
         assert len(seen) == 1  # one batched pass per call
@@ -108,7 +108,7 @@ class TestSeriesResidual:
     @pytest.mark.parametrize("trials", [3, 10, 11])
     def test_chunks_take_the_same_draws_and_worst(self, trials, monkeypatch):
         whole_rng, chunked_rng = np.random.default_rng(33), np.random.default_rng(33)
-        whole = series_residual(FamilyId.CONVEX, Order(0.0), whole_rng, trials)
+        whole = series_residual(FamilyId.CONVEX, whole_rng, trials)
         passes = []
         batched = functionals._system_residuals
 
@@ -118,23 +118,23 @@ class TestSeriesResidual:
 
         monkeypatch.setattr(functionals, "SERIES_CHUNK", 3)
         monkeypatch.setattr(functionals, "_system_residuals", counting)
-        chunked = series_residual(FamilyId.CONVEX, Order(0.0), chunked_rng, trials)
+        chunked = series_residual(FamilyId.CONVEX, chunked_rng, trials)
         assert passes == [3] * (trials // 3) + ([trials % 3] if trials % 3 else [])
         assert chunked == whole
         assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
 
     def test_shared_generator_continues_the_stream(self):
         one = np.random.default_rng(3)
-        split = series_residual(FamilyId.STARLIKE, Order(0.2), one, 4)
-        split = max(split, series_residual(FamilyId.STARLIKE, Order(0.2), one, 6))
-        whole = series_residual(FamilyId.STARLIKE, Order(0.2), np.random.default_rng(3), 10)
+        split = series_residual(FamilyId.STARLIKE, one, 4)
+        split = max(split, series_residual(FamilyId.STARLIKE, one, 6))
+        whole = series_residual(FamilyId.STARLIKE, np.random.default_rng(3), 10)
         assert split == whole
         assert 0.0 < whole < 1e-10
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_raises(self, trials):
         with pytest.raises(DomainError, match="trials must be >= 1"):
-            series_residual(FamilyId.CONVEX, Order(0.0), np.random.default_rng(0), trials)
+            series_residual(FamilyId.CONVEX, np.random.default_rng(0), trials)
 
 
 class TestReconstruct:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bihankel import bounds as bd
 from bihankel import caratheodory as car
 from bihankel import functionals
 from bihankel import verification as vf
@@ -288,3 +289,23 @@ class TestRunChecksInputs:
     def test_smallest_counts_run(self):
         checks = vf.run_checks(FamilyId.CONVEX, 0.3, trials=1, spot_samples=1)
         assert vf.all_passed(checks)
+
+
+class TestFsBranchContinuity:
+    JOINS = {FamilyId.STARLIKE: (0.5, 1.5), FamilyId.CONVEX: (2.0 / 3.0, 4.0 / 3.0)}
+
+    @pytest.mark.parametrize("piece", ["flat", "slope"])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_fails_on_a_bound_one_percent_off(self, family, piece, monkeypatch):
+        lo, hi = self.JOINS[family]
+        true_bound = bd.fekete_szego_bound
+
+        def off_bound(fam, beta, mu):
+            flat = lo <= mu <= hi
+            return true_bound(fam, beta, mu) * (1.01 if flat == (piece == "flat") else 1.0)
+
+        monkeypatch.setattr(bd, "fekete_szego_bound", off_bound)
+        checks = vf.run_checks(family, 0.3, trials=1, spot_samples=1)
+        check, = (c for c in checks if c.name == "fs_branch_continuity")
+        assert not check.passed and check.value > 1e-3
+        assert not vf.all_passed(checks)

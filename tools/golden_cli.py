@@ -37,7 +37,7 @@ COMMANDS = (
     "verify --family starlike --beta 0.3 --samples 16385 --trials 1 --seed 3",
     "verify --family convex --beta 0 --samples 1 --trials 1",
     "derive",
-    "derive --beta 0.1 --beta 0.9 --trials 40 --seed 5",
+    "derive --trials 80 --seed 5",
     # the batched series oracle over a larger stream shared by six blocks
     "derive --trials 1000 --seed 2",
     "table",
@@ -72,11 +72,12 @@ COMMANDS = (
     "search --family starlike --boundary-fraction nan",
     "search --family starlike --seed -1 --samples 10",
     "verify --seed -2 --trials 2 --samples 5",
-    "derive --beta -0.1",
-    "derive --beta 2 --trials 0",
+    "derive --trials -3",
+    "derive --seed -1 --trials 2",
     "derive --trials 0",
     "fs-bound --family starlike --beta 1 --mu 1",
     "fs-bound --family starlike --beta 0 --mu nan",
+    "fs-bound --family starlike --beta 0 --mu 1e308",
     "table --step nan",
     "table --beta-range 0 1",
     "table --output /nonexistent/dir/x.csv",
