@@ -227,27 +227,37 @@ def unit_disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
     generator state afterwards, as drawing n + m at once.  The rewind
     assumes that each double takes one 64-bit output of the bit generator
     and that the bit generator has `advance` (PCG64, numpy's default, does).
+    A candidate coordinate is `2 u - 1` for u from `rng.random`, the same
+    double as `rng.uniform(-1, 1)` draws.
     """
-    out = np.empty(count, dtype=complex)
-    filled = 0
-    while filled < count:
-        need = count - filled
+    parts = []
+    need = count
+    while need > 0:
         batch = int(need * 1.35) + 8
         state = rng.bit_generator.state
-        pts = rng.uniform(-1.0, 1.0, (batch, 2)).view(complex)[:, 0]
+        pts = rng.random((batch, 2))
+        pts *= 2.0
+        pts -= 1.0
+        pts = pts.view(complex)[:, 0]
         used = np.flatnonzero(np.abs(pts) <= 1.0)
         if used.size >= need:
             used = used[:need]
             rng.bit_generator.state = state
             rng.bit_generator.advance(2 * (int(used[-1]) + 1))
-        out[filled:filled + used.size] = pts[used]
-        filled += used.size
-    return out
+        parts.append(pts.take(used))
+        need -= used.size
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=complex)
 
 
 def unit_circle_samples(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform samples from the unit circle (boundary stratum)."""
-    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+    """Uniform samples from the unit circle (boundary stratum).
+
+    The angle `2 pi u` for u from `rng.random` is the double that
+    `rng.uniform(0, 2 pi)` draws.
+    """
+    return np.exp(1j * (rng.random(count) * (2.0 * math.pi)))
 
 
 def check_seed(seed: int) -> int:
@@ -274,6 +284,10 @@ def _streams(seed: int, count: int) -> list[np.random.Generator]:
 def _ring_then_disk(rng, start: int, stop: int, n_boundary: int) -> np.ndarray:
     """Points [start, stop) of a stream whose first `n_boundary` lie on the circle."""
     on_circle = min(max(n_boundary - start, 0), stop - start)
+    if on_circle == 0:
+        return unit_disk_samples(rng, stop - start)
+    if on_circle == stop - start:
+        return unit_circle_samples(rng, on_circle)
     return np.concatenate([unit_circle_samples(rng, on_circle),
                            unit_disk_samples(rng, stop - start - on_circle)])
 
@@ -295,7 +309,7 @@ def disk_param_blocks(
     for start in range(0, samples, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, samples)
         yield (
-            c_rng.uniform(0.0, 2.0, stop - start),
+            c_rng.random(stop - start) * 2.0,
             _ring_then_disk(x_rng, start, stop, n_boundary),
             _ring_then_disk(y_rng, start, stop, n_boundary) if draw_y else None,
             unit_disk_samples(z_rng, stop - start),

@@ -13,6 +13,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ TABLE_BLOCK_ROWS = 16
 # caps on requested work.  `search`, the sampled spot checks of `verify` and
 # the series oracle of `verify` and `derive` all stream, so their memory
 # stays flat and the caps bound run time (10^8 search samples take about
-# 36 s, and `verify` at the --samples cap about 2.7 s).
+# 20 s on a 2-vCPU Xeon, and `verify` at the --samples cap about 2.7 s).
 MAX_SEARCH_SAMPLES = 10**8
 MAX_VERIFY_SAMPLES = 10**6
 MAX_TRIALS = 10**5
@@ -96,8 +97,22 @@ def _emit(text: str, path: str | None) -> None:
         raise _cannot_write(path, exc) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads any negative float after an option as its value, not as a flag.
+
+    argparse takes `-2.0` for a value but `-2e0` or `-inf` for an unknown
+    flag; widening its negative-number pattern fixes every float option of
+    every subcommand (subparsers are built with the parser's class).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bihankel",
         description=(
             "Closed-form second-Hankel-determinant bounds for bi-starlike "

@@ -7,10 +7,14 @@ discards the incumbent value, so results are reproducible and nondecreasing
 across rounds.
 
 `empirical_max_h22` searches the actual parametrized coefficient set rather
-than the majorant: it samples (c, x, y, z, w), builds both coefficient
-triples, reconstructs (a2, a3, a4) and records the largest |a2 a4 - a3^2|
-seen.  By construction this can never exceed the closed-form bound; the gap
-it leaves is an output of the tool, not an assumption.
+than the majorant: it samples (c, x, y, z, w) and records the largest
+|a2 a4 - a3^2| seen.  The free parameters z and w enter a2 a4 - a3^2 only
+through a4, and linearly, so the kernel `h22_batch` evaluates it as
+|A + B z + C w| with complex A and real B, C from `h22_terms`.
+`h22_from_params` is the independent scalar route: it builds both
+coefficient triples and reconstructs (a2, a3, a4).  By construction the
+search can never exceed the closed-form bound; the gap it leaves is an
+output of the tool, not an assumption.
 """
 
 from __future__ import annotations
@@ -229,19 +233,62 @@ def h22_from_params(
 
     Builds (c1, c2, c3) from (c, x, z), the inverse-side triple from the
     (y, w) copies with d1 = -c1, reconstructs (a2, a3, a4) and returns
-    a2 a4 - a3^2.
+    a2 a4 - a3^2.  This is independent of `h22_batch`, which never forms
+    the coefficient triples: it checks the kernel's split into A + B z + C w.
     """
     p = coeffs_from_disk_params(DiskParams(c, x, z))
     q = inverse_side_coeffs(c, y, w)
     return hankel_2_2(reconstruct(family, order, p, q))
 
 
+def h22_terms(family, beta, c, x, y):
+    """(A, B, C) with a2 a4 - a3^2 = A + B z + C w, over arrays of draws.
+
+    z and w enter the coefficients only through the third ones, linearly:
+    with gap = 4 - c^2, c3 - d3 is its value at z = w = 0 plus
+    gap ((1 - |x|^2) z - (1 - |y|^2) w) / 2, and a4 is linear in c3 - d3
+    with weight k = (1 - beta)/6 (starlike) or (1 - beta)/24 (convex).
+    So A is a2 a4 - a3^2 at z = w = 0, from `bi_coeffs` on the differences
+
+        dc2 = (x - y) gap / 2
+        dc3 = [2 c^3 + 2 gap c (x + y) - c gap (x^2 + y^2)] / 4,
+
+    and B = a2 k gap (1 - |x|^2)/2 and C = -a2 k gap (1 - |y|^2)/2 are real,
+    as a2 = (1 - beta) c or (1 - beta) c / 2 is.
+    """
+    om = 1.0 - beta
+    gap = 4.0 - c * c
+    dc2 = x - y
+    dc2 *= gap / 2.0
+    dc3 = x + y
+    dc3 *= 2.0
+    dc3 -= x * x + y * y
+    dc3 *= c * gap
+    dc3 += 2.0 * c * c * c
+    dc3 *= 0.25
+    a2, a3, a4 = bi_coeffs(family, om, c, dc2, dc3)
+    a = a2 * a4
+    a -= a3 * a3
+    # k, the weight of dc3 in a4, is the a4 of c1 = dc2 = 0 and dc3 = 1
+    half = a2 * gap
+    half *= bi_coeffs(family, om, 0.0, 0.0, 1.0)[2] / 2.0
+    b = 1.0 - abs(x) ** 2
+    b *= half
+    cw = abs(y) ** 2 - 1.0
+    cw *= half
+    return a, b, cw
+
+
 def h22_batch(family, beta, c, x, y, z, w):
-    """Vectorized |a2 a4 - a3^2| over sample arrays (same kernel as above)."""
-    c2, c3 = disk_coeffs(c, x, z)
-    d2, e3 = disk_coeffs(c, y, -w)
-    a2, a3, a4 = bi_coeffs(family, 1.0 - beta, c, c2 - d2, c3 + e3)
-    return np.abs(a2 * a4 - a3 * a3)
+    """Vectorized |a2 a4 - a3^2| over sample arrays, as |A + B z + C w|.
+
+    (A, B, C) come from `h22_terms`; `h22_from_params` is the independent
+    scalar route through the coefficient triples.
+    """
+    h, b, cw = h22_terms(family, beta, c, x, y)
+    h += b * z
+    h += cw * w
+    return np.abs(h)
 
 
 def _sum_constraint_target(family: FamilyId, beta: float, c: np.ndarray) -> np.ndarray:
@@ -301,10 +348,10 @@ def empirical_max_h22(
             # c = 2 makes the relation vacuous (both sides vanish); away from
             # it solve for y and keep only draws that stay inside the disk.
             y = _sum_constraint_target(family, beta, c) - x
-            keep = np.abs(y) <= 1.0
-            c, x, y, z, w = c[keep], x[keep], y[keep], z[keep], w[keep]
-            if c.size == 0:
+            keep = np.flatnonzero(np.abs(y) <= 1.0)
+            if keep.size == 0:
                 continue
+            c, x, y, z, w = (v.take(keep) for v in (c, x, y, z, w))
 
         vals = h22_batch(family, beta, c, x, y, z, w)
         kept += vals.size

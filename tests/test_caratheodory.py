@@ -511,6 +511,96 @@ class TestDiskSamplerPrefix:
             assert rng.bit_generator.state == state
 
 
+# Inline copies of the samplers as they drew with `rng.uniform`, before they
+# drew `rng.random` and scaled it.  The draws are pinned to these bit for bit.
+
+def uniform_unit_disk_samples(rng, count):
+    out = np.empty(count, dtype=complex)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        batch = int(need * 1.35) + 8
+        state = rng.bit_generator.state
+        pts = rng.uniform(-1.0, 1.0, (batch, 2)).view(complex)[:, 0]
+        used = np.flatnonzero(np.abs(pts) <= 1.0)
+        if used.size >= need:
+            used = used[:need]
+            rng.bit_generator.state = state
+            rng.bit_generator.advance(2 * (int(used[-1]) + 1))
+        out[filled:filled + used.size] = pts[used]
+        filled += used.size
+    return out
+
+
+def uniform_unit_circle_samples(rng, count):
+    return np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+
+
+def uniform_disk_param_blocks(samples, seed, boundary_fraction=0.0, draw_y=True):
+    c_rng, x_rng, y_rng, z_rng, w_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(5)
+    )
+    n_boundary = int(round(samples * boundary_fraction))
+
+    def ring_then_disk(rng, start, stop):
+        on_circle = min(max(n_boundary - start, 0), stop - start)
+        return np.concatenate([uniform_unit_circle_samples(rng, on_circle),
+                               uniform_unit_disk_samples(rng, stop - start - on_circle)])
+
+    for start in range(0, samples, car.SAMPLE_CHUNK):
+        stop = min(start + car.SAMPLE_CHUNK, samples)
+        yield (
+            c_rng.uniform(0.0, 2.0, stop - start),
+            ring_then_disk(x_rng, start, stop),
+            ring_then_disk(y_rng, start, stop) if draw_y else None,
+            uniform_unit_disk_samples(z_rng, stop - start),
+            uniform_unit_disk_samples(w_rng, stop - start),
+        )
+
+
+def same_bits(got, expected):
+    if got is None or expected is None:
+        return got is expected
+    return (got.dtype == expected.dtype and got.shape == expected.shape
+            and got.tobytes() == expected.tobytes())
+
+
+# seed 229's first int(100 * 1.35) + 8 = 143 pairs hold fewer than 100
+# points of the disk, so 100 points take a second rejection round
+SECOND_ROUND_SEED, SECOND_ROUND_COUNT = 229, 100
+
+
+class TestDrawsArePinned:
+    @pytest.mark.parametrize("count", [0, 1, 2, 50, SECOND_ROUND_COUNT, 16385])
+    @pytest.mark.parametrize("sampler, pinned", [
+        (unit_disk_samples, uniform_unit_disk_samples),
+        (unit_circle_samples, uniform_unit_circle_samples),
+    ], ids=["disk", "circle"])
+    def test_sampler_matches_uniform_draws(self, sampler, pinned, count):
+        for seed in (SECOND_ROUND_SEED, 17):
+            rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert same_bits(sampler(rng, count), pinned(expected_rng, count))
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_second_round_is_taken(self):
+        pairs = np.random.default_rng(SECOND_ROUND_SEED).uniform(
+            -1.0, 1.0, (int(SECOND_ROUND_COUNT * 1.35) + 8, 2))
+        inside = np.count_nonzero(np.abs(pairs[:, 0] + 1j * pairs[:, 1]) <= 1.0)
+        assert inside < SECOND_ROUND_COUNT
+
+    @pytest.mark.parametrize("chunk, samples", [(7, 40), (1 << 14, (1 << 14) + 1)])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("draw_y", [True, False])
+    def test_disk_param_blocks_match_uniform_draws(self, monkeypatch, chunk, samples,
+                                                   fraction, draw_y):
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
+        got = list(disk_param_blocks(samples, 6, fraction, draw_y))
+        expected = list(uniform_disk_param_blocks(samples, 6, fraction, draw_y))
+        assert len(got) == len(expected)
+        for block, pinned in zip(got, expected):
+            assert all(same_bits(u, v) for u, v in zip(block, pinned))
+
+
 class TestSeedValidation:
     @pytest.mark.parametrize("seed", [0, 1, 2**40])
     def test_non_negative_accepted(self, seed):

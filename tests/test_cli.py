@@ -338,6 +338,7 @@ class TestFsBound:
             ("starlike", "0", "3", "4.0"),
             ("starlike", "0", "2", "2.0"),
             ("convex", "0", "1e308", "1e+308"),
+            ("convex", "0", "-2e0", "3.0"),
         ],
     )
     def test_values(self, capsys, family, beta, mu, expected):
@@ -370,6 +371,41 @@ class TestFsBound:
         assert code == 2
         assert out == ""
         assert err == f"error: Fekete-Szego bound overflows at mu={float(mu)!r}\n"
+
+
+# (argv before the option, option, number of values) for every float option
+FLOAT_OPTIONS = [
+    (("verify",), "--beta", 1),
+    (("table",), "--beta-range", 2),
+    (("table",), "--step", 1),
+    (("search", "--family", "starlike"), "--beta", 1),
+    (("search", "--family", "starlike"), "--boundary-fraction", 1),
+    (("fs-bound", "--family", "convex", "--mu", "1"), "--beta", 1),
+    (("fs-bound", "--family", "convex"), "--mu", 1),
+]
+
+
+class TestNegativeFloats:
+    """A negative float is an option's value in every spelling, not a flag."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(FLOAT_OPTIONS),
+           value=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+           spell=st.sampled_from([repr, "%e".__mod__, "%E".__mod__]))
+    def test_value_is_parsed(self, case, value, spell):
+        argv, flag, nargs = case
+        text = spell(value)
+        args = cli.build_parser().parse_args([*argv, flag, *[text] * nargs])
+        parsed = getattr(args, flag[2:].replace("-", "_"))
+        values = parsed if isinstance(parsed, list) else [parsed]
+        assert values == [float(text)] * nargs
+
+    @pytest.mark.parametrize("text", ["-inf", "-Infinity", "-nan"])
+    def test_non_finite_spellings_reach_validation(self, capsys, text):
+        code, out, err = run_cli(capsys, "fs-bound", "--family", "convex", "--mu", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: mu must be finite")
 
 
 # (argv before the count, flag, cap attribute) for every capped count
@@ -545,6 +581,9 @@ class TestValidationMessages:
             (("table", "--beta-range", "0", "1"), "beta range [0.0, 1.0] not inside [0, 1)"),
             (("table", "--step", "-1"), "step must be > 0, got -1.0"),
             (("table", "--beta-range", "0.5", "0.4"), "empty beta range [0.5, 0.4]"),
+            (("verify", "--beta", "-1e-3"), "beta must lie in [0, 1), got -0.001"),
+            (("table", "--beta-range", "-1E-1", "0.5"), "beta range [-0.1, 0.5] not inside [0, 1)"),
+            (("table", "--step", "-5e-2"), "step must be > 0, got -0.05"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):

@@ -61,9 +61,12 @@ COMMANDS = (
     "search --family convex --beta 0.3 --samples 70000 --boundary-fraction 0.3 --seed 4",
     "fs-bound --family convex --beta 0 --mu 1",
     "fs-bound --family starlike --beta 0.2 --mu -2",
+    # a negative float in exponent form is a value, not a flag
+    "fs-bound --family convex --beta 0 --mu -2e0",
     # usage and domain errors (exit 2)
     "verify --beta 1.5",
     "verify --beta 0 --beta nan",
+    "verify --beta -1e-3",
     "verify --beta 2 --trials 0",
     "verify --trials 0",
     "search --family starlike --beta 1 --samples 10",
