@@ -23,21 +23,11 @@ from .bounds import (
     surrogate_terms,
     thresholds,
 )
-from .caratheodory import (
-    DiskParams,
-    HerglotzMeasure,
-    PCoefficients,
-    coeffs_from_disk_params,
-    coeffs_from_herglotz,
-    p_coefficients_from_herglotz,
-    rotate_to_real,
-    x_from_c2,
-)
+from .caratheodory import PCoefficients, coeffs_from_herglotz
 from .errors import (
     BihankelError,
     ConstraintViolation,
     DomainError,
-    InsufficientCoefficients,
     NotNormalized,
     ZeroConstantTerm,
 )
@@ -45,17 +35,12 @@ from .functionals import (
     BiCoefficients,
     FamilyId,
     Order,
-    fekete_szego,
-    hankel_2_2,
-    hankel_matrix_det,
-    reconstruct,
     verify_coefficient_system,
 )
 from .optimizer import (
     SearchResult,
     empirical_max_h22,
     h22_from_params,
-    inverse_side_coeffs,
     maximize_1d,
     maximize_surrogate,
 )

@@ -8,18 +8,17 @@ admit the classical parametrization
     4 c3 = c1^3 + 2 (4 - c1^2) c1 x - c1 (4 - c1^2) x^2
            + 2 (4 - c1^2) (1 - |x|^2) z,
 
-with free parameters x, z in the closed unit disk.  The module carries
-three interchangeable representations of such data: raw coefficient
-triples, the (c, x, z) parametrization above, and atomic Herglotz measures
-(convex combinations of the extreme points (1 + e^{i t} z)/(1 - e^{i t} z),
-whose k-th coefficient is 2 e^{i k t}).  Every sampled check and search
-draws from two streamed samplers, `disk_param_blocks` and `herglotz_blocks`,
-in blocks of `SAMPLE_CHUNK` from one seeded stream per variable.
+with free parameters x, z in the closed unit disk.  `disk_coeffs`
+evaluates it on scalars or arrays; `coeffs_from_herglotz` gives the
+coefficients of packed atomic Herglotz measures (convex combinations of
+the extreme points (1 + e^{i t} z)/(1 - e^{i t} z), whose k-th coefficient
+is 2 e^{i k t}).  Every sampled check and search draws from two streamed
+samplers, `disk_param_blocks` and `herglotz_blocks`, in blocks of
+`SAMPLE_CHUNK` from one seeded stream per variable.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,11 +29,8 @@ from .errors import ConstraintViolation, DomainError
 # slack on the |c_k| <= 2 coefficient bound
 COEFF_BOUND_TOL = 1e-12
 
-# slack on construction-time domain checks (|x| <= 1 etc.)
+# slack on the domain checks (|x| <= 1 etc.)
 DOMAIN_TOL = 1e-12
-
-# below this, 4 - c^2 is treated as degenerate when solving for x
-DEGENERATE_DENOM_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -47,50 +43,6 @@ class PCoefficients:
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (complex(self.c1), complex(self.c2), complex(self.c3))
-
-
-@dataclass(frozen=True)
-class DiskParams:
-    """Free parameters (c, x, z) generating an admissible (c1, c2, c3).
-
-    c is the (rotated-to-real) first coefficient in [0, 2]; x and z live in
-    the closed unit disk and drive the second and third coefficients.
-    """
-
-    c: float
-    x: complex
-    z: complex
-
-    def __post_init__(self) -> None:
-        check_disk_params(self.c, self.x, self.z)
-
-
-@dataclass(frozen=True)
-class HerglotzMeasure:
-    """Atomic probability measure on the circle, as (weight, angle) pairs."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        check_herglotz(*self.arrays())
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (weights, angles) of the atoms, as two 1-d arrays.
-
-        Every atom must be one (weight, angle) pair of numbers; anything
-        else raises ConstraintViolation.
-        """
-        if len(self.atoms) == 0:
-            return np.empty(0), np.empty(0)
-        try:
-            atoms = np.array(self.atoms, dtype=float)
-        except (TypeError, ValueError):
-            raise ConstraintViolation("atoms must be (weight, angle) pairs of numbers") from None
-        if atoms.ndim != 2 or atoms.shape[1] != 2:
-            raise ConstraintViolation(
-                f"atoms must be (weight, angle) pairs, got shape {atoms.shape}"
-            )
-        return atoms[:, 0], atoms[:, 1]
 
 
 def _require(ok, message: str, values) -> None:
@@ -144,76 +96,26 @@ def disk_coeffs(c, x, z):
     return c2, c3
 
 
-def coeffs_from_disk_params(params: DiskParams) -> PCoefficients:
-    """Evaluate the (c, x, z) parametrization into a coefficient triple."""
-    c2, c3 = disk_coeffs(params.c, params.x, params.z)
-    return PCoefficients(complex(params.c), c2, c3)
-
-
-def coeffs_from_herglotz(measure, k_max: int):
+def coeffs_from_herglotz(measure, k_max: int) -> np.ndarray:
     """Coefficients c_k = 2 sum_j w_j e^{i k t_j} for k = 1..k_max.
 
-    `measure` is a `HerglotzMeasure`, giving a list of k_max complex
-    numbers, or a packed `(weights, angles)` pair of arrays whose last axis
-    runs over the atoms (see `herglotz_blocks`), giving an array with the
-    k axis last.  Both go through the same sum over the atom axis, and a
-    packed pair is validated by `check_herglotz` first.
+    `measure` is a packed `(weights, angles)` pair of arrays whose last axis
+    runs over the atoms (see `herglotz_blocks`); it is validated by
+    `check_herglotz`, and the result has the k axis last.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if isinstance(measure, HerglotzMeasure):
-        return _herglotz_coeffs(*measure.arrays(), k_max).tolist()
     weights, angles = measure
     check_herglotz(weights, angles)
-    return _herglotz_coeffs(weights, angles, k_max)
-
-
-def _herglotz_coeffs(weights, angles, k_max: int) -> np.ndarray:
     out = np.empty(weights.shape[:-1] + (k_max,), dtype=complex)
     for k in range(1, k_max + 1):
         out[..., k - 1] = 2.0 * np.sum(weights * np.exp(1j * k * angles), axis=-1)
     return out
 
 
-def p_coefficients_from_herglotz(measure: HerglotzMeasure) -> PCoefficients:
-    c1, c2, c3 = coeffs_from_herglotz(measure, 3)
-    return PCoefficients(c1, c2, c3)
-
-
 def coeff_excess(*coeffs) -> float:
     """Largest |c_k| - 2 over coefficients given as scalars or arrays."""
     return float(np.max([np.max(np.abs(c)) for c in coeffs])) - 2.0
-
-
-def rotate_to_real(coeffs: PCoefficients) -> PCoefficients:
-    """Rotate c_k -> c_k e^{-i k phi} so the first coefficient is real >= 0.
-
-    Corresponds to replacing p(z) by p(e^{-i phi} z), which stays in the
-    class, so no generality is lost by studying c1 in [0, 2].
-    """
-    c1, c2, c3 = coeffs.as_tuple()
-    if c1 == 0:
-        return coeffs
-    phi = cmath.phase(c1)
-    rot = cmath.exp(-1j * phi)
-    return PCoefficients(c1 * rot, c2 * rot * rot, c3 * rot**3)
-
-
-def x_from_c2(c1: float, c2: complex) -> complex:
-    """Recover the unit-disk parameter x from real c1 and c2.
-
-    Inverts 2 c2 = c1^2 + x (4 - c1^2).  When 4 - c1^2 is numerically
-    degenerate (c1 ~ 2) the equation constrains nothing and x = 0 is
-    returned; genuine class data then satisfies |2 c2 - c1^2| <= 4 - c1^2,
-    so the residual is below the degeneracy threshold as well.  A c1
-    outside [0, 2] (with `DOMAIN_TOL` of slack) or NaN raises DomainError.
-    """
-    if not -DOMAIN_TOL <= c1 <= 2.0 + DOMAIN_TOL:
-        raise DomainError(f"c1 must lie in [0, 2], got {c1}")
-    gap = 4.0 - c1 * c1
-    if gap < DEGENERATE_DENOM_TOL:
-        return 0j
-    return (2.0 * c2 - c1 * c1) / gap
 
 
 # --- seeded samplers -------------------------------------------------------

@@ -132,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="random draws for the series-identity check")
     p_verify.add_argument("--samples", type=int, default=2000,
                           help="samples for the coefficient-bound spot checks")
-    p_verify.add_argument("--strict", action="store_true",
-                          help="escalate advisory checks to failures")
     p_verify.add_argument("--output", default=None)
 
     p_table = sub.add_parser("table", help="tabulate the bounds over beta")
@@ -193,17 +191,12 @@ def cmd_verify(args) -> int:
                 spot_samples=args.samples,
             )
             for check in checks:
-                if check.passed:
-                    status = "PASS"
-                elif check.advisory and not args.strict:
-                    status = "WARN"
-                else:
-                    status = "FAIL"
+                status = "PASS" if check.passed else "FAIL"
                 lines.append(
                     f"  {status} {check.name} value={_fmt(check.value)} "
                     f"tol={_fmt(check.tolerance)}"
                 )
-            ok = ok and verification.all_passed(checks, strict=args.strict)
+            ok = ok and verification.all_passed(checks)
     lines.append("result: " + ("all checks passed" if ok else "checks FAILED"))
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if ok else 1

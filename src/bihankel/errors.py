@@ -19,7 +19,3 @@ class NotNormalized(BihankelError, ValueError):
 
 class ConstraintViolation(BihankelError, ValueError):
     """Structured data violates one of its declared invariants."""
-
-
-class InsufficientCoefficients(BihankelError, ValueError):
-    """Too few Taylor coefficients to fill the requested Hankel matrix."""

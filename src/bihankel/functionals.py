@@ -1,4 +1,4 @@
-"""Coefficient reconstruction and Hankel/Fekete-Szego functionals.
+"""Closed-form coefficients (a2, a3, a4) and their series-algebra check.
 
 For f(z) = z + a2 z^2 + a3 z^3 + ... whose compositional inverse g is
 subject to the same geometric condition, matching Taylor coefficients in
@@ -11,7 +11,8 @@ for f and for g yields two coefficient triples (c1, c2, c3) and
 forms for (a2, a3, a4); `bi_coeffs` evaluates them.  Deliberately, only
 the differences c2 - d2 and c3 - d3 are used: the sum constraint implied by
 the full system is *not* enforced, so the feasible set here matches the
-relaxation under which the closed-form bounds are derived.
+relaxation under which the closed-form bounds are derived.  `optimizer`
+forms a2 a4 - a3^2 from them.
 
 `verify_coefficient_system` closes the loop in the other direction: it
 rebuilds f and g as truncated series, extracts the functional coefficients
@@ -29,10 +30,7 @@ import numpy as np
 
 from . import series as ts
 from .caratheodory import PCoefficients
-from .errors import ConstraintViolation, DomainError, InsufficientCoefficients
-
-# |p.c1 + q.c1| above this violates the d1 = -c1 coupling
-C1_COUPLING_TOL = 1e-12
+from .errors import ConstraintViolation, DomainError
 
 # draws per batched pass of `series_residual`.  At 10^5 trials a fresh
 # process peaks at 38.6 MB with 2^12 (35 MB with 2^8, four times slower;
@@ -109,64 +107,6 @@ def bi_coeffs(family: FamilyId, w, c1, dc2, dc3):
         a4 = (5.0 / 48.0) * w**3 * c1**3 + (5.0 / 48.0) * w * w * c1 * dc2 \
             + w * dc3 / 24.0
     return a2, a3, a4
-
-
-def reconstruct(
-    family: FamilyId, order: Order, p: PCoefficients, q: PCoefficients
-) -> BiCoefficients:
-    """Closed-form (a2, a3, a4) (see `bi_coeffs`) from a pair with d1 = -c1."""
-    if abs(p.c1 + q.c1) > C1_COUPLING_TOL:
-        raise ConstraintViolation(
-            f"expected q.c1 = -p.c1, got p.c1={p.c1!r}, q.c1={q.c1!r}"
-        )
-    return BiCoefficients(*bi_coeffs(
-        family,
-        1.0 - order.beta,
-        complex(p.c1),
-        complex(p.c2) - complex(q.c2),
-        complex(p.c3) - complex(q.c3),
-    ))
-
-
-def hankel_2_2(a: BiCoefficients) -> complex:
-    """Second Hankel determinant a2*a4 - a3^2."""
-    return complex(a.a2) * complex(a.a4) - complex(a.a3) ** 2
-
-
-def fekete_szego(a: BiCoefficients, mu: float) -> complex:
-    """Generalized Fekete-Szego functional a3 - mu*a2^2."""
-    return complex(a.a3) - mu * complex(a.a2) ** 2
-
-
-def hankel_matrix_det(coeffs, n: int, q: int) -> complex:
-    """Determinant of the q x q Hankel matrix of Taylor coefficients.
-
-    `coeffs` lists a1, a2, ... (so coeffs[0] is a1 = 1 for normalized
-    functions); entry (i, j) of the matrix is a_{n+i+j}.  Only q <= 3
-    arises here, so the determinant is expanded directly.
-    """
-    if n < 1 or q < 1:
-        raise DomainError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
-    if q > 3:
-        raise DomainError("Hankel determinants beyond 3x3 are out of scope")
-    needed = n + 2 * q - 2
-    if len(coeffs) < needed:
-        raise InsufficientCoefficients(
-            f"need coefficients through a_{needed}, got {len(coeffs)}"
-        )
-
-    def a(m: int) -> complex:
-        return complex(coeffs[m - 1])
-
-    if q == 1:
-        return a(n)
-    if q == 2:
-        return a(n) * a(n + 2) - a(n + 1) ** 2
-    return (
-        a(n) * (a(n + 2) * a(n + 4) - a(n + 3) ** 2)
-        - a(n + 1) * (a(n + 1) * a(n + 4) - a(n + 2) * a(n + 3))
-        + a(n + 2) * (a(n + 1) * a(n + 3) - a(n + 2) ** 2)
-    )
 
 
 # closed-form left-hand sides of the six coefficient equations, per family

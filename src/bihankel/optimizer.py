@@ -11,10 +11,10 @@ than the majorant: it samples (c, x, y, z, w) and records the largest
 |a2 a4 - a3^2| seen.  The free parameters z and w enter a2 a4 - a3^2 only
 through a4, and linearly, so the kernel `h22_batch` evaluates it as
 |A + B z + C w| with complex A and real B, C from `h22_terms`.
-`h22_from_params` is the independent scalar route: it builds both
-coefficient triples and reconstructs (a2, a3, a4).  By construction the
-search can never exceed the closed-form bound; the gap it leaves is an
-output of the tool, not an assumption.
+`h22_from_params` is the independent scalar route: `disk_coeffs` on both
+sides, then `bi_coeffs`.  By construction the search can never exceed the
+closed-form bound; the gap it leaves is an output of the tool, not an
+assumption.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bd
-from .caratheodory import (
-    DiskParams,
-    PCoefficients,
-    coeffs_from_disk_params,
-    disk_coeffs,
-    disk_param_blocks,
-)
+from .caratheodory import check_disk_params, disk_coeffs, disk_param_blocks
 from .errors import DomainError
-from .functionals import FamilyId, Order, bi_coeffs, hankel_2_2, reconstruct
+from .functionals import FamilyId, Order, bi_coeffs
 
 
 # Grid schedules: (points per axis, refinement rounds, shrink factor).  The
@@ -202,24 +196,6 @@ def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:
 
 # --- empirical search over the exact parametrization -----------------------
 
-def inverse_side_coeffs(c: float, y: complex, w: complex) -> PCoefficients:
-    """(d1, d2, d3) from the disk parametrization applied at d1 = -c.
-
-    Same formulas as `coeffs_from_disk_params` with the first coefficient
-    negated throughout:
-
-        d1 = -c
-        2 d2 = c^2 + y (4 - c^2)
-        4 d3 = -c^3 - 2 (4 - c^2) c y + c (4 - c^2) y^2
-               + 2 (4 - c^2) (1 - |y|^2) w
-
-    That is d3 = -e3 for (d2, e3) = `disk_coeffs(c, y, -w)`; negating w
-    rather than c keeps the rounding of the direct formula above.
-    """
-    d2, e3 = disk_coeffs(c, y, -w)
-    return PCoefficients(complex(-c), d2, -e3)
-
-
 def h22_from_params(
     family: FamilyId,
     order: Order,
@@ -229,16 +205,26 @@ def h22_from_params(
     z: complex,
     w: complex,
 ) -> complex:
-    """Scalar route through the public building blocks, for cross-checking.
+    """a2 a4 - a3^2 of one draw, through both coefficient triples.
 
-    Builds (c1, c2, c3) from (c, x, z), the inverse-side triple from the
-    (y, w) copies with d1 = -c1, reconstructs (a2, a3, a4) and returns
-    a2 a4 - a3^2.  This is independent of `h22_batch`, which never forms
-    the coefficient triples: it checks the kernel's split into A + B z + C w.
+    (c2, c3) come from `disk_coeffs(c, x, z)`.  The inverse side is the
+    same parametrization at d1 = -c:
+
+        2 d2 = c^2 + y (4 - c^2)
+        4 d3 = -c^3 - 2 (4 - c^2) c y + c (4 - c^2) y^2
+               + 2 (4 - c^2) (1 - |y|^2) w,
+
+    that is d3 = -e3 for (d2, e3) = `disk_coeffs(c, y, -w)`; negating w
+    rather than c keeps the rounding of the direct side.  `bi_coeffs` then
+    gives (a2, a3, a4) from c, c2 - d2 and c3 - d3.  This is independent
+    of `h22_batch`, which never forms the coefficient triples: it checks
+    the kernel's split into A + B z + C w.
     """
-    p = coeffs_from_disk_params(DiskParams(c, x, z))
-    q = inverse_side_coeffs(c, y, w)
-    return hankel_2_2(reconstruct(family, order, p, q))
+    check_disk_params(c, x, z)
+    c2, c3 = disk_coeffs(c, x, z)
+    d2, e3 = disk_coeffs(c, y, -w)
+    a2, a3, a4 = bi_coeffs(family, 1.0 - order.beta, complex(c), c2 - d2, c3 + e3)
+    return a2 * a4 - a3 ** 2
 
 
 def h22_terms(family, beta, c, x, y):

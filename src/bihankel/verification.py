@@ -2,9 +2,8 @@
 
 Each check pits a closed-form expression against an independent route to
 the same quantity (grid maximization, series algebra, direct sampling) and
-reports a scalar residual with its tolerance.  Checks marked advisory
-correspond to inequalities that the derivation asserts without proof; they
-are reported as warnings unless the caller escalates them.
+reports a scalar residual with its tolerance.  Every check is a hard
+check: `verify` fails when any one of them fails.
 """
 
 from __future__ import annotations
@@ -49,11 +48,10 @@ class CheckResult:
     value: float
     tolerance: float
     passed: bool
-    advisory: bool = False
 
 
-def _check(name, value, tolerance, advisory=False) -> CheckResult:
-    return CheckResult(name, float(value), float(tolerance), float(value) <= float(tolerance), advisory)
+def _check(name, value, tolerance) -> CheckResult:
+    return CheckResult(name, float(value), float(tolerance), float(value) <= float(tolerance))
 
 
 def _sign_check(name, value) -> CheckResult:
@@ -136,6 +134,17 @@ def run_checks(
     `maximize_surrogate` on theirs, the term-level checks on `C_POINTS`
     points of [0, 2].
 
+    `growth_inequality`, t2 + 2 (t3 + t4) >= 0 on [0, 2], holds for every
+    beta in [0, 1): with w2 = (1 - b)^2 the sum factors as
+
+        starlike: w2 (4 - c^2) ((19 - 6 b) c^2 - 16 c + 12) / 96,
+        convex:   w2 (4 - c^2) ((13 - 3 b) c^2 - 12 c + 8) / 576,
+
+    and the quadratics have positive leading coefficients and the
+    discriminants 288 b - 656 and 96 b - 272, both negative for b < 1, so
+    they are positive; w2 > 0 and 4 - c^2 >= 0 on [0, 2].
+    `growth_factorization` checks the factored form against the terms.
+
     `trials` and `spot_samples` below 1 raise DomainError: no check may
     pass over zero draws.  So does a negative `seed`, which numpy rejects.
     """
@@ -177,10 +186,13 @@ def run_checks(
     )
 
     w2 = (1.0 - beta) ** 2
+    gap = 4.0 - cs * cs
     if family is FamilyId.STARLIKE:
-        factored = w2 * (4.0 - cs * cs) * (2.0 - cs) * (6.0 - cs) / 96.0
+        factored = w2 * gap * (2.0 - cs) * (6.0 - cs) / 96.0
+        growth_factored = w2 * gap * ((19.0 - 6.0 * beta) * cs * cs - 16.0 * cs + 12.0) / 96.0
     else:
-        factored = w2 * (4.0 - cs * cs) * (2.0 - cs) * (4.0 - cs) / 576.0
+        factored = w2 * gap * (2.0 - cs) * (4.0 - cs) / 576.0
+        growth_factored = w2 * gap * ((13.0 - 3.0 * beta) * cs * cs - 12.0 * cs + 8.0) / 576.0
     checks.append(
         _check(
             "positivity_factorization",
@@ -189,14 +201,12 @@ def run_checks(
         )
     )
 
-    # asserted-without-proof growth inequality (advisory unless escalated)
+    # the growth inequality and the factored form that proves it
+    growth = t2 + 2.0 * (t3 + t4)
+    checks.append(_check("growth_inequality", float(np.max(-growth)), ALGEBRA_TOL))
     checks.append(
-        _check(
-            "growth_inequality",
-            float(np.max(-(t2 + 2.0 * (t3 + t4)))),
-            ALGEBRA_TOL,
-            advisory=True,
-        )
+        _check("growth_factorization", float(np.max(np.abs(growth - growth_factored))),
+               ALGEBRA_TOL)
     )
 
     checks.append(
@@ -268,5 +278,5 @@ def run_checks(
     return checks
 
 
-def all_passed(checks: list[CheckResult], strict: bool = False) -> bool:
-    return all(c.passed for c in checks if strict or not c.advisory)
+def all_passed(checks: list[CheckResult]) -> bool:
+    return all(c.passed for c in checks)

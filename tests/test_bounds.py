@@ -16,10 +16,9 @@ from bihankel.bounds import (
     starlike_surrogate_terms,
     thresholds,
 )
-from bihankel.caratheodory import DiskParams, coeffs_from_disk_params, unit_disk_samples
+from bihankel.caratheodory import disk_coeffs, unit_disk_samples
 from bihankel.errors import DomainError
-from bihankel.functionals import FamilyId, Order, fekete_szego, reconstruct
-from bihankel.optimizer import inverse_side_coeffs
+from bihankel.functionals import FamilyId, bi_coeffs
 
 BETAS = [0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 0.98]
 
@@ -305,10 +304,14 @@ class TestFeketeSzegoBound:
 
 
 def relaxed_fs_at_c2(family, beta, mu, x, y, z, w):
-    """|a3 - mu a2^2| at c = 2 of the relaxed set, through the public scalar route."""
-    p = coeffs_from_disk_params(DiskParams(2.0, x, z))
-    q = inverse_side_coeffs(2.0, y, w)
-    return abs(fekete_szego(reconstruct(family, Order(beta), p, q), mu))
+    """|a3 - mu a2^2| at c = 2 of the relaxed set, through both coefficient triples.
+
+    (d2, d3) = (d2, -e3) for (d2, e3) = `disk_coeffs(2, y, -w)`, at d1 = -2.
+    """
+    c2, c3 = disk_coeffs(2.0, x, z)
+    d2, e3 = disk_coeffs(2.0, y, -w)
+    a2, a3, _ = bi_coeffs(family, 1.0 - beta, 2 + 0j, c2 - d2, c3 + e3)
+    return abs(a3 - mu * a2**2)
 
 
 def relaxed_draws():

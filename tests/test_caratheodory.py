@@ -11,23 +11,17 @@ from hypothesis import strategies as st
 from bihankel import caratheodory as car
 from bihankel.caratheodory import (
     COEFF_BOUND_TOL,
-    DiskParams,
-    HerglotzMeasure,
     PCoefficients,
     check_disk_params,
     check_herglotz,
     check_seed,
     coeff_excess,
-    coeffs_from_disk_params,
     coeffs_from_herglotz,
     disk_coeffs,
     disk_param_blocks,
     herglotz_blocks,
-    p_coefficients_from_herglotz,
-    rotate_to_real,
     unit_circle_samples,
     unit_disk_samples,
-    x_from_c2,
 )
 from bihankel.errors import ConstraintViolation, DomainError
 
@@ -48,17 +42,20 @@ def herglotz_draws(count, seed):
     return whole(herglotz_blocks(count, seed))
 
 
-def row_params(c, x, z):
-    """One `DiskParams` object per row of the sampled arrays."""
-    return [DiskParams(float(ci), complex(xi), complex(zi)) for ci, xi, zi in zip(c, x, z)]
+def row_scalars(c, x, z):
+    """The rows of the sampled arrays as Python (float, complex, complex)."""
+    return [(float(ci), complex(xi), complex(zi)) for ci, xi, zi in zip(c, x, z)]
 
 
-def row_measures(weights, angles):
-    """One `HerglotzMeasure` per packed row, without its zero-weight padding."""
-    return [
-        HerglotzMeasure(tuple(zip(w[w > 0].tolist(), t[w > 0].tolist())))
-        for w, t in zip(weights, angles)
-    ]
+def row_atoms(weights, angles):
+    """The (weights, angles) of each packed row, without its zero-weight padding."""
+    return [(w[w > 0], t[w > 0]) for w, t in zip(weights, angles)]
+
+
+def packed(*atoms):
+    """One packed measure, a (1, atoms) row, from (weight, angle) pairs."""
+    weights, angles = np.array(atoms, dtype=float).reshape(-1, 2).T
+    return weights[None, :], angles[None, :]
 
 
 def within_class(*coeffs):
@@ -67,41 +64,29 @@ def within_class(*coeffs):
 
 
 class TestDiskParams:
-    def test_domain_enforced_at_construction(self):
-        with pytest.raises(ConstraintViolation):
-            DiskParams(2.5, 0j, 0j)
-        with pytest.raises(ConstraintViolation):
-            DiskParams(-0.5, 0j, 0j)
-        with pytest.raises(ConstraintViolation):
-            DiskParams(1.0, 1.1 + 0j, 0j)
-        with pytest.raises(ConstraintViolation):
-            DiskParams(1.0, 0j, 0 + 1.2j)
+    def test_domain_enforced_on_scalars(self):
+        for c, x, z in ((2.5, 0j, 0j), (-0.5, 0j, 0j), (1.0, 1.1 + 0j, 0j), (1.0, 0j, 1.2j)):
+            with pytest.raises(ConstraintViolation):
+                check_disk_params(c, x, z)
 
     @pytest.mark.parametrize("x,z", [(0j, 0j), (0.5 + 0.1j, -0.3j), (1j, 1j)])
     def test_c_equals_two_pins_all_coefficients(self, x, z):
-        # the 4 - c^2 factors vanish, leaving (2, 2, 2)
-        p = coeffs_from_disk_params(DiskParams(2.0, x, z))
-        assert p.as_tuple() == (2, 2, 2)
+        # the 4 - c^2 factors vanish, leaving c2 = c3 = 2
+        assert disk_coeffs(2.0, x, z) == (2, 2)
 
     def test_c_zero_x_one(self):
-        p = coeffs_from_disk_params(DiskParams(0.0, 1 + 0j, 0.7j))
-        assert p.as_tuple() == (0, 2, 0)
+        assert disk_coeffs(0.0, 1 + 0j, 0.7j) == (2, 0)
 
     def test_hand_substitution(self):
-        p = coeffs_from_disk_params(DiskParams(1.0, 0j, 1 + 0j))
-        assert p.c1 == 1
-        assert p.c2 == 0.5
-        assert p.c3 == 1.75
+        assert disk_coeffs(1.0, 0j, 1 + 0j) == (0.5, 1.75)
 
 
 class TestHerglotz:
     def test_single_atom_extreme_point(self):
-        m = HerglotzMeasure(((1.0, 0.0),))
-        assert coeffs_from_herglotz(m, 5) == [2, 2, 2, 2, 2]
+        assert coeffs_from_herglotz(packed((1.0, 0.0)), 5).tolist() == [[2, 2, 2, 2, 2]]
 
     def test_two_atoms_cancel_odd_harmonics(self):
-        m = HerglotzMeasure(((0.5, 0.0), (0.5, math.pi)))
-        c1, c2, c3 = coeffs_from_herglotz(m, 3)
+        (c1, c2, c3), = coeffs_from_herglotz(packed((0.5, 0.0), (0.5, math.pi)), 3)
         assert abs(c1) < 1e-15
         assert abs(c2 - 2) < 1e-15
         assert abs(c3) < 1e-15
@@ -112,42 +97,44 @@ class TestHerglotz:
             weights = rng.uniform(0.1, 1.0, 5)
             weights /= weights.sum()
             angles = rng.uniform(0, 2 * math.pi, 5)
-            m = HerglotzMeasure(tuple(zip(weights.tolist(), angles.tolist())))
-            cs = coeffs_from_herglotz(m, 6)
+            cs = coeffs_from_herglotz((weights[None, :], angles[None, :]), 6)
             # triangle inequality oracle: |c_k| <= 2 sum w_j = 2
-            assert all(abs(c) <= 2 * weights.sum() + 1e-12 for c in cs)
+            assert np.all(np.abs(cs) <= 2 * weights.sum() + 1e-12)
 
     def test_invalid_measures_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            HerglotzMeasure(())
-        with pytest.raises(ConstraintViolation):
-            HerglotzMeasure(((0.7, 0.0), (0.7, 1.0)))
-        with pytest.raises(ConstraintViolation):
-            HerglotzMeasure(((1.0, -0.5),))
-        with pytest.raises(ConstraintViolation):
-            HerglotzMeasure(((1.0, 7.0),))
+        for measure in (
+            (np.empty((1, 0)), np.empty((1, 0))),
+            packed((0.7, 0.0), (0.7, 1.0)),
+            packed((1.0, -0.5)),
+            packed((1.0, 7.0)),
+        ):
+            with pytest.raises(ConstraintViolation):
+                check_herglotz(*measure)
 
     @pytest.mark.parametrize("atoms", [
-        ((0.5, 0.1, 0.5, 0.2),),  # one 4-tuple is not two atoms
-        (1.0, 0.0),  # a flat pair is not one atom
-        ((1.0,),),
-        ((1.0, 0.0), (0.5,)),
-        (((1.0, 0.0),),),
+        (np.array([0.5, 0.5]), np.array([0.1])),  # one angle for two weights
+        (np.float64(1.0), np.float64(0.0)),  # a bare scalar has no atom axis
+        (np.full((2, 3), 1 / 3), np.zeros((3, 2))),
+        (np.array([[0.5, 0.5]]), np.array([0.1, 0.2])),
+        (np.array([1.0]), np.array([[0.0]])),
     ])
     def test_malformed_atoms_rejected(self, atoms):
-        with pytest.raises(ConstraintViolation, match=r"atoms must be \(weight, angle\) pairs"):
-            HerglotzMeasure(atoms)
+        weights, angles = atoms
+        with pytest.raises(ConstraintViolation, match="must share one shape"):
+            check_herglotz(weights, angles)
+        with pytest.raises(ConstraintViolation, match="must share one shape"):
+            coeffs_from_herglotz((weights, angles), 3)
 
     @pytest.mark.parametrize("k_max", [0, -1])
     def test_k_max_below_one_is_a_domain_error(self, k_max):
         with pytest.raises(DomainError, match=f"k_max must be >= 1, got {k_max}"):
-            coeffs_from_herglotz(HerglotzMeasure(((1.0, 0.0),)), k_max)
+            coeffs_from_herglotz(packed((1.0, 0.0)), k_max)
         with pytest.raises(DomainError):
             coeffs_from_herglotz(herglotz_draws(3, 0), k_max)
 
 
 class TestHerglotzValidator:
-    """`check_herglotz` on packed rows, and through `HerglotzMeasure`."""
+    """`check_herglotz` on packed rows, and on each row alone."""
 
     @staticmethod
     def packed():
@@ -176,9 +163,8 @@ class TestHerglotzValidator:
             assert arrays[0][row].sum() == 1.0
         with pytest.raises(ConstraintViolation, match=re.escape(message)):
             check_herglotz(*arrays)
-        w, t = arrays[0][row], arrays[1][row]
         with pytest.raises(ConstraintViolation, match=re.escape(message)):
-            HerglotzMeasure(tuple(zip(w.tolist(), t.tolist())))
+            check_herglotz(arrays[0][row], arrays[1][row])
 
     def test_row_sum_slack_is_1e_12(self):
         weights, angles = self.packed()
@@ -215,20 +201,20 @@ class TestHerglotzSamples:
         assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_packed_rows_equal_their_measures(self):
-        # every packed row gives exactly the coefficients of the measure made
-        # from its atoms, since both run the same sum over the atom axis
+        # every packed row gives exactly the coefficients of its atoms alone:
+        # the zero-weight padding adds nothing to the sum over the atom axis
         weights, angles = herglotz_draws(1000, 22)
-        packed = coeffs_from_herglotz((weights, angles), 4)
-        for row, measure in zip(packed, row_measures(weights, angles)):
-            assert row.tolist() == coeffs_from_herglotz(measure, 4)
+        rows = coeffs_from_herglotz((weights, angles), 4)
+        for row, (w, t) in zip(rows, row_atoms(weights, angles)):
+            assert row.tolist() == coeffs_from_herglotz((w, t), 4).tolist()
 
     def test_packed_rows_match_the_cmath_loop(self):
-        # independent oracle: the per-atom cmath sum the measures once used
+        # independent oracle: the per-atom cmath sum 2 sum_j w_j e^{i k t_j}
         weights, angles = herglotz_draws(1000, 23)
-        packed = coeffs_from_herglotz((weights, angles), 3)
-        for row, measure in zip(packed, row_measures(weights, angles)):
+        rows = coeffs_from_herglotz((weights, angles), 3)
+        for row, (w, t) in zip(rows, row_atoms(weights, angles)):
             for k in (1, 2, 3):
-                ref = 2.0 * sum(w * cmath.exp(1j * k * t) for w, t in measure.atoms)
+                ref = 2.0 * sum(wj * cmath.exp(1j * k * tj) for wj, tj in zip(w, t))
                 assert abs(row[k - 1] - ref) <= 1e-15
 
 
@@ -243,16 +229,14 @@ class TestCoeffBound:
         c, x, z = disk_draws(2000, 11)
         check_disk_params(c, x, z)
         assert within_class(c, *disk_coeffs(c, x, z))
-        for params in row_params(c, x, z):
-            coeffs = coeffs_from_disk_params(params).as_tuple()
-            assert coeff_excess(*coeffs) <= COEFF_BOUND_TOL
+        for ci, xi, zi in row_scalars(c, x, z):
+            assert coeff_excess(ci, *disk_coeffs(ci, xi, zi)) <= COEFF_BOUND_TOL
 
     def test_sampled_measures_always_valid(self):
-        packed = herglotz_draws(2000, 12)
-        assert within_class(coeffs_from_herglotz(packed, 3))
-        for m in row_measures(*packed):
-            coeffs = p_coefficients_from_herglotz(m).as_tuple()
-            assert coeff_excess(*coeffs) <= COEFF_BOUND_TOL
+        weights, angles = herglotz_draws(2000, 12)
+        assert within_class(coeffs_from_herglotz((weights, angles), 3))
+        for w, t in row_atoms(weights, angles):
+            assert coeff_excess(coeffs_from_herglotz((w, t), 3)) <= COEFF_BOUND_TOL
 
 
 class TestCoeffExcess:
@@ -269,7 +253,8 @@ class TestDiskParamValidator:
     def test_sampled_draws_pass_both_validators(self):
         c, x, z = disk_draws(300, 16)
         check_disk_params(c, x, z)
-        row_params(c, x, z)
+        for row in row_scalars(c, x, z):
+            check_disk_params(*row)
 
     @pytest.mark.parametrize("field,value,message", [
         (0, 2.5, "c must lie in [0, 2], got 2.5"),
@@ -287,7 +272,7 @@ class TestDiskParamValidator:
             check_disk_params(*arrays)
         scalars = [float(arrays[0][1]), complex(arrays[1][1]), complex(arrays[2][1])]
         with pytest.raises(ConstraintViolation, match=re.escape(message)):
-            DiskParams(*scalars)
+            check_disk_params(*scalars)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -299,57 +284,49 @@ class TestDiskParamValidator:
     tz=st.floats(0.0, 2 * math.pi, exclude_max=True),
 )
 def test_parametrization_stays_in_class(c, rx, tx, rz, tz):
-    params = DiskParams(c, rx * cmath.exp(1j * tx), rz * cmath.exp(1j * tz))
-    assert coeff_excess(*coeffs_from_disk_params(params).as_tuple()) <= COEFF_BOUND_TOL
-
-
-class TestRotation:
-    def test_first_coefficient_becomes_real(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            p = PCoefficients(
-                *(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-            )
-            r = rotate_to_real(p)
-            assert abs(r.c1.imag) < 1e-12
-            assert r.c1.real >= 0
-            for before, after in zip(p.as_tuple(), r.as_tuple()):
-                assert abs(abs(before) - abs(after)) < 1e-12
-
-    def test_zero_first_coefficient_untouched(self):
-        p = PCoefficients(0, 1j, -1)
-        assert rotate_to_real(p) is p
+    x, z = rx * cmath.exp(1j * tx), rz * cmath.exp(1j * tz)
+    check_disk_params(c, x, z)
+    assert coeff_excess(c, *disk_coeffs(c, x, z)) <= COEFF_BOUND_TOL
 
 
 class TestXRecovery:
     def test_herglotz_samples_land_in_disk(self):
-        # surjectivity at the (c1, c2) level: every rotated class sample
-        # admits an |x| <= 1 reproducing its second coefficient
-        packed = coeffs_from_herglotz(herglotz_draws(1000, 14), 3)
-        for row in packed:
-            p = rotate_to_real(PCoefficients(*row.tolist()))
-            c1 = p.c1.real
-            x = x_from_c2(c1, p.c2)
-            assert abs(x) <= 1 + 1e-9
-            gap = 4.0 - c1 * c1
-            residual = abs(2 * p.c2 - c1 * c1 - x * gap)
-            assert residual <= (1e-12 if gap > 1e-5 else 2e-5)
+        # surjectivity at the (c1, c2) level: rotated by e^{-i k arg c1}, so
+        # that c1 is real and >= 0, every class sample has x = (2 c2 - c1^2) /
+        # (4 - c1^2) in the disk; near c1 = 2 only |2 c2 - c1^2| is small
+        coeffs = coeffs_from_herglotz(herglotz_draws(1000, 14), 3)
+        rotation = np.exp(-1j * np.angle(coeffs[:, :1]))
+        c1, c2 = (coeffs[:, :2] * rotation ** np.arange(1, 3)).T
+        assert np.all(np.abs(c1.imag) <= 1e-12) and np.all(c1.real >= -1e-12)
+        c1 = c1.real
+        gap = 4.0 - c1 * c1
+        slack = np.where(gap >= 1e-5, (1 + 1e-9) * gap, 2e-5)
+        assert np.all(np.abs(2 * c2 - c1 * c1) <= slack)
 
     def test_round_trip_from_params(self):
-        for params in row_params(*disk_draws(500, 15)):
-            p = coeffs_from_disk_params(params)
-            if 4 - params.c**2 <= 1e-5:
-                continue
-            assert abs(x_from_c2(params.c, p.c2) - params.x) < 1e-9
+        c, x, z = disk_draws(500, 15)
+        c2, _ = disk_coeffs(c, x, z)
+        gap = 4.0 - c * c
+        keep = gap > 1e-5
+        recovered = (2 * c2[keep] - c[keep] ** 2) / gap[keep]
+        assert np.all(np.abs(recovered - x[keep]) < 1e-9)
 
-    @pytest.mark.parametrize("c1", [3.0, -2.5, -1.0, math.nan])
+    @pytest.mark.parametrize("c1", [-1.0, -2.5, 3.0, math.nan])
     def test_c1_outside_its_range_raises(self, c1):
-        with pytest.raises(DomainError, match=r"c1 must lie in \[0, 2\]"):
-            x_from_c2(c1, 1)
+        with pytest.raises(ConstraintViolation, match=r"c must lie in \[0, 2\]"):
+            check_disk_params(c1, 0j, 0j)
+        with pytest.raises(ConstraintViolation, match=r"c must lie in \[0, 2\]"):
+            check_disk_params(np.array([1.0, c1]), np.zeros(2), np.zeros(2))
 
     def test_c1_endpoints_take_the_domain_slack(self):
-        assert x_from_c2(-1e-13, 1) == 0.5
-        assert x_from_c2(2.0 + 1e-13, 1) == 0j
+        check_disk_params(-1e-13, 1 + 0j, 0j)
+        check_disk_params(2.0 + 1e-13, 0j, 1j)
+        for c1 in (-2e-12, 2.0 + 2e-12):
+            with pytest.raises(ConstraintViolation):
+                check_disk_params(c1, 0j, 0j)
+        # just past c1 = 2 the 4 - c1^2 factors are still ~0, so c2 = c3 = 2
+        c2, c3 = disk_coeffs(2.0 + 1e-13, 1 + 0j, 1j)
+        assert abs(c2 - 2) < 1e-12 and abs(c3 - 2) < 1e-12
 
 
 def reference_disk_params(samples, seed, boundary_fraction=0.0):

@@ -1,7 +1,10 @@
+import importlib.util
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,13 +49,17 @@ class TestVerify:
         assert code == 2
         assert "beta" in err
 
-    def test_strict_flag_accepted(self, capsys):
+    def test_every_check_is_a_hard_check(self, capsys):
+        # no check only warns, so there is no flag to escalate warnings
         code, out, _ = run_cli(
-            capsys, "verify", "--family", "starlike", "--beta", "0.3",
-            "--strict", "--trials", "10", "--samples", "200",
+            capsys, "verify", "--family", "both", "--beta", "0.3",
+            "--trials", "10", "--samples", "200",
         )
         assert code == 0
-        assert "WARN" not in out
+        statuses = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+        assert statuses == {"PASS"}
+        assert out.count("PASS growth_inequality ") == out.count("PASS growth_factorization ") == 2
+        assert main(["verify", "--strict"]) == 2
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"
@@ -591,3 +598,43 @@ class TestValidationMessages:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+def load_benchmark_workloads():
+    """`perfbench/workloads.py`, loaded by path, read only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    """The benchmark's property checks accept real output of this package.
+
+    They import from the package (the search check re-evaluates each argmax
+    with `h22_from_params`), so a deletion that breaks them fails here.
+    """
+
+    workloads = load_benchmark_workloads()
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("leg", workloads.SEARCH_LEGS)
+    def test_search_legs(self, capsys, leg, constrained):
+        family, beta = leg
+        samples = 20_000
+        argv = ["search", "--family", family, "--beta", beta,
+                "--samples", str(samples), "--seed", "3"]
+        if constrained:
+            argv.append("--constrain-sum")
+        code, out, _ = run_cli(capsys, *argv)
+        check = self.workloads._check_search(family, float(beta), samples, constrained)
+        assert check(code, out) == ([], samples)
+
+    def test_verify_suite(self, capsys):
+        invocation, = self.workloads.verify_suite(0).invocations
+        code, out, _ = run_cli(capsys, *invocation.argv)
+        problems, checks = invocation.check(code, out)
+        assert problems == []
+        assert checks == out.count("  PASS ") > 0

@@ -1,31 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bihankel import functionals
-from bihankel.caratheodory import PCoefficients, coeffs_from_disk_params, DiskParams
-from bihankel.errors import (
-    ConstraintViolation,
-    DomainError,
-    InsufficientCoefficients,
-)
+from bihankel.caratheodory import disk_coeffs
+from bihankel.errors import DomainError
 from bihankel.functionals import (
     BiCoefficients,
     FamilyId,
     Order,
-    fekete_szego,
-    hankel_2_2,
-    hankel_matrix_det,
+    bi_coeffs,
     check_beta,
-    reconstruct,
     series_residual,
     verify_coefficient_system,
 )
-from bihankel.optimizer import inverse_side_coeffs
+from bihankel.optimizer import h22_from_params
 
-P_EXTREME = PCoefficients(2, 2, 2)
-Q_EXTREME = PCoefficients(-2, 2, -2)
+
+def class_pair_coeffs(family, beta, c, x, y, z, w):
+    """(a2, a3, a4) of the pair with (c2, c3) from (c, x, z) and (d2, d3)
+    from (c, y, w) at d1 = -c, where d3 = -e3 for (d2, e3) = disk_coeffs(c, y, -w)."""
+    c2, c3 = disk_coeffs(c, x, z)
+    d2, e3 = disk_coeffs(c, y, -w)
+    return bi_coeffs(family, 1.0 - beta, complex(c), c2 - d2, c3 + e3)
 
 
 class TestOrder:
@@ -138,91 +134,38 @@ class TestSeriesResidual:
 
 
 class TestReconstruct:
+    # c = 2 pins (c1, c2, c3) = (2, 2, 2) and (d1, d2, d3) = (-2, 2, -2) for
+    # every x, y, z, w: the extreme pair
+    EXTREME = (2.0, 0.5 + 0.1j, -0.3j, 1j, 0.2 + 0j)
+
     def test_starlike_extreme_pair(self):
-        a = reconstruct(FamilyId.STARLIKE, Order(0.0), P_EXTREME, Q_EXTREME)
-        assert a.as_tuple() == (2, 4, 6)
+        assert class_pair_coeffs(FamilyId.STARLIKE, 0.0, *self.EXTREME) == (2, 4, 6)
 
     def test_convex_extreme_pair(self):
-        a = reconstruct(FamilyId.CONVEX, Order(0.0), P_EXTREME, Q_EXTREME)
-        assert a.as_tuple() == (1, 1, 1)
+        assert class_pair_coeffs(FamilyId.CONVEX, 0.0, *self.EXTREME) == (1, 1, 1)
 
     def test_zero_pair_gives_zero(self):
-        zero = PCoefficients(0, 0, 0)
         for family in FamilyId:
-            a = reconstruct(family, Order(0.3), zero, zero)
-            assert a.as_tuple() == (0, 0, 0)
-
-    def test_coupling_violation_raises(self):
-        with pytest.raises(ConstraintViolation):
-            reconstruct(FamilyId.STARLIKE, Order(0.0), P_EXTREME, P_EXTREME)
+            assert bi_coeffs(family, 0.7, 0j, 0j, 0j) == (0, 0, 0)
 
     def test_a2_scales_linearly_in_one_minus_beta(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             c = rng.uniform(0, 2)
-            p = coeffs_from_disk_params(
-                DiskParams(c, complex(*rng.uniform(-0.7, 0.7, 2)),
-                           complex(*rng.uniform(-0.7, 0.7, 2)))
-            )
-            q = inverse_side_coeffs(c, complex(*rng.uniform(-0.7, 0.7, 2)),
-                                    complex(*rng.uniform(-0.7, 0.7, 2)))
+            x, z, y, w = (complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(4))
             for family in FamilyId:
-                base = reconstruct(family, Order(0.2), p, q)
-                other = reconstruct(family, Order(0.6), p, q)
-                expected = base.a2 * (1 - 0.6) / (1 - 0.2)
-                assert abs(other.a2 - expected) < 1e-13
+                base = class_pair_coeffs(family, 0.2, c, x, y, z, w)[0]
+                other = class_pair_coeffs(family, 0.6, c, x, y, z, w)[0]
+                expected = base * (1 - 0.6) / (1 - 0.2)
+                assert abs(other - expected) < 1e-13
 
 
 class TestHankelFunctionals:
     def test_h22_examples(self):
-        assert hankel_2_2(BiCoefficients(2, 4, 6)) == -4
-        assert hankel_2_2(BiCoefficients(1, 1, 1)) == 0
-        a3 = 0.7 + 0.2j
-        assert hankel_2_2(BiCoefficients(0, a3, 5)) == -(a3**2)
-
-    def test_fekete_szego_examples(self):
-        assert fekete_szego(BiCoefficients(2, 4, 0), 1.0) == 0
-        assert fekete_szego(BiCoefficients(9, 3 + 1j, 0), 0.0) == 3 + 1j
-        assert fekete_szego(BiCoefficients(1, 1, 0), 2.0) == -1
-
-    def test_matrix_det_1x1(self):
-        assert hankel_matrix_det([1, 5, 7], n=2, q=1) == 5
-
-    def test_matrix_det_is_fekete_szego_at_n1(self):
-        a2, a3 = 1.5 - 0.5j, 2.25j
-        det = hankel_matrix_det([1, a2, a3], n=1, q=2)
-        assert abs(det - (a3 - a2**2)) < 1e-15
-
-    def test_matrix_det_matches_h22(self):
-        assert hankel_matrix_det([1, 2, 4, 6], n=2, q=2) == -4
-
-    def test_matrix_det_3x3_against_numpy(self):
-        rng = np.random.default_rng(22)
-        for _ in range(25):
-            coeffs = rng.uniform(-2, 2, 7) + 1j * rng.uniform(-2, 2, 7)
-            coeffs[0] = 1.0
-            det = hankel_matrix_det(coeffs, n=1, q=3)
-            matrix = [[coeffs[i + j] for j in range(3)] for i in range(3)]
-            assert abs(det - np.linalg.det(np.array(matrix))) < 1e-12
-
-    def test_matrix_det_errors(self):
-        with pytest.raises(InsufficientCoefficients):
-            hankel_matrix_det([1, 2, 3], n=2, q=2)
-        with pytest.raises(DomainError):
-            hankel_matrix_det([1] * 12, n=1, q=4)
-        with pytest.raises(DomainError):
-            hankel_matrix_det([1, 2, 3], n=0, q=1)
-
-
-@settings(max_examples=100, derandomize=True)
-@given(
-    re=st.tuples(*(st.floats(-3, 3) for _ in range(3))),
-    im=st.tuples(*(st.floats(-3, 3) for _ in range(3))),
-)
-def test_matrix_det_2x2_equals_h22(re, im):
-    a = BiCoefficients(*(complex(r, i) for r, i in zip(re, im)))
-    det = hankel_matrix_det([1, a.a2, a.a3, a.a4], n=2, q=2)
-    assert det == hankel_2_2(a)
+        # a2 a4 - a3^2 of the extreme pairs: 2 * 6 - 4^2 and 1 * 1 - 1^2
+        extreme = TestReconstruct.EXTREME
+        assert h22_from_params(FamilyId.STARLIKE, Order(0.0), *extreme) == -4
+        assert h22_from_params(FamilyId.CONVEX, Order(0.0), *extreme) == 0
 
 
 class TestVerifyCoefficientSystem:
@@ -275,8 +218,6 @@ class TestVerifyCoefficientSystem:
             x, z, y, w = (
                 complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(4)
             )
-            p = coeffs_from_disk_params(DiskParams(c, x, z))
-            q = inverse_side_coeffs(c, y, w)
             order = Order(rng.uniform(0, 0.95))
-            a = reconstruct(family, order, p, q)
+            a = BiCoefficients(*class_pair_coeffs(family, order.beta, c, x, y, z, w))
             assert verify_coefficient_system(family, order, a).max_residual <= 1e-11

@@ -10,9 +10,15 @@ from bihankel.bounds import h22_bound, quartic_profile, surrogate_terms, thresho
 from bihankel import caratheodory as car
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
-from bihankel.caratheodory import disk_coeffs, unit_circle_samples, unit_disk_samples
-from bihankel.errors import DomainError
-from bihankel.functionals import FamilyId, Order
+from bihankel.caratheodory import (
+    check_disk_params,
+    disk_coeffs,
+    disk_param_blocks,
+    unit_circle_samples,
+    unit_disk_samples,
+)
+from bihankel.errors import ConstraintViolation, DomainError
+from bihankel.functionals import FamilyId, Order, bi_coeffs
 from bihankel.optimizer import (
     _linspace,
     CUBE_SCHEDULE,
@@ -20,7 +26,6 @@ from bihankel.optimizer import (
     SearchResult,
     empirical_max_h22,
     h22_from_params,
-    inverse_side_coeffs,
     maximize_1d,
     maximize_surrogate,
     h22_batch,
@@ -301,6 +306,17 @@ class TestEmpiricalSearch:
         assert abs(value - (-4)) < 1e-14
         assert abs(value) <= 20 / 3
 
+    def test_inverse_side_first_coefficient(self):
+        # the inverse side's triple (d1, d2, d3) = (-c, d2, -e3) from
+        # disk_coeffs(c, y, -w) is the disk parametrization at c1 = -c
+        d2, e3 = disk_coeffs(1.2, 0.3 + 0.1j, -0.2j)
+        assert disk_coeffs(-1.2, 0.3 + 0.1j, 0.2j) == (d2, -e3)
+        for c, _, y, _, w in disk_param_blocks(3000, 7, 0.25):
+            d2, e3 = disk_coeffs(c, y, -w)
+            m2, m3 = disk_coeffs(-c, y, w)
+            assert np.array_equal(m2, d2)
+            assert np.max(np.abs(m3 + e3)) <= 1e-14
+
     def test_batch_matches_scalar_route(self):
         rng = np.random.default_rng(51)
         n = 200
@@ -318,10 +334,6 @@ class TestEmpiricalSearch:
                         )
                     )
                     assert abs(batch[i] - scalar) < 1e-14
-
-    def test_inverse_side_first_coefficient(self):
-        q = inverse_side_coeffs(1.2, 0.3 + 0.1j, -0.2j)
-        assert q.c1 == -1.2
 
     @pytest.mark.parametrize("family", list(FamilyId))
     @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -591,7 +603,9 @@ class TestMergedFormulasMatchReferences:
             d2 = (c * c + y * gap) / 2.0
             d3 = (-(c**3) - 2.0 * gap * c * y + c * gap * y * y
                   + 2.0 * gap * (1.0 - abs(y) ** 2) * w) / 4.0
-            assert inverse_side_coeffs(c, y, w).as_tuple() == (complex(-c), d2, d3)
+            # the inverse side of `h22_from_params`: d3 = -e3, negating w
+            got_d2, e3 = disk_coeffs(c, y, -w)
+            assert (got_d2, -e3) == (d2, d3)
 
     def test_scalar_and_array_kernel_agree(self):
         rng = np.random.default_rng(12)
@@ -715,3 +729,56 @@ class TestH22Terms:
             scalar = h22_from_params(family, Order(beta), float(c[i]), complex(x[i]),
                                      complex(y[i]), complex(z[i]), complex(w[i]))
             assert abs(h[i] - scalar) < 1e-14
+
+
+def object_route_h22(family, order, c, x, y, z, w):
+    """`h22_from_params` as the coefficient objects computed it, inlined.
+
+    (c1, c2, c3) = (c, disk_coeffs(c, x, z)) after the domain check,
+    (d1, d2, d3) = (-c, d2, -e3) for (d2, e3) = disk_coeffs(c, y, -w),
+    (a2, a3, a4) from `bi_coeffs` on the complex differences, and
+    a2 a4 - a3^2 on their complex values.
+    """
+    check_disk_params(c, x, z)
+    c2, c3 = disk_coeffs(c, x, z)
+    p = (complex(c), c2, c3)
+    d2, e3 = disk_coeffs(c, y, -w)
+    q = (complex(-c), d2, -e3)
+    a2, a3, a4 = (complex(v) for v in bi_coeffs(
+        family, 1.0 - order.beta, complex(p[0]),
+        complex(p[1]) - complex(q[1]), complex(p[2]) - complex(q[2]),
+    ))
+    return a2 * a4 - a3 ** 2
+
+
+def bits(value):
+    """The two doubles of a complex number, signed zeros told apart."""
+    return value.real.hex(), value.imag.hex()
+
+
+class TestH22FromParamsPinned:
+    """The benchmark re-evaluates each `search` argmax with `h22_from_params`,
+    so its value is pinned bit for bit to the object route it replaced."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_bit_identical_to_the_object_route(self, family, beta):
+        order = Order(beta)
+        blocks = list(disk_param_blocks(3000, 7, 0.25))
+        # the corners of the domain: c = 0 and 2, x and y on the circle
+        blocks.append((np.array([0.0, 2.0, 2.0, 0.0]), np.array([1, 1j, 0, -1 + 0j]),
+                       np.array([-1j, 1, 0, 1 + 0j]), np.array([0j, 1, -1j, 0.5]),
+                       np.array([1j, 0, 1, -0.5 + 0j])))
+        count = 0
+        for draws in blocks:
+            for c, x, y, z, w in zip(*draws):
+                args = (float(c), complex(x), complex(y), complex(z), complex(w))
+                got = h22_from_params(family, order, *args)
+                assert type(got) is complex
+                assert bits(got) == bits(object_route_h22(family, order, *args))
+                count += 1
+        assert count == 3004
+
+    def test_checks_the_direct_disk_params(self):
+        with pytest.raises(ConstraintViolation, match=r"\|z\| must be <= 1"):
+            h22_from_params(FamilyId.STARLIKE, Order(0.0), 1.0, 0j, 0j, 1.5 + 0j, 0j)

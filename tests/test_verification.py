@@ -1,3 +1,4 @@
+import cmath
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,9 @@ from bihankel import caratheodory as car
 from bihankel import functionals
 from bihankel import verification as vf
 from bihankel.caratheodory import (
-    DiskParams,
-    HerglotzMeasure,
-    coeffs_from_disk_params,
+    disk_coeffs,
     disk_param_blocks,
     herglotz_blocks,
-    p_coefficients_from_herglotz,
     unit_disk_samples,
 )
 from bihankel.errors import ConstraintViolation, DomainError
@@ -25,7 +23,7 @@ BETAS = (0.0, 0.3, 0.7)
 
 
 # numpy rounds complex products, powers and moduli apart from CPython by an
-# ulp, so the array coefficient checks match the per-object loops to a few
+# ulp, so the array coefficient checks match the per-draw loops to a few
 # ulps of the largest |c_k| (near 2), not bit for bit.
 COEFF_ULPS = 4 * np.finfo(float).eps
 # The batched series algebra matches the scalar one coefficient by
@@ -35,7 +33,7 @@ SERIES_COEFF_REL = 1e-13
 
 
 # reference loops: the spot checks as run_checks computed them inline, per
-# beta, one Python object per draw, on the same draws taken in one batch
+# beta, with Python scalars per draw, on the same draws taken in one batch
 # straight from the spawned streams
 
 def reference_series_draws(trials, seed):
@@ -69,26 +67,27 @@ def spawned(seed, count):
 
 
 def reference_disk_param_max(spot_samples, seed):
-    """Largest |c_k| over one `DiskParams` per draw."""
+    """Largest |c_k| over the draws, `disk_coeffs` on Python scalars per draw."""
     c_rng, x_rng, _, z_rng, _ = spawned(seed + 2, 5)
     c = c_rng.uniform(0.0, 2.0, spot_samples)
     x, z = unit_disk_samples(x_rng, spot_samples), unit_disk_samples(z_rng, spot_samples)
-    params = [DiskParams(float(ci), complex(xi), complex(zi)) for ci, xi, zi in zip(c, x, z)]
-    return max(max(abs(c) for c in coeffs_from_disk_params(p).as_tuple()) for p in params)
+    return max(
+        max(abs(ci), *(abs(v) for v in disk_coeffs(ci, xi, zi)))
+        for ci, xi, zi in zip(c.tolist(), x.tolist(), z.tolist())
+    )
 
 
 def reference_herglotz_max(spot_samples, seed):
-    """Largest |c_k| over one `HerglotzMeasure` per draw."""
+    """Largest |c_k| over the measures, c_k = 2 sum_j w_j e^{i k t_j} in cmath."""
     n_rng, w_rng, t_rng = spawned(seed + 3, 3)
-    measures = []
+    largest = 0.0
     for n in n_rng.integers(1, 7, spot_samples):
         weights = w_rng.uniform(0.1, 1.0, 6)[:n]
         angles = t_rng.uniform(0.0, 2 * np.pi, 6)[:n]
-        measures.append(HerglotzMeasure(tuple(zip((weights / weights.sum()).tolist(),
-                                                  angles.tolist()))))
-    return max(
-        max(abs(c) for c in p_coefficients_from_herglotz(m).as_tuple()) for m in measures
-    )
+        atoms = list(zip((weights / weights.sum()).tolist(), angles.tolist()))
+        for k in (1, 2, 3):
+            largest = max(largest, abs(2.0 * sum(w * cmath.exp(1j * k * t) for w, t in atoms)))
+    return largest
 
 
 def check_coeff_excess(got, reference_max):
@@ -187,14 +186,6 @@ class TestSpotCheckMemo:
 
 
 class TestArraySpotChecks:
-    def test_no_per_draw_objects(self, monkeypatch):
-        built = []
-        for cls in (DiskParams, HerglotzMeasure):
-            monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
-        for family in FamilyId:
-            vf.run_checks(family, 0.3, seed=3, trials=20, spot_samples=200)
-        assert built == []
-
     @pytest.mark.parametrize("chunk", [7, 1 << 14])
     def test_disk_check_validates_the_draws(self, chunk, monkeypatch):
         monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk)
@@ -308,4 +299,59 @@ class TestFsBranchContinuity:
         checks = vf.run_checks(family, 0.3, trials=1, spot_samples=1)
         check, = (c for c in checks if c.name == "fs_branch_continuity")
         assert not check.passed and check.value > 1e-3
+        assert not vf.all_passed(checks)
+
+
+class TestGrowthInequality:
+    """`growth_inequality` is proved, so it is a hard check like the others."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_factorization_follows_the_inequality(self, family):
+        # 25 betas by the 401 c-points of the check; the residual is rounding
+        for beta in np.linspace(0.0, 0.999, 25):
+            checks = vf.run_checks(family, beta, trials=1, spot_samples=1)
+            names = [c.name for c in checks]
+            i = names.index("growth_inequality")
+            assert names[i + 1] == "growth_factorization"
+            assert checks[i].passed and checks[i + 1].passed
+            assert 0.0 <= checks[i + 1].value <= 1e-15
+
+    def test_proof_in_exact_arithmetic(self):
+        # the terms as `starlike_surrogate_terms` and `convex_surrogate_terms`
+        # state them; the factored forms and discriminants of `run_checks`
+        sp = pytest.importorskip("sympy")
+        c, b = sp.symbols("c b")
+        w2, gap = (1 - b) ** 2, 4 - c * c
+        cases = {
+            FamilyId.STARLIKE: (
+                (w2 / 48 * c * c * gap * (7 - 3 * b), w2 / 24 * c * gap * (c - 2),
+                 w2 / 64 * gap**2),
+                (19 - 6 * b) * c * c - 16 * c + 12, 96, 288 * b - 656,
+            ),
+            FamilyId.CONVEX: (
+                (w2 / 192 * c * c * gap * (3 - b), w2 / 192 * c * gap * (c - 2),
+                 w2 / 576 * gap**2),
+                (13 - 3 * b) * c * c - 12 * c + 8, 576, 96 * b - 272,
+            ),
+        }
+        for family, ((t2, t3, t4), quadratic, denominator, discriminant) in cases.items():
+            assert sp.expand(t2 + 2 * (t3 + t4) - w2 * gap * quadratic / denominator) == 0
+            assert sp.expand(sp.discriminant(quadratic, c) - discriminant) == 0
+            # the symbolic terms are the ones the package evaluates
+            for cv, bv in ((0.3, 0.1), (1.7, 0.8)):
+                _, *got = bd.surrogate_terms(family, cv, bv)
+                for term, value in zip((t2, t3, t4), got):
+                    assert float(term.subs({c: cv, b: bv})) == pytest.approx(value, rel=1e-14)
+
+    def test_a_violation_fails_verify(self, monkeypatch):
+        true_terms = bd.surrogate_terms
+
+        def short_t2(family, c, beta):
+            t1, t2, t3, t4 = true_terms(family, c, beta)
+            return t1, t2 - 1.0, t3, t4
+
+        monkeypatch.setattr(bd, "surrogate_terms", short_t2)
+        checks = vf.run_checks(FamilyId.STARLIKE, 0.3, trials=1, spot_samples=1)
+        check, = (c for c in checks if c.name == "growth_inequality")
+        assert not check.passed and check.value > 0.5
         assert not vf.all_passed(checks)

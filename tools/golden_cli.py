@@ -30,7 +30,6 @@ from pathlib import Path
 COMMANDS = (
     "verify --family both --beta 0 --beta 0.3 --beta 0.7 --trials 200 --samples 4000 --seed 0",
     "verify",
-    "verify --family starlike --beta 0.3 --strict",
     "verify --family convex --beta 0.95 --beta 0.5 --seed 11 --trials 30 --samples 300",
     # block edges of the streamed spot checks: one sample past a block, and
     # a single sample
