@@ -159,15 +159,14 @@ class QuarticProfile:
     def terms(self, c):
         return surrogate_terms(self.family, c, self.beta)
 
-    def value(self, c, out=None):
-        """alpha4 c2 c2 + alpha2 c2 + alpha0, summed in place on arrays; with
-        `out=(scratch, result)` c2 goes to scratch and Q to result, returned."""
+    def value(self, c):
+        """alpha4 c2 c2 + alpha2 c2 + alpha0 with c2 = c c, summed in place
+        on arrays."""
         _check_c(c)
-        scratch, result = (None, None) if out is None else out
-        c2 = np.multiply(c, c, out=scratch)
-        q = np.multiply(self.alpha4, c2, out=result)
+        c2 = c * c
+        q = self.alpha4 * c2
         q *= c2
-        q += np.multiply(self.alpha2, c2, out=scratch)
+        q += self.alpha2 * c2
         q += self.alpha0
         return q
 
@@ -220,6 +219,23 @@ def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
     )
 
 
+def _lead(family: FamilyId, beta):
+    """c^4 coefficient of the bracketed quartic: 16 b^2 - 26 b + 5 (starlike)
+    or 3 b^2 - 3 b - 4 (convex)."""
+    if family is FamilyId.STARLIKE:
+        return 16.0 * beta * beta - 26.0 * beta + 5.0
+    return 3.0 * beta * beta - 3.0 * beta - 4.0
+
+
+def _stationary_c(family: FamilyId, beta, lead):
+    """sqrt(-12 (2 - b) / lead) (starlike) or sqrt(2 (3 b - 8) / lead)
+    (convex); NaN where there is no interior stationary point."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if family is FamilyId.STARLIKE:
+            return np.sqrt(-12.0 * (2.0 - beta) / lead)
+        return np.sqrt(2.0 * (3.0 * beta - 8.0) / lead)
+
+
 def critical_point(family: FamilyId, beta: float) -> float | None:
     """Interior stationary point of Q, when the quartic has one.
 
@@ -229,49 +245,54 @@ def critical_point(family: FamilyId, beta: float) -> float | None:
               is negative throughout [0, 1), and the value never exceeds 2.
     """
     beta = check_beta(beta)
-    if family is FamilyId.STARLIKE:
-        lead = 16.0 * beta * beta - 26.0 * beta + 5.0
-        if lead >= 0.0:
-            return None
-        return math.sqrt(-12.0 * (2.0 - beta) / lead)
-    lead = 3.0 * beta * beta - 3.0 * beta - 4.0
-    return math.sqrt(2.0 * (3.0 * beta - 8.0) / lead)
+    lead = _lead(family, beta)
+    if family is FamilyId.STARLIKE and lead >= 0.0:
+        return None
+    return float(_stationary_c(family, beta, lead))
 
 
-def starlike_h22_bound(beta: float) -> BoundResult:
+def _bound_result(family: FamilyId, beta, bound, on_c2, critical_c) -> BoundResult:
+    """Floats for a float beta; for a beta array, arrays over the betas (the
+    branch an object array of `Branch`)."""
+    branch = np.where(on_c2, Branch.BOUNDARY_C2, Branch.INTERIOR_CRITICAL)
+    if np.ndim(beta):
+        return BoundResult(family, beta, bound, branch, critical_c)
+    return BoundResult(family, beta, float(bound), branch.item(), float(critical_c))
+
+
+def starlike_h22_bound(beta) -> BoundResult:
     """max over [0, 2] of the starlike quartic, in closed form.
 
     Up to and including the branch split the quartic is nondecreasing and
     the maximum sits on the boundary c = 2; past it the interior critical
-    point takes over.  Both branches agree at the split.
+    point takes over.  Both branches agree at the split.  A 1-d beta array
+    gives arrays, each entry bit for bit the float beta's result.
     """
     beta = check_beta(beta)
-    w2 = (1.0 - beta) ** 2
-    if beta <= thresholds().branch_split:
-        bound = 4.0 * w2 * (4.0 * beta * beta - 8.0 * beta + 5.0) / 3.0
-        return BoundResult(FamilyId.STARLIKE, beta, bound, Branch.BOUNDARY_C2, 2.0)
-    lead = 16.0 * beta * beta - 26.0 * beta + 5.0
-    bound = w2 * (13.0 * beta * beta - 14.0 * beta - 7.0) / lead
-    c_star = critical_point(FamilyId.STARLIKE, beta)
-    assert c_star is not None
-    return BoundResult(
-        FamilyId.STARLIKE, beta, bound, Branch.INTERIOR_CRITICAL, c_star
-    )
+    b = np.asarray(beta)
+    w2 = np.float_power(1.0 - b, 2)
+    on_c2 = b <= thresholds().branch_split
+    lead = _lead(FamilyId.STARLIKE, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(on_c2, 4.0 * w2 * (4.0 * b * b - 8.0 * b + 5.0) / 3.0,
+                         w2 * (13.0 * b * b - 14.0 * b - 7.0) / lead)
+    critical_c = np.where(on_c2, 2.0, _stationary_c(FamilyId.STARLIKE, b, lead))
+    return _bound_result(FamilyId.STARLIKE, beta, bound, on_c2, critical_c)
 
 
-def convex_h22_bound(beta: float) -> BoundResult:
-    """max over [0, 2] of the convex quartic; the critical point always wins."""
+def convex_h22_bound(beta) -> BoundResult:
+    """max over [0, 2] of the convex quartic; the critical point always wins.
+    A 1-d beta array gives arrays, as for `starlike_h22_bound`."""
     beta = check_beta(beta)
-    w2 = (1.0 - beta) ** 2
-    lead = 3.0 * beta * beta - 3.0 * beta - 4.0
-    bound = w2 / 24.0 * (5.0 * beta * beta + 8.0 * beta - 32.0) / lead
-    c_star = critical_point(FamilyId.CONVEX, beta)
-    return BoundResult(
-        FamilyId.CONVEX, beta, bound, Branch.INTERIOR_CRITICAL, c_star
-    )
+    b = np.asarray(beta)
+    w2 = np.float_power(1.0 - b, 2)
+    lead = _lead(FamilyId.CONVEX, b)
+    bound = w2 / 24.0 * (5.0 * b * b + 8.0 * b - 32.0) / lead
+    critical_c = _stationary_c(FamilyId.CONVEX, b, lead)
+    return _bound_result(FamilyId.CONVEX, beta, bound, np.zeros(b.shape, bool), critical_c)
 
 
-def h22_bound(family: FamilyId, beta: float) -> BoundResult:
+def h22_bound(family: FamilyId, beta) -> BoundResult:
     if family is FamilyId.STARLIKE:
         return starlike_h22_bound(beta)
     return convex_h22_bound(beta)

@@ -29,12 +29,13 @@ from .functionals import FamilyId, series_residual
 DERIVE_TOL = 1e-10
 # per family; keeps a tiny --step from building an unbounded table
 MAX_TABLE_ROWS = 10**6
-# table rows per maximize_1d call, which allocates one (3, rows, 2001) block
-# of buffers and reuses it in every round.  Scan CPU time on the table-sweep
-# grid (2-vCPU Xeon, median of 7): 0.55 s at 4 rows, 0.45 s at 8, 0.37 s at
-# 16, 0.34 s at 32, 0.35 s at 64; past 16 the gain is within noise while
-# the 750 KiB block doubles.
-TABLE_BLOCK_ROWS = 16
+# table rows per `quartic_grid_max` call.  Scan time of both families on
+# the table-sweep grid (2-vCPU Xeon, median of 7): 0.128 s at 16 rows,
+# 0.038 s at 64, 0.016 s at 256, 0.010 s at 1024.  A block's band rounds
+# hold (rows, 17) arrays, about 0.25 MiB of temporaries in all at 256 rows;
+# rows that fail the band's certificate are rescanned on (rows, 2001)
+# arrays, about 20 MiB if all 256 fail (none did on the betas tested).
+TABLE_BLOCK_ROWS = 256
 # caps on requested work.  `search`, the sampled spot checks of `verify` and
 # the series oracle of `verify` and `derive` all stream, so their memory
 # stays flat and the caps bound run time (10^8 search samples take about
@@ -229,7 +230,7 @@ def _grid_maxima(family: FamilyId, betas: list[float]) -> list[float]:
     maxima: list[float] = []
     for start in range(0, len(betas), TABLE_BLOCK_ROWS):
         block = bd.quartic_profile(family, betas[start:start + TABLE_BLOCK_ROWS])
-        maxima += opt.maximize_1d(block.value, (0.0, 2.0)).max_value.tolist()
+        maxima += opt.quartic_grid_max(block).max_value.tolist()
     return maxima
 
 
@@ -237,24 +238,25 @@ def cmd_table(args) -> int:
     betas = _beta_grid(*args.beta_range, args.step)
     _check_output(args.output)
     families = _families(args.family)
-    maxima = {family: _grid_maxima(family, betas) for family in families}
-
-    rows = []
-    for k, beta in enumerate(betas):
-        for family in families:
-            result = bd.h22_bound(family, beta)
-            grid_max = maxima[family][k]
-            rows.append(
-                {
-                    "beta": beta,
-                    "family": family.value,
-                    "bound": result.bound,
-                    "branch": result.branch.value,
-                    "critical_c": result.critical_c,
-                    "grid_max": grid_max,
-                    "abs_err": abs(grid_max - result.bound),
-                }
-            )
+    per_family = []
+    for family in families:
+        grid_max = np.array(_grid_maxima(family, betas))
+        result = bd.h22_bound(family, betas)
+        per_family.append([
+            {
+                "beta": beta,
+                "family": family.value,
+                "bound": bound,
+                "branch": branch.value,
+                "critical_c": critical_c,
+                "grid_max": grid,
+                "abs_err": abs_err,
+            }
+            for beta, bound, branch, critical_c, grid, abs_err in zip(
+                betas, result.bound.tolist(), result.branch, result.critical_c.tolist(),
+                grid_max.tolist(), np.abs(grid_max - result.bound).tolist())
+        ])
+    rows = [row for same_beta in zip(*per_family) for row in same_beta]
 
     if args.format == "csv":
         lines = ["beta,family,bound,branch,critical_c,grid_max,abs_err"]

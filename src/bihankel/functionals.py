@@ -44,9 +44,16 @@ class FamilyId(enum.Enum):
 
 
 def check_beta(beta):
-    """Validate beta (or each of a 1-d array) in [0, 1); never clamps."""
+    """Validate beta (or each of a 1-d array) in [0, 1); never clamps.
+
+    An array is checked in one pass and reported by its first bad entry.
+    """
     if np.ndim(beta) == 1:
-        return np.array([check_beta(b) for b in beta])
+        betas = np.array(beta, dtype=float)
+        bad = np.flatnonzero(~((betas >= 0.0) & (betas < 1.0)))
+        if bad.size:
+            check_beta(betas[bad[0]])
+        return betas
     beta = float(beta)
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")

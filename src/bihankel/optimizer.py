@@ -19,7 +19,7 @@ assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +34,16 @@ from .functionals import FamilyId, Order, bi_coeffs
 # run on one fixed schedule.
 LINE_SCHEDULE = (2001, 3, 0.1)
 CUBE_SCHEDULE = (61, 5, 0.2)
+# `quartic_grid_max` scans 2 QUARTIC_BAND + 1 of a round's LINE_SCHEDULE
+# points, centred on the quartic's predicted peak
+QUARTIC_BAND = 8
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """Best value seen, where it was seen, and how much work it took.
 
-    A row-stacked `maximize_1d` reports arrays over the rows.
+    `quartic_grid_max` reports arrays over the rows.
     """
 
     max_value: float
@@ -49,28 +52,22 @@ class SearchResult:
     seed: int = 0
 
 
-def _evaluate(objective, xs: np.ndarray, **out) -> np.ndarray:
-    """Call the objective on the array; a scalar result is broadcast."""
-    ys = np.asarray(objective(xs, **out), dtype=float)
-    if ys.shape != xs.shape:
-        ys = np.broadcast_to(ys, xs.shape)
-    return ys
-
-
 def _window(center: float, half: float, lo: float, hi: float) -> tuple[float, float]:
     return max(lo, center - half), min(hi, center + half)
 
 
-def _linspace(lo, hi, ramp: np.ndarray, out=None) -> np.ndarray:
-    """`np.linspace(lo, hi, ramp.size)`, row by row for column arrays lo, hi.
+def _grid_points(lo, hi, index) -> np.ndarray:
+    """Points `index` of the `LINE_SCHEDULE` grid over [lo, hi].
 
-    Same arithmetic as `np.linspace` (bar its branch for a step that
-    underflows to zero): `ramp * step + lo` with `ramp = arange(size)`, and
-    the last point set to `hi`.  The points go to `out` when it is given.
+    Same arithmetic as `np.linspace(lo, hi, n)` (bar its branch for a step
+    that underflows to zero): `index * step + lo` with step = (hi - lo)/(n - 1),
+    and the last point, index n - 1, set to hi.  lo and hi may be (rows, 1)
+    columns and `index` a float array that broadcasts against them.
     """
-    xs = np.multiply(ramp, (hi - lo) / (ramp.size - 1), out=out)
+    n = LINE_SCHEDULE[0]
+    xs = index * ((hi - lo) / (n - 1))
     xs += lo
-    xs[..., -1:] = hi
+    np.copyto(xs, hi, where=index == n - 1)
     return xs
 
 
@@ -79,21 +76,14 @@ def maximize_1d(objective, interval: tuple[float, float]) -> SearchResult:
 
     The scan follows `LINE_SCHEDULE`: 2001 points over the interval, then 3
     more rounds of 2001 points, each over a window a tenth as wide as the
-    one before, centred on the incumbent and clipped to the interval.
+    one before, centred on the incumbent and clipped to the interval.  The
+    incumbent is replaced only by a strictly larger value, so a NaN never
+    is.
 
     Ties go to the lowest index, so a constant objective reports the left
     endpoint.  The reported maximum is the best over *all* evaluated points.
-
-    The scan runs on a stack of rows at once.  The first round calls the
-    objective on the 1-d base grid; if it answers with shape (rows, points)
-    (say, a profile of a beta array), each row is its own maximization and
-    `max_value` and `argmax[0]` are arrays over the rows, `evaluations` the
-    total.  Such a row-stacked objective must accept an `out` keyword: later
-    rounds call `objective(xs, out=(scratch, values))` with (rows, points)
-    arrays it may overwrite, allocated once per call with the points (see
-    `QuarticProfile.value`).  A single objective is the one-row case: it
-    reports floats and is called without `out`.  Each row's windows,
-    points, incumbent and strict-`>` updates match a scan of that row alone.
+    The objective is called on a 1-d array of points; a scalar answer is
+    broadcast over them.
     """
     n, rounds, shrink = LINE_SCHEDULE
     lo0, hi0 = float(interval[0]), float(interval[1])
@@ -101,39 +91,102 @@ def maximize_1d(objective, interval: tuple[float, float]) -> SearchResult:
         raise DomainError(f"need low < high, got [{lo0}, {hi0}]")
 
     ramp = np.arange(n, dtype=float)
-    xs = _linspace(lo0, hi0, ramp)
-    ys = np.asarray(objective(xs), dtype=float)
-    batched = ys.ndim == 2
-    points, out = None, {}
-    if batched:  # one block, not three: glibc then reuses it across calls
-        points, scratch, values = np.empty((3, *ys.shape))
-        out = {"out": (scratch, values)}
-    else:
-        ys = np.broadcast_to(ys, (1, ramp.size))
-    xs = np.broadcast_to(xs, ys.shape)
-    rows = np.arange(ys.shape[0])
-
-    best_val = np.full(rows.size, -np.inf)
-    best_x = np.full(rows.size, lo0)
-    evals = 0
-    width = hi0 - lo0
+    best_val, best_x, evals = -np.inf, lo0, 0
+    lo, hi, width = lo0, hi0, hi0 - lo0
     for round_idx in range(rounds + 1):
         if round_idx > 0:
             width *= shrink
-            half = width / 2.0
-            lo = np.maximum(lo0, best_x - half)
-            hi = np.minimum(hi0, best_x + half)
-            xs = _linspace(lo[:, None], hi[:, None], ramp, out=points)
-            ys = _evaluate(objective, xs, **out)
+            lo, hi = _window(best_x, width / 2.0, lo0, hi0)
+        xs = _grid_points(lo, hi, ramp)
+        ys = np.broadcast_to(np.asarray(objective(xs), dtype=float), xs.shape)
         evals += ys.size
-        i = ys.argmax(axis=1)
-        vals = ys[rows, i]
+        i = int(np.argmax(ys))
+        if ys[i] > best_val:
+            best_val, best_x = float(ys[i]), float(xs[i])
+    return SearchResult(best_val, (best_x,), evals)
+
+
+def _band_max(profile: bd.QuarticProfile, lo, hi, first, width: int):
+    """Q on grid points first, ..., first + width - 1 of each row's window
+    [lo, hi]: the values, then each row's first-index maximum and its point."""
+    xs = _grid_points(lo[:, None], hi[:, None], first[:, None] + np.arange(width, dtype=float))
+    ys = profile.value(xs)
+    rows = np.arange(ys.shape[0])
+    i = ys.argmax(axis=1)
+    return ys, ys[rows, i], xs[rows, i]
+
+
+def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
+    """`maximize_1d(Q, (0, 2))` for each row of a beta-array profile, from a
+    band of 2 QUARTIC_BAND + 1 grid points per round instead of 2001.
+
+    `max_value` and `argmax[0]` are arrays over the rows, equal bit for bit
+    to the one-row scans; `evaluations` counts the points Q was evaluated on.
+    Each round keeps `maximize_1d`'s window, grid points and strict-`>`
+    update, but evaluates only the band around the predicted peak: c = 2
+    when alpha4 >= 0, else c* = sqrt(-alpha2 / (2 alpha4)).  The hint only
+    places the band; a certificate decides whether the band's maximum is
+    the round's.  A row that fails it is rescanned on all 2001 points.
+
+    The certificate.  Let Q~ be the quartic with the stored float alphas.
+    With alpha2 > 0 (true of both families on [0, 1)) Q~'(c) = 2c (2 alpha4
+    c^2 + alpha2) is positive on (0, c*) and negative past it (or positive
+    throughout when alpha4 >= 0), so Q~ is quasi-concave on c >= 0:
+    Q~(y) >= min(Q~(x), Q~(z)) for x <= y <= z.  `value` computes Q in the
+    order c2 = c c, alpha4 c2 c2 + alpha2 c2 + alpha0, so each alpha4 term
+    carries 6 roundings, each alpha2 term 4 and alpha0 one, and for c in
+    [0, 2]
+
+        |fl(Q(c)) - Q~(c)| <= gamma_6 (16 |alpha4| + 4 |alpha2| + |alpha0|)
+                            <= E = 8u (16 |alpha4| + 4 |alpha2| + |alpha0|),
+
+    u = 2^-53, gamma_k = k u / (1 - k u).  The margin of E over the gamma_6
+    term absorbs the rounding of E itself, and underflow: |alpha0| >=
+    (1 - b)^2 / 9 >= 2^-110, so 2u |alpha0| dwarfs six subnormal errors.
+    The grid points are nondecreasing in the index (both roundings of
+    `index * step + lo` are monotone) and lie in [lo, hi].  Let m = fl(Q)
+    at the band's first-index maximum p, and a the band's first index.  If
+    fl(Q(x_a)) + 2E < m, then Q~(x_a) < Q~(x_p), so for any j < a
+    quasi-concavity gives Q~(x_j) <= Q~(x_a), and fl(Q(x_j)) <= fl(Q(x_a))
+    + 2E < m; the right edge is the mirror image.  When both edges that are
+    not window ends pass (and alpha2 > 0), every point outside the band
+    falls strictly below m, so the full grid's first-index argmax is p and
+    the round updates the incumbent as the full scan does.  A float test
+    `q + 2E < m` implies the real one, as m is a double.
+    """
+    n, rounds, shrink = LINE_SCHEDULE
+    width = 2 * QUARTIC_BAND + 1
+    alpha4, alpha2, alpha0 = (np.ravel(a) for a in (profile.alpha4, profile.alpha2, profile.alpha0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = np.where(alpha4 < 0.0, np.sqrt(-alpha2 / (2.0 * alpha4)), 2.0)
+    two_e = 16.0 * np.abs(alpha4) + 4.0 * np.abs(alpha2) + np.abs(alpha0)
+    two_e *= 2.0 ** -49  # 2E = 16u (16 |alpha4| + 4 |alpha2| + |alpha0|)
+    quasi_concave = alpha2 > 0.0
+
+    lo, hi = np.zeros(alpha4.size), np.full(alpha4.size, 2.0)
+    best_val, best_x = np.full(alpha4.size, -np.inf), np.zeros(alpha4.size)
+    span, evals = 2.0, 0
+    for round_idx in range(rounds + 1):
+        if round_idx > 0:
+            span *= shrink
+            lo = np.maximum(0.0, best_x - span / 2.0)
+            hi = np.minimum(2.0, best_x + span / 2.0)
+        centre = np.rint((peak - lo) / ((hi - lo) / (n - 1)))
+        first = np.fmin(np.fmax(centre - QUARTIC_BAND, 0.0), n - width)  # fmax: NaN -> 0
+        ys, vals, xs = _band_max(profile, lo, hi, first, width)
+        certified = (quasi_concave
+                     & ((first == 0.0) | (ys[:, 0] + two_e < vals))
+                     & ((first == n - width) | (ys[:, -1] + two_e < vals)))
+        redo = np.flatnonzero(~certified)
+        if redo.size:
+            rows = replace(profile, **{name: getattr(profile, name)[redo]
+                                       for name in ("beta", "alpha4", "alpha2", "alpha0")})
+            _, vals[redo], xs[redo] = _band_max(rows, lo[redo], hi[redo], np.zeros(redo.size), n)
+        evals += ys.size + redo.size * n
         better = vals > best_val
         best_val = np.where(better, vals, best_val)
-        best_x = np.where(better, xs[rows, i], best_x)
-    if batched:
-        return SearchResult(best_val, (best_x,), evals)
-    return SearchResult(float(best_val[0]), (float(best_x[0]),), evals)
+        best_x = np.where(better, xs, best_x)
+    return SearchResult(best_val, (best_x,), evals)
 
 
 def _refine_max(objective, axes, schedule) -> SearchResult:
@@ -218,9 +271,11 @@ def h22_from_params(
     rather than c keeps the rounding of the direct side.  `bi_coeffs` then
     gives (a2, a3, a4) from c, c2 - d2 and c3 - d3.  This is independent
     of `h22_batch`, which never forms the coefficient triples: it checks
-    the kernel's split into A + B z + C w.
+    the kernel's split into A + B z + C w.  Both sides are validated, the
+    inverse one as (c, y, w): a bad y or w is reported as x or z.
     """
     check_disk_params(c, x, z)
+    check_disk_params(c, y, w)
     c2, c3 = disk_coeffs(c, x, z)
     d2, e3 = disk_coeffs(c, y, -w)
     a2, a3, a4 = bi_coeffs(family, 1.0 - order.beta, complex(c), c2 - d2, c3 + e3)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,49 +466,54 @@ class TestArrayProfile:
             stacked.value(grid)
 
 
-class TestValueOut:
-    """`value(c, out=(scratch, result))` writes Q into `result`, bit for bit."""
+def float_bound(family, beta):
+    """The closed forms on Python floats, as written before the array path:
+    (bound, branch, critical_c)."""
+    w2 = (1.0 - beta) ** 2
+    if family is FamilyId.STARLIKE:
+        if beta <= (29.0 - math.sqrt(137.0)) / 32.0:
+            return 4.0 * w2 * (4.0 * beta * beta - 8.0 * beta + 5.0) / 3.0, Branch.BOUNDARY_C2, 2.0
+        lead = 16.0 * beta * beta - 26.0 * beta + 5.0
+        return (w2 * (13.0 * beta * beta - 14.0 * beta - 7.0) / lead, Branch.INTERIOR_CRITICAL,
+                math.sqrt(-12.0 * (2.0 - beta) / lead))
+    lead = 3.0 * beta * beta - 3.0 * beta - 4.0
+    return (w2 / 24.0 * (5.0 * beta * beta + 8.0 * beta - 32.0) / lead, Branch.INTERIOR_CRITICAL,
+            math.sqrt(2.0 * (3.0 * beta - 8.0) / lead))
+
+
+def threshold_betas():
+    out = []
+    for t in (thresholds().quartic_sign_change, thresholds().branch_split):
+        out += [math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)]
+    return out + [math.nextafter(1.0, 0.0)]
+
+
+class TestArrayBound:
+    """`h22_bound` of a beta array: bound, branch and critical_c of each entry
+    equal the float beta's, bit for bit."""
 
     @pytest.mark.parametrize("family", list(FamilyId))
-    def test_out_equals_allocating_value(self, family):
-        stacked = quartic_profile(family, SWEEP_BETAS[::97])
-        shape = (stacked.alpha4.shape[0], 2001)
-        rng = np.random.default_rng(11)
-        for c in (np.linspace(0.0, 2.0, 2001), rng.uniform(0.0, 2.0, shape)):
-            out = (np.full(shape, np.nan), np.full(shape, np.nan))
-            got = stacked.value(c, out=out)
-            assert got is out[1]
-            assert np.array_equal(got, stacked.value(c))
+    def test_entries_equal_the_scalar_results(self, family):
+        betas = SWEEP_BETAS + threshold_betas()
+        got = h22_bound(family, betas)
+        assert got.bound.shape == got.branch.shape == got.critical_c.shape == (len(betas),)
+        assert np.array_equal(got.beta, betas)
+        for k, beta in enumerate(betas):
+            one = h22_bound(family, beta)
+            assert type(one.bound) is float and type(one.critical_c) is float
+            assert (got.bound[k], got.branch[k], got.critical_c[k]) == \
+                (one.bound, one.branch, one.critical_c)
+            assert (one.bound, one.branch, one.critical_c) == float_bound(family, beta)
 
-    @pytest.mark.parametrize("family", list(FamilyId))
-    def test_one_profile_into_out(self, family):
-        profile = quartic_profile(family, 0.311221784)
-        cs = np.linspace(0.0, 2.0, 2001)
-        out = (np.empty(cs.shape), np.empty(cs.shape))
-        assert np.array_equal(profile.value(cs, out=out), profile.value(cs))
+    def test_branch_switches_after_the_split(self):
+        split = thresholds().branch_split
+        got = starlike_h22_bound([math.nextafter(split, 0.0), split, math.nextafter(split, 1.0)])
+        assert got.branch.tolist() == [Branch.BOUNDARY_C2] * 2 + [Branch.INTERIOR_CRITICAL]
+        assert got.critical_c[:2].tolist() == [2.0, 2.0] and got.critical_c[2] < 2.0
 
-    def test_out_allocates_no_array(self):
-        stacked = quartic_profile(FamilyId.STARLIKE, SWEEP_BETAS[:16])
-        c = np.tile(np.linspace(0.0, 2.0, 2001), (16, 1))
-        out = (np.empty(c.shape), np.empty(c.shape))
-        stacked.value(c, out=out)
-        tracemalloc.start()
-        try:
-            stacked.value(c, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a (16, 2001) temporary would take 250 KiB; numpy's broadcasting
-        # ops may still take a 64 KiB iterator buffer each
-        assert peak < c.nbytes // 2
+    def test_convex_is_always_interior(self):
+        assert set(convex_h22_bound(SWEEP_BETAS).branch) == {Branch.INTERIOR_CRITICAL}
 
-    @pytest.mark.parametrize("bad", [-1e-12, 2.0 + 1e-12, math.nan])
-    def test_out_still_checks_c(self, bad):
-        stacked = quartic_profile(FamilyId.STARLIKE, [0.1, 0.7])
-        c = np.full((2, 5), 1.0)
-        c[1, 2] = bad
-        out = (np.zeros(c.shape), np.zeros(c.shape))
-        with pytest.raises(DomainError, match="c must lie in"):
-            stacked.value(c, out=out)
-        # rejected before anything is written
-        assert not out[0].any() and not out[1].any()
+    def test_bad_entry_is_rejected(self):
+        with pytest.raises(DomainError, match=r"got 1\.0$"):
+            h22_bound(FamilyId.CONVEX, [0.2, 1.0, math.nan])

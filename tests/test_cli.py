@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -243,6 +244,39 @@ class TestTableRowBlocks:
         for row in json.loads(out):
             profile = bd.quartic_profile(FamilyId(row["family"]), row["beta"])
             assert row["grid_max"] == opt.maximize_1d(profile.value, (0.0, 2.0)).max_value
+
+
+def scan_memory(family, rows):
+    """Traced peak of `_grid_maxima` over `rows` betas, less what its result
+    holds at the end."""
+    betas = [k / rows for k in range(rows)]
+    tracemalloc.start()
+    try:
+        maxima = cli._grid_maxima(family, betas)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(maxima) == rows
+    return peak - current
+
+
+class TestTableScanMemory:
+    """The scan's temporaries are bounded by the row block, not the row count."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_band_scan_is_flat(self, family):
+        # one (rows, 17) array would take 13.6 MB at 100,000 rows
+        small, large = scan_memory(family, 5_000), scan_memory(family, 100_000)
+        assert large < 1 << 20
+        assert abs(large - small) < 1 << 16
+
+    def test_full_rescans_are_flat(self, monkeypatch):
+        # a one-point band never certifies, so every row of every round is
+        # rescanned on all 2001 points, a block of rows at a time
+        monkeypatch.setattr(opt, "QUARTIC_BAND", 0)
+        small, large = scan_memory(FamilyId.CONVEX, 600), scan_memory(FamilyId.CONVEX, 2_000)
+        assert large < 6 * cli.TABLE_BLOCK_ROWS * 2001 * 8
+        assert abs(large - small) < 1 << 16
 
 
 class TestBetaGrid:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,16 @@ class TestCheckBeta:
 
     def test_returns_float(self):
         assert check_beta(0) == 0.0 and type(check_beta(0)) is float
+
+    def test_array_returns_floats(self):
+        got = check_beta([0, 0.5, np.float32(0.25)])
+        assert got.dtype == np.float64 and got.tolist() == [0.0, 0.5, 0.25]
+
+    @pytest.mark.parametrize("betas,bad", [([0.1, 1.0, -1.0], "1.0"), ([0.1, 0.2, math.nan], "nan"),
+                                           (np.array([-0.0, -1e-300]), "-1e-300")])
+    def test_array_reports_its_first_bad_entry(self, betas, bad):
+        with pytest.raises(DomainError, match=rf"beta must lie in \[0, 1\), got {bad}$"):
+            check_beta(betas)
 
     def test_bounds_reexports_the_same_validator(self):
         from bihankel import bounds

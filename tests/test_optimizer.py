@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bihankel.bounds import h22_bound, quartic_profile, surrogate_terms, thresholds
+from bihankel.bounds import (
+    QuarticProfile,
+    h22_bound,
+    quartic_profile,
+    surrogate_terms,
+    thresholds,
+)
 from bihankel import caratheodory as car
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
@@ -20,9 +26,10 @@ from bihankel.caratheodory import (
 from bihankel.errors import ConstraintViolation, DomainError
 from bihankel.functionals import FamilyId, Order, bi_coeffs
 from bihankel.optimizer import (
-    _linspace,
+    _grid_points,
     CUBE_SCHEDULE,
     LINE_SCHEDULE,
+    QUARTIC_BAND,
     SearchResult,
     empirical_max_h22,
     h22_from_params,
@@ -30,6 +37,7 @@ from bihankel.optimizer import (
     maximize_surrogate,
     h22_batch,
     h22_terms,
+    quartic_grid_max,
 )
 
 
@@ -68,12 +76,13 @@ class TestMaximize1d:
             maximize_1d(lambda x: x, (1.0, 1.0))
 
     def test_schedule_is_pinned(self):
-        # 2001 points in each of 1 + 3 rounds, per row
-        assert LINE_SCHEDULE == (2001, 3, 0.1)
+        # 2001 points in each of 1 + 3 rounds, per row; the band scan
+        # evaluates 2 * 8 + 1 of them per round when every band certifies
+        assert LINE_SCHEDULE == (2001, 3, 0.1) and QUARTIC_BAND == 8
         profile = quartic_profile(FamilyId.STARLIKE, 0.3)
         assert maximize_1d(profile.value, (0.0, 2.0)).evaluations == 8004
         stacked = quartic_profile(FamilyId.STARLIKE, [0.1, 0.3, 0.5, 0.7, 0.9])
-        assert maximize_1d(stacked.value, (0.0, 2.0)).evaluations == 5 * 8004
+        assert quartic_grid_max(stacked).evaluations == 5 * 4 * 17
 
     @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 0.0), (math.nan, 1.0)])
     def test_invalid_interval_is_a_domain_error(self, interval):
@@ -110,11 +119,11 @@ def reference_rows(objectives, interval=(0.0, 2.0)):
             sum(s[2] for s in scans))
 
 
-def stacked_rows(family, betas, block):
-    """maximize_1d over the betas' array profiles, `block` rows per call."""
+def band_rows(family, betas, block):
+    """quartic_grid_max over the betas' array profiles, `block` rows per call."""
     values, argmaxes, evals = [], [], 0
     for start in range(0, len(betas), block):
-        scan = maximize_1d(quartic_profile(family, betas[start:start + block]).value, (0.0, 2.0))
+        scan = quartic_grid_max(quartic_profile(family, betas[start:start + block]))
         values.append(scan.max_value)
         argmaxes.append(scan.argmax[0])
         evals += scan.evaluations
@@ -125,21 +134,36 @@ def stacked_rows(family, betas, block):
 SWEEP_BETAS = tuple(k * 4e-4 for k in range(2476))
 
 
+def one_row_scans(family, betas):
+    """The one-row `maximize_1d` of each beta's quartic: values, argmaxes."""
+    scans = [maximize_1d(quartic_profile(family, b).value, (0.0, 2.0)) for b in betas]
+    return np.array([s.max_value for s in scans]), np.array([s.argmax[0] for s in scans])
+
+
 @functools.lru_cache(maxsize=None)
 def sweep_reference(family):
-    return reference_rows([quartic_profile(family, beta).value for beta in SWEEP_BETAS])
+    return one_row_scans(family, SWEEP_BETAS)
 
 
 def assert_rows_equal(got, expected):
+    """Values and argmaxes equal bit for bit; the work counts may differ."""
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
-    assert got[2] == expected[2]
 
 
-class TestMaximize1dRowStack:
-    """Every row of a stacked scan equals the one-row scan, bit for bit."""
+def band_evaluations(rows):
+    """`quartic_grid_max`'s count when no row falls back: 4 bands per row."""
+    return rows * (LINE_SCHEDULE[1] + 1) * (2 * QUARTIC_BAND + 1)
 
-    def test_row_points_are_numpy_linspace(self):
+
+def dense_betas(center, count=2001, spacing=1e-7):
+    return (center + spacing * np.arange(-(count // 2), count // 2 + 1)).tolist()
+
+
+class TestQuarticGridMax:
+    """Every row of the band scan equals the one-row full scan, bit for bit."""
+
+    def test_points_are_numpy_linspace(self):
         rng = np.random.default_rng(9)
         lo = rng.uniform(0.0, 1.9, 20000)
         hi = lo + rng.uniform(1e-6, 0.3, 20000)
@@ -149,88 +173,112 @@ class TestMaximize1dRowStack:
         pick = np.concatenate([missed, np.arange(100)])
         lo, hi = lo[pick], hi[pick]
         ramp = np.arange(2001, dtype=float)
-        rows = _linspace(lo[:, None], hi[:, None], ramp)
+        rows = _grid_points(lo[:, None], hi[:, None], ramp)
         for r in range(lo.size):
             assert np.array_equal(rows[r], np.linspace(lo[r], hi[r], 2001))
-        assert np.array_equal(_linspace(0.3, 1.7, ramp), np.linspace(0.3, 1.7, 2001))
+        assert np.array_equal(_grid_points(0.3, 1.7, ramp), np.linspace(0.3, 1.7, 2001))
+
+    def test_band_points_are_slices_of_the_grid(self):
+        rng = np.random.default_rng(10)
+        lo = rng.uniform(0.0, 1.9, 500)
+        hi = lo + rng.uniform(1e-6, 0.1, 500)
+        first = rng.integers(0, 2001 - 17, 500).astype(float)
+        first[:50] = 2001 - 17  # bands that end on the window's last point
+        band = _grid_points(lo[:, None], hi[:, None], first[:, None] + np.arange(17.0))
+        for r in range(lo.size):
+            k = int(first[r])
+            assert np.array_equal(band[r], np.linspace(lo[r], hi[r], 2001)[k:k + 17])
 
     def test_sweep_crosses_both_starlike_thresholds(self):
         t = thresholds()
         assert SWEEP_BETAS[0] == 0.0 and abs(SWEEP_BETAS[-1] - 0.99) < 1e-12
         assert 0.0 < t.quartic_sign_change < t.branch_split < SWEEP_BETAS[-1]
 
-    @pytest.mark.parametrize("block", [7, 16, 32])
+    @pytest.mark.parametrize("block", [7, 16, 256])
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_sweep_rows_match_reference_scan(self, family, block):
-        assert_rows_equal(stacked_rows(family, SWEEP_BETAS, block), sweep_reference(family))
+        got = band_rows(family, SWEEP_BETAS, block)
+        assert_rows_equal(got, sweep_reference(family))
+        assert got[2] == band_evaluations(len(SWEEP_BETAS))
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_random_betas_match_one_row_maximize_1d(self, family):
+        betas = np.random.default_rng(15).random(20000).tolist()
+        got = band_rows(family, betas, 256)
+        assert_rows_equal(got, one_row_scans(family, betas))
+        assert got[2] == band_evaluations(len(betas))
+
+    @pytest.mark.parametrize("threshold", ["quartic_sign_change", "branch_split"])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_dense_betas_at_the_thresholds(self, family, threshold):
+        center = getattr(thresholds(), threshold)
+        betas = dense_betas(center) + [math.nextafter(center, 0.0), center,
+                                       math.nextafter(center, 1.0)]
+        assert_rows_equal(band_rows(family, betas, 256), one_row_scans(family, betas))
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_domain_ends(self, family):
+        betas = [0.0, math.nextafter(1.0, 0.0)]
+        got = band_rows(family, betas, 2)
+        assert_rows_equal(got, one_row_scans(family, betas))
+        assert got[2] == band_evaluations(2)
 
     def test_block_size_not_dividing_row_count(self):
         betas = [0.2 + k * 0.0037 for k in range(109)]
         assert len(betas) % TABLE_BLOCK_ROWS != 0
         expected = reference_rows([quartic_profile(FamilyId.STARLIKE, b).value for b in betas])
         for block in (1, 7, TABLE_BLOCK_ROWS, 108, 109, 500):
-            assert_rows_equal(stacked_rows(FamilyId.STARLIKE, betas, block), expected)
+            assert_rows_equal(band_rows(FamilyId.STARLIKE, betas, block), expected)
 
     @pytest.mark.parametrize("family", list(FamilyId))
-    def test_single_row_stack_reports_arrays(self, family):
-        profile = quartic_profile(family, 0.5)
-        scan = maximize_1d(quartic_profile(family, [0.5]).value, (0.0, 2.0))
+    def test_single_row_reports_arrays(self, family):
+        scan = quartic_grid_max(quartic_profile(family, [0.5]))
         assert scan.max_value.shape == (1,) and scan.argmax[0].shape == (1,)
-        single = maximize_1d(profile.value, (0.0, 2.0))
-        assert (scan.max_value[0], scan.argmax[0][0], scan.evaluations) == \
-            (single.max_value, single.argmax[0], single.evaluations)
+        single = maximize_1d(quartic_profile(family, 0.5).value, (0.0, 2.0))
+        assert (scan.max_value[0], scan.argmax[0][0]) == (single.max_value, single.argmax[0])
 
-    def test_nan_rows_keep_the_no_update_rule(self):
+    @pytest.mark.parametrize("band", [0, 1])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_rows_failing_the_certificate_are_rescanned(self, monkeypatch, family, band):
+        # a one-point band never certifies (its edge is its maximum); a
+        # three-point band misses when the hint rounds to a neighbour of the
+        # grid's argmax.  Either way the result is the full scan's.
+        monkeypatch.setattr(opt, "QUARTIC_BAND", band)
+        betas = SWEEP_BETAS[::5]
+        got = band_rows(family, betas, 64)
+        assert_rows_equal(got, one_row_scans(family, betas))
+        rounds = len(betas) * (LINE_SCHEDULE[1] + 1)
+        rescans = (got[2] - rounds * (2 * band + 1)) // LINE_SCHEDULE[0]
+        assert (got[2] - rounds * (2 * band + 1)) % LINE_SCHEDULE[0] == 0
+        if band == 0:
+            assert rescans == rounds
+        else:
+            assert 0 < rescans < rounds
+
+    def test_nan_rows_fall_back_and_keep_the_no_update_rule(self):
         # argmax lands on a NaN and the strict > never accepts it: an all-NaN
-        # row keeps -inf at the left endpoint, a partly-NaN row may miss rounds
-        profiles = [quartic_profile(FamilyId.CONVEX, b) for b in (0.1, 0.5, 0.9)]
-        stacked = quartic_profile(FamilyId.CONVEX, [0.1, 0.5, 0.9])
-
-        def objective(x, out=None):
-            ys = stacked.value(x, out=out)
-            ys[1] = np.nan
-            ys[2][np.broadcast_to(x, ys.shape)[2] < 1.0] = np.nan
-            return ys
-
-        scan = maximize_1d(objective, (0.0, 2.0))
-        expected = reference_rows([
-            profiles[0].value,
-            lambda x: np.full_like(x, np.nan),
-            lambda x: np.where(x < 1.0, np.nan, profiles[2].value(x)),
-        ])
-        assert_rows_equal((scan.max_value, scan.argmax[0], scan.evaluations), expected)
+        # row keeps -inf at the left endpoint
+        good = quartic_profile(FamilyId.CONVEX, 0.1)
+        nan = QuarticProfile(FamilyId.CONVEX, 0.5, math.nan, good.alpha2, good.alpha0)
+        rows = [good, nan, QuarticProfile(FamilyId.CONVEX, 0.9, good.alpha4, math.nan, 0.0)]
+        stacked = QuarticProfile(FamilyId.CONVEX, np.array([[0.1], [0.5], [0.9]]),
+                                 *(np.array([[getattr(p, a)] for p in rows])
+                                   for a in ("alpha4", "alpha2", "alpha0")))
+        scan = quartic_grid_max(stacked)
+        expected = reference_rows([p.value for p in rows])
+        assert_rows_equal((scan.max_value, scan.argmax[0]), expected)
         assert scan.max_value[1] == -np.inf and scan.argmax[0][1] == 0.0
+        assert scan.evaluations == 4 * 17 + 2 * 4 * (17 + 2001)
 
     def test_constant_rows_report_left_endpoint(self):
+        # alpha2 = 0 voids the certificate, so the full scan decides the ties
         levels = np.array([[1.0], [3.0], [2.0]])
-        scan = maximize_1d(lambda x, out=None: np.broadcast_to(levels, (3, x.shape[-1])),
-                           (0.5, 2.0))
+        zeros = np.zeros((3, 1))
+        scan = quartic_grid_max(QuarticProfile(FamilyId.STARLIKE, zeros, zeros, zeros, levels))
         assert scan.max_value.tolist() == [1.0, 3.0, 2.0]
-        assert scan.argmax[0].tolist() == [0.5, 0.5, 0.5]
+        assert scan.argmax[0].tolist() == [0.0, 0.0, 0.0]
 
-    def test_later_rounds_reuse_the_same_buffers(self):
-        stacked = quartic_profile(FamilyId.STARLIKE, SWEEP_BETAS[:16])
-        rounds = []
-
-        def objective(x, out=None):
-            # per round: the points, then the `out` pair, as the call sees them
-            rounds.append([(b.shape, b.dtype, b.flags.c_contiguous, b.flags.writeable,
-                            b.ctypes.data) for b in (x, *(out or ()))])
-            return stacked.value(x, out=out)
-
-        scan = maximize_1d(objective, (0.0, 2.0))
-        first, *later = rounds
-        assert len(first) == 1 and first[0][0] == (2001,)
-        assert len(later) == 3
-        for bufs in later:
-            assert [b[:4] for b in bufs] == [((16, 2001), np.float64, True, True)] * 3
-        pointers = {tuple(b[4] for b in bufs) for bufs in later}
-        assert len(pointers) == 1 and len(set(*pointers)) == 3
-        assert_rows_equal((scan.max_value, scan.argmax[0], scan.evaluations),
-                          reference_rows([quartic_profile(FamilyId.STARLIKE, b).value
-                                          for b in SWEEP_BETAS[:16]]))
-
-    def test_one_row_objective_is_never_given_out(self):
+    def test_one_row_objective_gets_the_grid_points(self):
         profile = quartic_profile(FamilyId.CONVEX, 0.3)
         shapes = []
 
@@ -239,7 +287,7 @@ class TestMaximize1dRowStack:
             return profile.value(x)
 
         scan = maximize_1d(objective, (0.0, 2.0))
-        assert shapes == [(2001,)] + [(1, 2001)] * 3
+        assert shapes == [(2001,)] * 4
         assert (scan.max_value, scan.argmax[0], scan.evaluations) == \
             reference_maximize_1d(profile.value, (0.0, 2.0))
 
@@ -782,3 +830,10 @@ class TestH22FromParamsPinned:
     def test_checks_the_direct_disk_params(self):
         with pytest.raises(ConstraintViolation, match=r"\|z\| must be <= 1"):
             h22_from_params(FamilyId.STARLIKE, Order(0.0), 1.0, 0j, 0j, 1.5 + 0j, 0j)
+
+    @pytest.mark.parametrize("y,w,name", [(3 + 0j, 5j, "x"), (0j, 5j, "z"), (1.5j, 0j, "x")])
+    def test_checks_the_inverse_disk_params(self, y, w, name):
+        # (c, y, w) is checked as check_disk_params' (c, x, z); unchecked, the
+        # first case evaluated to (-2.453125+10j)
+        with pytest.raises(ConstraintViolation, match=rf"\|{name}\| must be <= 1"):
+            h22_from_params(FamilyId.STARLIKE, Order(0.0), 1.0, 0j, y, 0j, w)

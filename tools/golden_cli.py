@@ -47,8 +47,15 @@ COMMANDS = (
     "table --family convex --beta-range 0.5 0.5 --step 0.1",
     "table --family starlike --beta-range 0.2 0.6 --step 0.0037",
     "table --format json --beta-range 0 0.99 --step 0.01",
-    # 17 rows per family: one row past a 16-row block
+    # row counts one past a 16-row and a 256-row block
     "table --family both --beta-range 0 0.16 --step 0.01",
+    "table --family convex --beta-range 0 0.256 --step 0.001",
+    # dense betas around the starlike thresholds: the sign change of the
+    # quartic's c^4 coefficient (~0.222876), a band just above it, and the
+    # split where the peak reaches c = 2 (~0.540478)
+    "table --family starlike --beta-range 0.2223 0.2235 --step 1e-6",
+    "table --family starlike --beta-range 0.2350 0.2362 --step 1e-6",
+    "table --family starlike --beta-range 0.5400 0.5410 --step 1e-6",
     "search --family starlike --seed 7",
     "search --family starlike --beta 0 --samples 500000 --seed 3",
     "search --family convex --beta 0.3 --samples 500000 --seed 3 --constrain-sum",
