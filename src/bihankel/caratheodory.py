@@ -58,8 +58,15 @@ def check_disk_params(c, x, z) -> None:
     Each bound has `DOMAIN_TOL` of slack, and NaN fails every bound.
     """
     _require((c >= -DOMAIN_TOL) & (c <= 2.0 + DOMAIN_TOL), "c must lie in [0, 2]", c)
-    for name, value in (("x", abs(x)), ("z", abs(z))):
-        _require(value <= 1.0 + DOMAIN_TOL, f"|{name}| must be <= 1", value)
+    check_unit_disk(x=x, z=z)
+
+
+def check_unit_disk(**values) -> None:
+    """Validate |value| <= 1, with `DOMAIN_TOL` of slack, for each keyword;
+    the error names the keyword.  NaN fails."""
+    for name, value in values.items():
+        size = abs(value)
+        _require(size <= 1.0 + DOMAIN_TOL, f"|{name}| must be <= 1", size)
 
 
 def check_herglotz(weights: np.ndarray, angles: np.ndarray) -> None:

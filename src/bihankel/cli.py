@@ -36,6 +36,8 @@ MAX_TABLE_ROWS = 10**6
 # rows that fail the band's certificate are rescanned on (rows, 2001)
 # arrays, about 20 MiB if all 256 fail (none did on the betas tested).
 TABLE_BLOCK_ROWS = 256
+# the table's columns: the CSV header and the JSON keys of each row
+TABLE_COLUMNS = ("beta", "family", "bound", "branch", "critical_c", "grid_max", "abs_err")
 # caps on requested work.  `search`, the sampled spot checks of `verify` and
 # the series oracle of `verify` and `derive` all stream, so their memory
 # stays flat and the caps bound run time (10^8 search samples take about
@@ -234,39 +236,30 @@ def _grid_maxima(family: FamilyId, betas: list[float]) -> list[float]:
     return maxima
 
 
+def _table_columns(family: FamilyId, betas: list[float]) -> tuple[list, ...]:
+    """One family's rows of the table, as lists in `TABLE_COLUMNS` order."""
+    grid_max = np.array(_grid_maxima(family, betas))
+    result = bd.h22_bound(family, betas)
+    return (betas, [family.value] * len(betas), result.bound.tolist(),
+            [branch.value for branch in result.branch], result.critical_c.tolist(),
+            grid_max.tolist(), np.abs(grid_max - result.bound).tolist())
+
+
 def cmd_table(args) -> int:
     betas = _beta_grid(*args.beta_range, args.step)
     _check_output(args.output)
-    families = _families(args.family)
-    per_family = []
-    for family in families:
-        grid_max = np.array(_grid_maxima(family, betas))
-        result = bd.h22_bound(family, betas)
-        per_family.append([
-            {
-                "beta": beta,
-                "family": family.value,
-                "bound": bound,
-                "branch": branch.value,
-                "critical_c": critical_c,
-                "grid_max": grid,
-                "abs_err": abs_err,
-            }
-            for beta, bound, branch, critical_c, grid, abs_err in zip(
-                betas, result.bound.tolist(), result.branch, result.critical_c.tolist(),
-                grid_max.tolist(), np.abs(grid_max - result.bound).tolist())
-        ])
-    rows = [row for same_beta in zip(*per_family) for row in same_beta]
-
+    tables = [_table_columns(family, betas) for family in _families(args.family)]
     if args.format == "csv":
-        lines = ["beta,family,bound,branch,critical_c,grid_max,abs_err"]
-        for row in rows:
-            lines.append(",".join(
-                v if isinstance(v, str) else _fmt(v) for v in row.values()
-            ))
-        _emit("\n".join(lines) + "\n", args.output)
+        # the string columns are written as they are, the float ones by repr
+        tables = [[col if isinstance(col[0], str) else list(map(repr, col)) for col in table]
+                  for table in tables]
+    # rows of the same beta are adjacent, in family order
+    rows = [row for same_beta in zip(*(zip(*table) for table in tables)) for row in same_beta]
+    if args.format == "csv":
+        text = "\n".join([",".join(TABLE_COLUMNS)] + [",".join(row) for row in rows])
     else:
-        _emit(json.dumps(rows, indent=2) + "\n", args.output)
+        text = json.dumps([dict(zip(TABLE_COLUMNS, row)) for row in rows], indent=2)
+    _emit(text + "\n", args.output)
     return 0
 
 

@@ -1,10 +1,9 @@
 """Grid maximizers and the empirical coefficient search.
 
 Every closed-form maximum in this package is double-checked by brute force:
-a deterministic grid scan with a few rounds of window refinement around the
-incumbent.  Tie-breaking is always "lowest index wins" and refinement never
-discards the incumbent value, so results are reproducible and nondecreasing
-across rounds.
+`_refine_max`, a deterministic grid scan with a few rounds of window
+refinement around the incumbent, on a fixed schedule per scan.  Its tie and
+update rules make results reproducible and nondecreasing across rounds.
 
 `empirical_max_h22` searches the actual parametrized coefficient set rather
 than the majorant: it samples (c, x, y, z, w) and records the largest
@@ -24,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as bd
-from .caratheodory import check_disk_params, disk_coeffs, disk_param_blocks
+from .caratheodory import check_disk_params, check_unit_disk, disk_coeffs, disk_param_blocks
 from .errors import DomainError
 from .functionals import FamilyId, Order, bi_coeffs
 
@@ -52,19 +51,20 @@ class SearchResult:
     seed: int = 0
 
 
-def _window(center: float, half: float, lo: float, hi: float) -> tuple[float, float]:
-    return max(lo, center - half), min(hi, center + half)
+def _window(center, half, lo, hi):
+    """[center - half, center + half] clipped to [lo, hi]; floats or arrays."""
+    return np.maximum(lo, center - half), np.minimum(hi, center + half)
 
 
-def _grid_points(lo, hi, index) -> np.ndarray:
-    """Points `index` of the `LINE_SCHEDULE` grid over [lo, hi].
+def _grid_points(lo, hi, index, n: int) -> np.ndarray:
+    """Points `index` of the n-point grid from lo to hi.
 
-    Same arithmetic as `np.linspace(lo, hi, n)` (bar its branch for a step
+    Same arithmetic as numpy's `linspace(lo, hi, n)` (bar its branch for a step
     that underflows to zero): `index * step + lo` with step = (hi - lo)/(n - 1),
-    and the last point, index n - 1, set to hi.  lo and hi may be (rows, 1)
-    columns and `index` a float array that broadcasts against them.
+    and the last point, index n - 1, set to hi; hi < lo enumerates downward.
+    lo and hi may be (rows, 1) columns and `index` a float array that
+    broadcasts against them.
     """
-    n = LINE_SCHEDULE[0]
     xs = index * ((hi - lo) / (n - 1))
     xs += lo
     np.copyto(xs, hi, where=index == n - 1)
@@ -72,44 +72,24 @@ def _grid_points(lo, hi, index) -> np.ndarray:
 
 
 def maximize_1d(objective, interval: tuple[float, float]) -> SearchResult:
-    """Grid maximization over a closed interval with window refinement.
+    """`_refine_max` of `objective` over the closed interval on `LINE_SCHEDULE`.
 
-    The scan follows `LINE_SCHEDULE`: 2001 points over the interval, then 3
-    more rounds of 2001 points, each over a window a tenth as wide as the
-    one before, centred on the incumbent and clipped to the interval.  The
-    incumbent is replaced only by a strictly larger value, so a NaN never
-    is.
-
-    Ties go to the lowest index, so a constant objective reports the left
-    endpoint.  The reported maximum is the best over *all* evaluated points.
-    The objective is called on a 1-d array of points; a scalar answer is
-    broadcast over them.
+    2001 points over the interval, then 3 more rounds of 2001 points, each
+    over a window a tenth as wide as the one before.  A constant objective
+    reports the left endpoint.  The objective is called on a 1-d array of
+    points; a scalar answer is broadcast over them.
     """
-    n, rounds, shrink = LINE_SCHEDULE
-    lo0, hi0 = float(interval[0]), float(interval[1])
-    if not lo0 < hi0:
-        raise DomainError(f"need low < high, got [{lo0}, {hi0}]")
-
-    ramp = np.arange(n, dtype=float)
-    best_val, best_x, evals = -np.inf, lo0, 0
-    lo, hi, width = lo0, hi0, hi0 - lo0
-    for round_idx in range(rounds + 1):
-        if round_idx > 0:
-            width *= shrink
-            lo, hi = _window(best_x, width / 2.0, lo0, hi0)
-        xs = _grid_points(lo, hi, ramp)
-        ys = np.broadcast_to(np.asarray(objective(xs), dtype=float), xs.shape)
-        evals += ys.size
-        i = int(np.argmax(ys))
-        if ys[i] > best_val:
-            best_val, best_x = float(ys[i]), float(xs[i])
-    return SearchResult(best_val, (best_x,), evals)
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo < hi:
+        raise DomainError(f"need low < high, got [{lo}, {hi}]")
+    return _refine_max(objective, ((lo, hi),), LINE_SCHEDULE)
 
 
 def _band_max(profile: bd.QuarticProfile, lo, hi, first, width: int):
     """Q on grid points first, ..., first + width - 1 of each row's window
     [lo, hi]: the values, then each row's first-index maximum and its point."""
-    xs = _grid_points(lo[:, None], hi[:, None], first[:, None] + np.arange(width, dtype=float))
+    xs = _grid_points(lo[:, None], hi[:, None], first[:, None] + np.arange(width, dtype=float),
+                      LINE_SCHEDULE[0])
     ys = profile.value(xs)
     rows = np.arange(ys.shape[0])
     i = ys.argmax(axis=1)
@@ -122,8 +102,8 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
 
     `max_value` and `argmax[0]` are arrays over the rows, equal bit for bit
     to the one-row scans; `evaluations` counts the points Q was evaluated on.
-    Each round keeps `maximize_1d`'s window, grid points and strict-`>`
-    update, but evaluates only the band around the predicted peak: c = 2
+    Each round keeps `_refine_max`'s window, grid points, tie and update
+    rules, but evaluates only the band around the predicted peak: c = 2
     when alpha4 >= 0, else c* = sqrt(-alpha2 / (2 alpha4)).  The hint only
     places the band; a certificate decides whether the band's maximum is
     the round's.  A row that fails it is rescanned on all 2001 points.
@@ -169,8 +149,7 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
     for round_idx in range(rounds + 1):
         if round_idx > 0:
             span *= shrink
-            lo = np.maximum(0.0, best_x - span / 2.0)
-            hi = np.minimum(2.0, best_x + span / 2.0)
+            lo, hi = _window(best_x, span / 2.0, 0.0, 2.0)
         centre = np.rint((peak - lo) / ((hi - lo) / (n - 1)))
         first = np.fmin(np.fmax(centre - QUARTIC_BAND, 0.0), n - width)  # fmax: NaN -> 0
         ys, vals, xs = _band_max(profile, lo, hi, first, width)
@@ -192,19 +171,24 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
 def _refine_max(objective, axes, schedule) -> SearchResult:
     """Grid maximization over a box, refined around the incumbent.
 
-    Each axis is a `(start, stop)` pair enumerated from start toward stop, and
-    the objective is called once per round on the open mesh of the axes (one
-    array per axis, broadcasting to the full grid).  Ties go to the lowest
-    flat index, so the enumeration direction decides which point a plateau
-    reports.  `schedule` is a `(points per axis, refinement rounds, shrink
-    factor)` triple such as `CUBE_SCHEDULE`: every later round rescans a
-    window of shrink factor times the previous width around the incumbent,
-    clipped to the box; the incumbent is only replaced by a strictly larger
-    value.
+    Each axis is a `(start, stop)` pair enumerated from start toward stop
+    (`_grid_points`), and the objective is called once per round on the open
+    mesh of the axes (one array per axis, broadcasting to the full grid); its
+    answer is broadcast over the mesh.  `schedule` is a `(points per axis,
+    refinement rounds, shrink factor)` triple such as `LINE_SCHEDULE`: every
+    later round rescans a window of shrink factor times the previous width
+    around the incumbent, clipped to the box.
+
+    Ties go to the lowest flat index, so the enumeration direction decides
+    which point a plateau reports, and a constant objective reports the
+    start corner.  The incumbent is replaced only by a strictly larger
+    value, so never by a NaN, and the reported maximum is the best over all
+    evaluated points.
     """
     n, rounds, shrink = schedule
     box = [(min(a, b), max(a, b)) for a, b in axes]
     widths = [hi - lo for lo, hi in box]
+    ramp = np.arange(n, dtype=float)
     best_val = -np.inf
     best = tuple(float(start) for start, _ in axes)
     evals = 0
@@ -212,15 +196,13 @@ def _refine_max(objective, axes, schedule) -> SearchResult:
         wins = box
         if round_idx > 0:
             widths = [w * shrink for w in widths]
-            wins = [
-                _window(b, w / 2.0, lo, hi)
-                for b, w, (lo, hi) in zip(best, widths, box)
-            ]
+            wins = [_window(b, w / 2.0, lo, hi) for b, w, (lo, hi) in zip(best, widths, box)]
         points = [
-            np.linspace(lo, hi, n) if start <= stop else np.linspace(hi, lo, n)
+            _grid_points(lo, hi, ramp, n) if start <= stop else _grid_points(hi, lo, ramp, n)
             for (lo, hi), (start, stop) in zip(wins, axes)
         ]
-        vals = objective(*np.ix_(*points))
+        vals = np.asarray(objective(*np.ix_(*points)), dtype=float)
+        vals = np.broadcast_to(vals, (n,) * len(axes))
         evals += vals.size
         idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[idx] > best_val:
@@ -271,11 +253,10 @@ def h22_from_params(
     rather than c keeps the rounding of the direct side.  `bi_coeffs` then
     gives (a2, a3, a4) from c, c2 - d2 and c3 - d3.  This is independent
     of `h22_batch`, which never forms the coefficient triples: it checks
-    the kernel's split into A + B z + C w.  Both sides are validated, the
-    inverse one as (c, y, w): a bad y or w is reported as x or z.
+    the kernel's split into A + B z + C w.  Both sides are validated.
     """
     check_disk_params(c, x, z)
-    check_disk_params(c, y, w)
+    check_unit_disk(y=y, w=w)
     c2, c3 = disk_coeffs(c, x, z)
     d2, e3 = disk_coeffs(c, y, -w)
     a2, a3, a4 = bi_coeffs(family, 1.0 - order.beta, complex(c), c2 - d2, c3 + e3)
@@ -295,8 +276,10 @@ def h22_terms(family, beta, c, x, y):
         dc3 = [2 c^3 + 2 gap c (x + y) - c gap (x^2 + y^2)] / 4,
 
     and B = a2 k gap (1 - |x|^2)/2 and C = -a2 k gap (1 - |y|^2)/2 are real,
-    as a2 = (1 - beta) c or (1 - beta) c / 2 is.
+    as a2 = (1 - beta) c or (1 - beta) c / 2 is.  c, x and y broadcast
+    against each other, and the terms have their common shape.
     """
+    c, x, y = np.broadcast_arrays(c, x, y)
     om = 1.0 - beta
     gap = 4.0 - c * c
     dc2 = x - y
@@ -324,8 +307,10 @@ def h22_batch(family, beta, c, x, y, z, w):
     """Vectorized |a2 a4 - a3^2| over sample arrays, as |A + B z + C w|.
 
     (A, B, C) come from `h22_terms`; `h22_from_params` is the independent
-    scalar route through the coefficient triples.
+    scalar route through the coefficient triples.  The five arrays broadcast
+    against each other.
     """
+    c, x, y, z, w = np.broadcast_arrays(c, x, y, z, w)
     h, b, cw = h22_terms(family, beta, c, x, y)
     h += b * z
     h += cw * w

@@ -130,9 +130,10 @@ def run_checks(
     check depends on both family and beta and runs on every call.
     `clear_spot_check_cache` forgets the memo.
 
-    The grid checks run on fixed schedules: `maximize_1d` and
-    `maximize_surrogate` on theirs, the term-level checks on `C_POINTS`
-    points of [0, 2].
+    The grid checks run on fixed schedules: `maximize_1d` (the corner
+    quartic on `LINE_SCHEDULE`) and `maximize_surrogate` (the majorant on
+    `CUBE_SCHEDULE`) are the one refinement loop `optimizer._refine_max`,
+    and the term-level checks use `C_POINTS` points of [0, 2].
 
     `growth_inequality`, t2 + 2 (t3 + t4) >= 0 on [0, 2], holds for every
     beta in [0, 1): with w2 = (1 - b)^2 the sum factors as

@@ -14,6 +14,7 @@ from bihankel.caratheodory import (
     PCoefficients,
     check_disk_params,
     check_herglotz,
+    check_unit_disk,
     check_seed,
     coeff_excess,
     coeffs_from_herglotz,
@@ -273,6 +274,16 @@ class TestDiskParamValidator:
         scalars = [float(arrays[0][1]), complex(arrays[1][1]), complex(arrays[2][1])]
         with pytest.raises(ConstraintViolation, match=re.escape(message)):
             check_disk_params(*scalars)
+
+    @pytest.mark.parametrize("values,message", [
+        ({"y": 1.5 + 0j, "w": 5j}, "|y| must be <= 1, got 1.5"),
+        ({"y": np.array([0.5j, 0j]), "w": np.array([1j, 2.0 + 0j])}, "|w| must be <= 1, got 2.0"),
+        ({"w": complex(math.nan, 0.0)}, "|w| must be <= 1, got nan"),
+    ])
+    def test_unit_disk_check_names_the_keyword(self, values, message):
+        check_unit_disk(y=np.array([1j, 0.5 + 0j]), w=1.0 + 1e-13j)
+        with pytest.raises(ConstraintViolation, match=re.escape(message)):
+            check_unit_disk(**values)
 
 
 @settings(max_examples=200, derandomize=True)

@@ -130,6 +130,19 @@ class TestTable:
             "beta", "family", "bound", "branch", "critical_c", "grid_max", "abs_err",
         ]
 
+    @pytest.mark.parametrize("family", ["starlike", "both"])
+    def test_csv_and_json_rows_share_the_column_schema(self, capsys, family):
+        argv = ("table", "--family", family, "--beta-range", "0.2", "0.6", "--step", "0.05")
+        _, csv_out, _ = run_cli(capsys, *argv)
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        header, *lines = csv_out.splitlines()
+        rows = json.loads(json_out)
+        assert header.split(",") == list(cli.TABLE_COLUMNS)
+        assert len(lines) == len(rows) == 9 * (2 if family == "both" else 1)
+        for line, row in zip(lines, rows):
+            assert list(row) == list(cli.TABLE_COLUMNS)
+            assert line.split(",") == [v if isinstance(v, str) else repr(v) for v in row.values()]
+
     def test_bad_step_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "table", "--step", "0")
         assert code == 2

@@ -27,6 +27,7 @@ from bihankel.errors import ConstraintViolation, DomainError
 from bihankel.functionals import FamilyId, Order, bi_coeffs
 from bihankel.optimizer import (
     _grid_points,
+    _refine_max,
     CUBE_SCHEDULE,
     LINE_SCHEDULE,
     QUARTIC_BAND,
@@ -173,10 +174,10 @@ class TestQuarticGridMax:
         pick = np.concatenate([missed, np.arange(100)])
         lo, hi = lo[pick], hi[pick]
         ramp = np.arange(2001, dtype=float)
-        rows = _grid_points(lo[:, None], hi[:, None], ramp)
+        rows = _grid_points(lo[:, None], hi[:, None], ramp, 2001)
         for r in range(lo.size):
             assert np.array_equal(rows[r], np.linspace(lo[r], hi[r], 2001))
-        assert np.array_equal(_grid_points(0.3, 1.7, ramp), np.linspace(0.3, 1.7, 2001))
+        assert np.array_equal(_grid_points(0.3, 1.7, ramp, 2001), np.linspace(0.3, 1.7, 2001))
 
     def test_band_points_are_slices_of_the_grid(self):
         rng = np.random.default_rng(10)
@@ -184,7 +185,7 @@ class TestQuarticGridMax:
         hi = lo + rng.uniform(1e-6, 0.1, 500)
         first = rng.integers(0, 2001 - 17, 500).astype(float)
         first[:50] = 2001 - 17  # bands that end on the window's last point
-        band = _grid_points(lo[:, None], hi[:, None], first[:, None] + np.arange(17.0))
+        band = _grid_points(lo[:, None], hi[:, None], first[:, None] + np.arange(17.0), 2001)
         for r in range(lo.size):
             k = int(first[r])
             assert np.array_equal(band[r], np.linspace(lo[r], hi[r], 2001)[k:k + 17])
@@ -340,6 +341,107 @@ class TestMaximizeSurrogate:
         a = maximize_surrogate(FamilyId.STARLIKE, 0.42)
         b = maximize_surrogate(FamilyId.STARLIKE, 0.42)
         assert a == b
+
+
+def reference_refine_max(objective, axes, schedule):
+    """`_refine_max` with numpy's linspace for the points and Python's
+    max/min for the windows, as before it took `_grid_points`."""
+    n, rounds, shrink = schedule
+    box = [(min(a, b), max(a, b)) for a, b in axes]
+    widths = [hi - lo for lo, hi in box]
+    best_val = -np.inf
+    best = tuple(float(start) for start, _ in axes)
+    evals = 0
+    for round_idx in range(rounds + 1):
+        wins = box
+        if round_idx > 0:
+            widths = [w * shrink for w in widths]
+            wins = [(max(lo, b - w / 2.0), min(hi, b + w / 2.0))
+                    for b, w, (lo, hi) in zip(best, widths, box)]
+        points = [np.linspace(lo, hi, n) if start <= stop else np.linspace(hi, lo, n)
+                  for (lo, hi), (start, stop) in zip(wins, axes)]
+        vals = objective(*np.ix_(*points))
+        evals += vals.size
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[idx] > best_val:
+            best_val = float(vals[idx])
+            best = tuple(float(p[i]) for p, i in zip(points, idx))
+    return best_val, best, evals
+
+
+def float_bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def threshold_betas():
+    """Both starlike thresholds and the neighbouring doubles on either side."""
+    t = thresholds()
+    return [b for center in (t.quartic_sign_change, t.branch_split)
+            for b in (math.nextafter(center, 0.0), center, math.nextafter(center, 1.0))]
+
+
+class TestRefineMax:
+    """`_refine_max` is the one refinement loop, on `_grid_points`."""
+
+    def test_reversed_points_are_numpy_linspace(self):
+        rng = np.random.default_rng(16)
+        lo = rng.uniform(0.0, 0.9, 5000)
+        hi = lo + rng.uniform(1e-6, 0.1, 5000)
+        ramp = np.arange(61, dtype=float)
+        # windows where 60 * step + hi misses lo at the last point
+        assert np.any(60.0 * ((lo - hi) / 60) + hi != lo)
+        for a, b in zip(lo, hi):
+            expected = np.linspace(b, a, 61)
+            assert np.array_equal(_grid_points(b, a, ramp, 61), expected)
+            assert np.array_equal(_grid_points(float(b), float(a), ramp, 61), expected)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_maximize_surrogate_matches_the_linspace_loop(self, family):
+        axes = ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0))
+        betas = np.random.default_rng(17).random(50).tolist() + threshold_betas()
+        for beta in betas:
+            profile = quartic_profile(family, beta)
+            got = maximize_surrogate(family, beta)
+            value, argmax, evals = reference_refine_max(
+                lambda c, lam, mu: profile.surface(lam, mu, c), axes, CUBE_SCHEDULE)
+            assert float_bits(got.max_value, *got.argmax) == float_bits(value, *argmax)
+            assert got.evaluations == evals
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_maximize_1d_matches_the_linspace_loop(self, family):
+        betas = np.random.default_rng(18).random(50).tolist() + threshold_betas()
+        for beta in betas:
+            value = quartic_profile(family, beta).value
+            got = maximize_1d(value, (0.0, 2.0))
+            expected = reference_refine_max(value, ((0.0, 2.0),), LINE_SCHEDULE)
+            assert float_bits(got.max_value, *got.argmax) == float_bits(expected[0], *expected[1])
+            assert got.evaluations == expected[2] == 8004
+
+    @pytest.mark.parametrize("axes,objective", [
+        (((1.0, 0.0),), lambda t: -(t - 0.3) ** 2),
+        (((0.0, 2.0), (1.0, 0.0)), lambda c, t: np.sin(3.0 * c) * np.cos(2.0 * t - 0.7)),
+        (((2.0, 0.5), (0.25, 1.0), (1.0, 0.0)), lambda a, b, t: a * b - (t - 0.61) ** 2),
+    ])
+    def test_interior_peaks_on_reversed_axes_match_the_linspace_loop(self, axes, objective):
+        for schedule in (LINE_SCHEDULE, CUBE_SCHEDULE) if len(axes) == 1 else (CUBE_SCHEDULE,):
+            got = _refine_max(objective, axes, schedule)
+            value, argmax, evals = reference_refine_max(objective, axes, schedule)
+            assert float_bits(got.max_value, *got.argmax) == float_bits(value, *argmax)
+            assert got.evaluations == evals
+
+    @pytest.mark.parametrize("objective", [
+        lambda c, lam, mu: 2.5,
+        lambda c, lam, mu: 0.0 * (c + lam + mu) + 2.5,
+    ])
+    def test_constant_objective_reports_the_start_corner(self, objective):
+        result = _refine_max(objective, ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)), CUBE_SCHEDULE)
+        assert result == SearchResult(2.5, (0.0, 1.0, 1.0), 6 * 61**3)
+        assert all(type(v) is float for v in (result.max_value, *result.argmax))
+
+    def test_nan_objective_keeps_the_start_corner(self):
+        result = _refine_max(lambda c, lam: np.nan * (c + lam), ((0.0, 2.0), (1.0, 0.0)),
+                             CUBE_SCHEDULE)
+        assert result == SearchResult(-np.inf, (0.0, 1.0), 6 * 61**2)
 
 
 class TestEmpiricalSearch:
@@ -779,6 +881,27 @@ class TestH22Terms:
             assert abs(h[i] - scalar) < 1e-14
 
 
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_broadcast_shapes_match_explicit_arrays(self, family):
+        # c over one axis, x and y over the other two, as in a (c, x, y)
+        # torus scan; w adds an axis that none of c, x, y has
+        rng = np.random.default_rng(63)
+        c = rng.uniform(0.0, 2.0, (21, 1, 1))
+        x = unit_disk_samples(rng, 13 * 17).reshape(1, 13, 17)
+        y = unit_disk_samples(rng, 17).reshape(1, 1, 17)
+        z = unit_disk_samples(rng, 13).reshape(1, 13, 1)
+        w = unit_disk_samples(rng, 2).reshape(2, 1, 1, 1)
+        shape = (2, 21, 13, 17)
+        full = [np.broadcast_to(v, shape).copy() for v in (c, x, y, z, w)]
+        for got, expected in zip(h22_terms(family, 0.3, c, x, y),
+                                 h22_terms(family, 0.3, *(v[0] for v in full[:3]))):
+            assert got.shape == expected.shape == shape[1:]
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        got = h22_batch(family, 0.3, c, x, y, z, w)
+        expected = h22_batch(family, 0.3, *full)
+        assert got.shape == shape and got.tobytes() == expected.tobytes()
+
+
 def object_route_h22(family, order, c, x, y, z, w):
     """`h22_from_params` as the coefficient objects computed it, inlined.
 
@@ -831,9 +954,9 @@ class TestH22FromParamsPinned:
         with pytest.raises(ConstraintViolation, match=r"\|z\| must be <= 1"):
             h22_from_params(FamilyId.STARLIKE, Order(0.0), 1.0, 0j, 0j, 1.5 + 0j, 0j)
 
-    @pytest.mark.parametrize("y,w,name", [(3 + 0j, 5j, "x"), (0j, 5j, "z"), (1.5j, 0j, "x")])
+    @pytest.mark.parametrize("y,w,name", [(3 + 0j, 5j, "y"), (0j, 5j, "w"), (1.5j, 0j, "y")])
     def test_checks_the_inverse_disk_params(self, y, w, name):
-        # (c, y, w) is checked as check_disk_params' (c, x, z); unchecked, the
-        # first case evaluated to (-2.453125+10j)
+        # the error names the inverse side's parameter; unchecked, the first
+        # case evaluated to (-2.453125+10j)
         with pytest.raises(ConstraintViolation, match=rf"\|{name}\| must be <= 1"):
             h22_from_params(FamilyId.STARLIKE, Order(0.0), 1.0, 0j, y, 0j, w)

@@ -35,6 +35,11 @@ COMMANDS = (
     # a single sample
     "verify --family starlike --beta 0.3 --samples 16385 --trials 1 --seed 3",
     "verify --family convex --beta 0 --samples 1 --trials 1",
+    # the 1-d and 3-d scan values at the starlike thresholds (the quartic's
+    # c^4 coefficient changes sign near 0.2229, the peak reaches c = 2 near
+    # 0.5405) and near the end of the convex range
+    "verify --family starlike --beta 0.2228 --beta 0.5404 --beta 0.5405 --trials 2 --samples 10",
+    "verify --family convex --beta 0.99 --trials 2 --samples 10",
     "derive",
     "derive --trials 80 --seed 5",
     # the batched series oracle over a larger stream shared by six blocks
