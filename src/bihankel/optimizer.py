@@ -4,6 +4,11 @@ Every closed-form maximum in this package is double-checked by brute force:
 `_refine_max`, a deterministic grid scan with a few rounds of window
 refinement around the incumbent, on a fixed schedule per scan.  Its tie and
 update rules make results reproducible and nondecreasing across rounds.
+Each round's maximum comes from an evaluator: `_mesh_max` evaluates the
+whole grid, and `_corner_line_max` gives the majorant's full-grid result
+bit for bit from the corner line lam = mu = 1 and its neighbours, under a
+rounding certificate.  `quartic_grid_max` runs the same rounds for many
+quartics at once on a certified band of each round's grid.
 
 `empirical_max_h22` searches the actual parametrized coefficient set rather
 than the majorant: it samples (c, x, y, z, w) and records the largest
@@ -19,6 +24,7 @@ assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -82,7 +88,7 @@ def maximize_1d(objective, interval: tuple[float, float]) -> SearchResult:
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise DomainError(f"need low < high, got [{lo}, {hi}]")
-    return _refine_max(objective, ((lo, hi),), LINE_SCHEDULE)
+    return _refine_max(partial(_mesh_max, objective), ((lo, hi),), LINE_SCHEDULE)
 
 
 def _band_max(profile: bd.QuarticProfile, lo, hi, first, width: int):
@@ -168,22 +174,23 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
     return SearchResult(best_val, (best_x,), evals)
 
 
-def _refine_max(objective, axes, schedule) -> SearchResult:
+def _refine_max(evaluate, axes, schedule) -> SearchResult:
     """Grid maximization over a box, refined around the incumbent.
 
     Each axis is a `(start, stop)` pair enumerated from start toward stop
-    (`_grid_points`), and the objective is called once per round on the open
-    mesh of the axes (one array per axis, broadcasting to the full grid); its
-    answer is broadcast over the mesh.  `schedule` is a `(points per axis,
-    refinement rounds, shrink factor)` triple such as `LINE_SCHEDULE`: every
-    later round rescans a window of shrink factor times the previous width
-    around the incumbent, clipped to the box.
+    (`_grid_points`).  `evaluate(points)` is called once per round on the
+    round's points, one array per axis, and returns the maximum over their
+    mesh, its index (one per axis) and the number of points it evaluated;
+    `partial(_mesh_max, objective)` evaluates every point.  `schedule` is a
+    `(points per axis, refinement rounds, shrink factor)` triple such as
+    `LINE_SCHEDULE`: every later round rescans a window of shrink factor
+    times the previous width around the incumbent, clipped to the box.
 
-    Ties go to the lowest flat index, so the enumeration direction decides
-    which point a plateau reports, and a constant objective reports the
-    start corner.  The incumbent is replaced only by a strictly larger
-    value, so never by a NaN, and the reported maximum is the best over all
-    evaluated points.
+    Ties go to the lowest flat index: an evaluator reports the first
+    maximum in C order, so the enumeration direction decides which point a
+    plateau reports, and a constant objective reports the start corner.
+    The incumbent is replaced only by a strictly larger value, so never by
+    a NaN, and the reported maximum is the best over all evaluated points.
     """
     n, rounds, shrink = schedule
     box = [(min(a, b), max(a, b)) for a, b in axes]
@@ -201,32 +208,112 @@ def _refine_max(objective, axes, schedule) -> SearchResult:
             _grid_points(lo, hi, ramp, n) if start <= stop else _grid_points(hi, lo, ramp, n)
             for (lo, hi), (start, stop) in zip(wins, axes)
         ]
-        vals = np.asarray(objective(*np.ix_(*points)), dtype=float)
-        vals = np.broadcast_to(vals, (n,) * len(axes))
-        evals += vals.size
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[idx] > best_val:
-            best_val = float(vals[idx])
+        value, idx, count = evaluate(points)
+        evals += count
+        if value > best_val:
+            best_val = float(value)
             best = tuple(float(p[i]) for p, i in zip(points, idx))
     return SearchResult(best_val, best, evals)
+
+
+def _mesh_max(objective, points):
+    """`_refine_max`'s round for a plain objective: the objective on the open
+    mesh of the points (one array per axis, broadcasting to the full grid),
+    its answer broadcast over the mesh, and the first-index maximum."""
+    vals = np.asarray(objective(*np.ix_(*points)), dtype=float)
+    vals = np.broadcast_to(vals, tuple(p.size for p in points))
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return vals[idx], idx, vals.size
+
+
+def _corner_line_max(profile: bd.QuarticProfile, points):
+    """`_refine_max`'s round of the majorant: `_mesh_max` of `surface` bit for
+    bit, from the corner line and its neighbours where the certificate in
+    `maximize_surrogate` holds, rescanning the (lam, mu) grid of each c
+    where it fails, and the whole mesh when lam or mu does not start at 1."""
+    cs, lam, mu = points
+    n = cs.size
+    if lam[0] != 1.0 or mu[0] != 1.0:
+        return _mesh_max(lambda c, x, y: profile.surface(x, y, c), points)
+    t1, t2, t3, t4 = profile.terms(cs)
+    a2, a3, a4 = np.abs(t2), np.abs(t3), np.abs(t4)
+    monotone = (t2 >= 0.0) & (t4 >= 0.0)
+    monotone &= t2 + 2.0 * (t3 + t4) >= 2.0 ** -51 * (a2 + 2.0 * a3 + 2.0 * a4)  # 4u M
+    two_e = np.abs(t1) + 2.0 * a2 + 2.0 * a3 + 4.0 * a4
+    two_e *= 2.0 ** -49  # 2E = 16u S
+    line = profile.surface(np.array([1.0, lam[1], 1.0]), np.array([1.0, 1.0, mu[1]]),
+                           cs[:, None])
+    vals = line[:, 0].copy()
+    certified = monotone & (np.maximum(line[:, 1], line[:, 2]) + two_e < vals)
+    redo = np.flatnonzero(~certified)
+    lam_mu = np.zeros((2, n), dtype=np.intp)  # each slice's first-index argmax
+    if redo.size:
+        slices = profile.surface(lam[:, None], mu, cs[redo, None, None]).reshape(redo.size, -1)
+        first = slices.argmax(axis=1)
+        vals[redo] = slices[np.arange(redo.size), first]
+        lam_mu[:, redo] = np.divmod(first, n)
+    i = int(np.argmax(vals))
+    return vals[i], (i, *lam_mu[:, i]), 3 * n + redo.size * n * n
 
 
 def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:
     """Maximize the full majorant over (c, lam, mu) in [0,2] x [0,1]^2.
 
     This is the brute-force counterpart of the closed-form bound: the two
-    must agree to grid accuracy.  The scan is vectorized over a 3-d mesh
-    and refined around the incumbent on `CUBE_SCHEDULE`.  Ties break at the
-    lowest flat index; the lam and mu axes are enumerated from 1 downward,
-    so planes where the surface degenerates to a constant (c = 2) still
-    report the corner (1, 1) the maximum is approached through.
+    must agree to grid accuracy.  The result is bit for bit `_refine_max`
+    of the whole 61^3 mesh of `surface` on `CUBE_SCHEDULE`, whose ties
+    break at the lowest flat index; the lam and mu axes are enumerated from
+    1 downward, so planes where the surface degenerates to a constant
+    (c = 2) still report the corner (1, 1) the maximum is approached
+    through.  Each round evaluates only the corner line (c, 1, 1) and its
+    neighbours (c, lam1, 1) and (c, 1, mu1), lam1 and mu1 being the second
+    points of the two axes; a certificate shows that no other point of a
+    c-slice computes above its corner, and a slice that fails it is
+    rescanned on its 61 x 61 (lam, mu) grid (`_corner_line_max`).  A round
+    whose lam or mu window does not start at 1 is rescanned in full.
+    `evaluations` counts the points evaluated.
+
+    The certificate.  Let F~ be the surface with a slice's stored float
+    terms t1..t4, evaluated exactly.  Its partial derivative
+
+        dF~/dlam = t2 + 2 lam (t3 + t4) + 2 t4 mu
+
+    is linear in (lam, mu), so it is >= 0 on [0, 1]^2 when it is at the four
+    vertices: when t2 >= 0, t4 >= 0 and g = t2 + 2 (t3 + t4) >= 0, the
+    growth inequality `run_checks` proves; mu is symmetric.  The float g
+    carries two roundings, an error below 2.01u M with M = |t2| + 2 |t3| +
+    2 |t4| and u = 2^-53, so a float g >= 4u M proves g >= 0.  F~ is then
+    nondecreasing in lam and in mu on the square.  An axis enumerated
+    downward is nonincreasing in the index and starts exactly at its top
+    (0 * step + hi), here 1; so every grid point p of the slice but the
+    corner has lam <= lam1 or mu <= mu1, and F~(p) <= max(F~(lam1, 1),
+    F~(1, mu1)).
+
+    `surface` computes t1 + t2 s + t3 (lam lam + mu mu) + t4 (s s), s =
+    lam + mu, left to right: the t1 term carries 3 roundings and the
+    others 5 each.  With s <= 2, lam^2 + mu^2 <= 2 and s^2 <= 4,
+
+        |fl(F(p)) - F~(p)| <= gamma_5 S <= E = 8u S,
+        S = |t1| + 2 |t2| + 2 |t3| + 4 |t4|,
+
+    gamma_k = k u / (1 - k u).  The margin of E over gamma_5 S absorbs the
+    rounding of E itself, and underflow: 1 - b >= 2^-53 and the grid's
+    nonzero c exceed 10^-5, so S > 2^-130, far above the few subnormal
+    errors (< 2^-1070 each) the products can add.  Let nb be the larger
+    neighbour's float value and m the corner's.  If nb + 2E < m in floats,
+    then also in reals (m is a double and rounding is monotone), and every
+    other point p of the slice has fl(F(p)) <= F~(p) + E <= F~(nb) + E <=
+    nb + 2E < m.  So m is the slice's maximum and the corner, the slice's
+    first flat index, its first-index argmax.  The round's first-index
+    maximum is then the first c whose certified or rescanned slice maximum
+    is the largest, as the full scan finds it.
+
+    At c = 2 the gap 4 - c^2 is 0, so t2 = t3 = t4 = 0: the slice is flat,
+    fails the certificate (nb = m) and is rescanned.
     """
     profile = bd.quartic_profile(family, beta)
-    return _refine_max(
-        lambda c, lam, mu: profile.surface(lam, mu, c),
-        ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)),
-        CUBE_SCHEDULE,
-    )
+    return _refine_max(partial(_corner_line_max, profile),
+                       ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)), CUBE_SCHEDULE)
 
 
 # --- empirical search over the exact parametrization -----------------------

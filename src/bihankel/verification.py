@@ -132,8 +132,12 @@ def run_checks(
 
     The grid checks run on fixed schedules: `maximize_1d` (the corner
     quartic on `LINE_SCHEDULE`) and `maximize_surrogate` (the majorant on
-    `CUBE_SCHEDULE`) are the one refinement loop `optimizer._refine_max`,
-    and the term-level checks use `C_POINTS` points of [0, 2].
+    `CUBE_SCHEDULE`) both run the one refinement loop
+    `optimizer._refine_max`, the first on every grid point, the second on
+    the corner line lam = mu = 1 and its neighbours, with a rounding
+    certificate standing in for the rest of each c-slice (its result is
+    bit for bit the full scan's); the term-level checks use `C_POINTS`
+    points of [0, 2].
 
     `growth_inequality`, t2 + 2 (t3 + t4) >= 0 on [0, 2], holds for every
     beta in [0, 1): with w2 = (1 - b)^2 the sum factors as

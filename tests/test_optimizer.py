@@ -26,7 +26,9 @@ from bihankel.caratheodory import (
 from bihankel.errors import ConstraintViolation, DomainError
 from bihankel.functionals import FamilyId, Order, bi_coeffs
 from bihankel.optimizer import (
+    _corner_line_max,
     _grid_points,
+    _mesh_max,
     _refine_max,
     CUBE_SCHEDULE,
     LINE_SCHEDULE,
@@ -333,9 +335,15 @@ class TestMaximizeSurrogate:
         assert abs(result.max_value - h22_bound(family, beta).bound) < 1e-6
 
     def test_schedule_is_pinned(self):
-        # 61 points per axis in each of 1 + 5 rounds
+        # 61 points per axis in each of 1 + 5 rounds, bit for bit the full scan
         assert CUBE_SCHEDULE == (61, 5, 0.2)
-        assert maximize_surrogate(FamilyId.CONVEX, 0.3).evaluations == 6 * 61**3 == 1_361_886
+        got = maximize_surrogate(FamilyId.CONVEX, 0.3)
+        full = full_surrogate_scan(FamilyId.CONVEX, 0.3)
+        assert float_bits(got.max_value, *got.argmax) == float_bits(full.max_value, *full.argmax)
+        assert full.evaluations == 6 * 61**3 == 1_361_886
+        # the corner line and its two neighbour lines in each round, and the
+        # flat c = 2 slice of the first round rescanned
+        assert got.evaluations == 6 * 3 * 61 + 61**2 == 4_819
 
     def test_deterministic(self):
         a = maximize_surrogate(FamilyId.STARLIKE, 0.42)
@@ -405,7 +413,8 @@ class TestRefineMax:
             value, argmax, evals = reference_refine_max(
                 lambda c, lam, mu: profile.surface(lam, mu, c), axes, CUBE_SCHEDULE)
             assert float_bits(got.max_value, *got.argmax) == float_bits(value, *argmax)
-            assert got.evaluations == evals
+            assert evals == 6 * 61**3
+            assert rescanned_slices(got.evaluations) >= 1
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_maximize_1d_matches_the_linspace_loop(self, family):
@@ -424,7 +433,7 @@ class TestRefineMax:
     ])
     def test_interior_peaks_on_reversed_axes_match_the_linspace_loop(self, axes, objective):
         for schedule in (LINE_SCHEDULE, CUBE_SCHEDULE) if len(axes) == 1 else (CUBE_SCHEDULE,):
-            got = _refine_max(objective, axes, schedule)
+            got = _refine_max(functools.partial(_mesh_max, objective), axes, schedule)
             value, argmax, evals = reference_refine_max(objective, axes, schedule)
             assert float_bits(got.max_value, *got.argmax) == float_bits(value, *argmax)
             assert got.evaluations == evals
@@ -434,14 +443,183 @@ class TestRefineMax:
         lambda c, lam, mu: 0.0 * (c + lam + mu) + 2.5,
     ])
     def test_constant_objective_reports_the_start_corner(self, objective):
-        result = _refine_max(objective, ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)), CUBE_SCHEDULE)
+        result = _refine_max(functools.partial(_mesh_max, objective),
+                             ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)), CUBE_SCHEDULE)
         assert result == SearchResult(2.5, (0.0, 1.0, 1.0), 6 * 61**3)
         assert all(type(v) is float for v in (result.max_value, *result.argmax))
 
     def test_nan_objective_keeps_the_start_corner(self):
-        result = _refine_max(lambda c, lam: np.nan * (c + lam), ((0.0, 2.0), (1.0, 0.0)),
-                             CUBE_SCHEDULE)
+        result = _refine_max(functools.partial(_mesh_max, lambda c, lam: np.nan * (c + lam)),
+                             ((0.0, 2.0), (1.0, 0.0)), CUBE_SCHEDULE)
         assert result == SearchResult(-np.inf, (0.0, 1.0), 6 * 61**2)
+
+
+SURROGATE_AXES = ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0))
+
+
+def surface_objective(profile):
+    return lambda c, lam, mu: profile.surface(lam, mu, c)
+
+
+def full_surrogate_scan(family, beta, profile=None):
+    """`_refine_max` of the whole 61^3 mesh of the majorant in every round."""
+    profile = profile or quartic_profile(family, beta)
+    return _refine_max(functools.partial(_mesh_max, surface_objective(profile)),
+                       SURROGATE_AXES, CUBE_SCHEDULE)
+
+
+def rescanned_slices(evaluations):
+    """Slices a corner-line scan rescanned, read off its evaluation count:
+    3 lines of 61 points in each of 6 rounds, plus 61^2 per slice."""
+    extra = evaluations - 6 * 3 * 61
+    assert extra >= 0 and extra % 61**2 == 0
+    return extra // 61**2
+
+
+def ulps_around(center, k=3):
+    """center and the k neighbouring doubles on either side."""
+    below, above = [center], [center]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
+class TermsTransformed(QuarticProfile):
+    """A profile whose majorant terms pass through `transform` first."""
+
+    def __init__(self, profile, transform):
+        super().__init__(profile.family, profile.beta, profile.alpha4, profile.alpha2,
+                         profile.alpha0)
+        object.__setattr__(self, "transform", transform)
+
+    def terms(self, c):
+        return self.transform(*super().terms(c))
+
+
+def random_round_points(rng, lam_top=1.0, mu_top=1.0):
+    """One round's (c, lam, mu) axes: a random c window in [0, 2], ending at
+    2 half the time, and lam and mu windows enumerated down from their tops."""
+    ramp = np.arange(61, dtype=float)
+    width = 2.0 * 0.2 ** rng.integers(0, 6)
+    lo = rng.uniform(0.0, 2.0 - width)
+    c = _grid_points(lo, 2.0 if rng.random() < 0.5 else lo + width, ramp, 61)
+    return [c] + [_grid_points(top, max(0.0, top - 0.2 ** rng.integers(0, 6)), ramp, 61)
+                  for top in (lam_top, mu_top)]
+
+
+class TestCornerLineScan:
+    """`maximize_surrogate` scans the corner line and its neighbours per round
+    and is bit for bit the full 61^3 mesh scan."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_random_betas_match_the_full_scan(self, family):
+        for beta in np.random.default_rng(1701).random(300).tolist():
+            got, full = maximize_surrogate(family, beta), full_surrogate_scan(family, beta)
+            assert float_bits(got.max_value, *got.argmax) == \
+                float_bits(full.max_value, *full.argmax)
+            assert 1 <= rescanned_slices(got.evaluations) <= 6
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_edge_betas_match_the_full_scan(self, family):
+        t = thresholds()
+        centers = (t.quartic_sign_change, t.branch_split, 1.0 - math.sqrt(10.0) / 4.0)
+        betas = [b for center in centers for b in ulps_around(center)]
+        for beta in betas + [0.0, 5e-324, math.nextafter(1.0, 0.0)]:
+            got, full = maximize_surrogate(family, beta), full_surrogate_scan(family, beta)
+            assert float_bits(got.max_value, *got.argmax) == \
+                float_bits(full.max_value, *full.argmax)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_rounds_match_the_mesh_round(self, family):
+        rng = np.random.default_rng(1702)
+        for beta in rng.random(40).tolist() + [0.0, math.nextafter(1.0, 0.0)]:
+            profile = quartic_profile(family, beta)
+            for tops in ((1.0, 1.0), (1.0, 1.0), (0.9, 0.9), (1.0, 0.9), (0.9, 1.0)):
+                points = random_round_points(rng, *tops)
+                value, idx, count = _corner_line_max(profile, points)
+                expected = _mesh_max(surface_objective(profile), points)
+                assert (float(value).hex(), tuple(map(int, idx))) == \
+                    (float(expected[0]).hex(), tuple(map(int, expected[1])))
+                if tops == (1.0, 1.0):
+                    rescans, rest = divmod(count - 3 * 61, 61**2)
+                    assert rest == 0 and rescans >= (points[0][-1] == 2.0)  # the flat slice
+                else:
+                    assert count == expected[2] == 61**3
+
+    def test_starlike_peak_at_c2_rescans_the_flat_slice(self):
+        # the peak is the corner of the flat c = 2 slice in every round
+        for beta in (0.0, 5e-324):
+            got = maximize_surrogate(FamilyId.STARLIKE, beta)
+            full = full_surrogate_scan(FamilyId.STARLIKE, beta)
+            assert got.argmax == full.argmax == (2.0, 1.0, 1.0)
+            assert got.max_value == full.max_value
+            assert rescanned_slices(got.evaluations) == 6
+
+    @pytest.mark.parametrize("transform", [
+        lambda t1, t2, t3, t4: (t1, -t2, t3, t4),
+        lambda t1, t2, t3, t4: (t1, t2, 8.0 * t3, t4),
+        lambda t1, t2, t3, t4: (t1, t2, t3, -t4),
+    ], ids=["t2_negated", "growth_broken", "t4_negated"])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_terms_breaking_monotonicity_fall_back(self, family, transform):
+        for beta in (0.0, 0.3, 0.7):
+            profile = TermsTransformed(quartic_profile(family, beta), transform)
+            got = _refine_max(functools.partial(_corner_line_max, profile),
+                              SURROGATE_AXES, CUBE_SCHEDULE)
+            full = full_surrogate_scan(family, beta, profile)
+            assert float_bits(got.max_value, *got.argmax) == \
+                float_bits(full.max_value, *full.argmax)
+            # the slices the broken terms leave uncertified are rescanned
+            assert got.evaluations > maximize_surrogate(family, beta).evaluations
+
+    @pytest.mark.parametrize("terms,lam_low", [
+        # t2 < 0: the neighbours fall below the corner, (0, 0) rises above it
+        ((1.0, -1.0, 0.0, 0.375), 0.0),
+        # t4 < 0: (1, 0) rises above the corner
+        ((1.0, 0.5, 1.5, -0.75), 0.0),
+        # t2 + 2 (t3 + t4) < 0: the diagonal neighbour rises above the corner
+        ((1.0, 0.4354252674698872, -0.8359609576683859, 0.30869699338527024), 0.8),
+        # monotone, but within rounding of flat: the neighbours compute just
+        # below the corner and a point further out one unit above it
+        ((1.0000000000962996, 2.2916007261556395e-14, -1.526909910303664e-14,
+          4.913165041842003e-15), 1.0 - 0.2**3),
+    ], ids=["t2_negative", "t4_negative", "growth_negative", "within_rounding"])
+    def test_slices_the_certificate_must_reject(self, terms, lam_low):
+        # the corner beats both neighbours, yet another point computes higher
+        profile = TermsTransformed(quartic_profile(FamilyId.CONVEX, 0.3),
+                                   lambda *t: tuple(np.full_like(t[0], v) for v in terms))
+        ramp = np.arange(61, dtype=float)
+        lam = _grid_points(1.0, lam_low, ramp, 61)
+        points = [_grid_points(0.5, 1.5, ramp, 61), lam, lam]
+        line = profile.surface(np.array([1.0, lam[1], 1.0]), np.array([1.0, 1.0, lam[1]]), 1.0)
+        expected = _mesh_max(surface_objective(profile), points)
+        assert max(line[1:]) < line[0] < expected[0]
+        value, idx, count = _corner_line_max(profile, points)
+        assert (value, tuple(map(int, idx))) == (expected[0], tuple(map(int, expected[1])))
+        assert count == 3 * 61 + 61**3
+
+    @pytest.mark.parametrize("beta", [0.0, 5e-324, 0.3, 0.7, 0.999, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_surface_rounding_stays_within_e(self, family, beta):
+        # E = 8u (|t1| + 2 |t2| + 2 |t3| + 4 |t4|) bounds |fl(F) - F~| on
+        # the unit square, F~ the surface of the float terms in exact
+        # arithmetic
+        rng = np.random.default_rng(1703)
+        profile = quartic_profile(family, beta)
+        rounds = [random_round_points(rng) for _ in range(10)]
+        ends = ([0.0, 2.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0])  # (c, lam, mu) columns
+        c, lam, mu = (np.concatenate([r[axis][rng.integers(0, 61, 300)] for r in rounds]
+                                     + [np.array(ends[axis])])
+                      for axis in range(3))
+        values = profile.surface(lam, mu, c)
+        ratios = []
+        for *point, value in zip(*profile.terms(c), lam, mu, values.tolist()):
+            t1, t2, t3, t4, x, y = (Fraction(float(v)) for v in point)
+            exact = t1 + t2 * (x + y) + t3 * (x * x + y * y) + t4 * (x + y) ** 2
+            e = Fraction(8, 2**53) * (abs(t1) + 2 * abs(t2) + 2 * abs(t3) + 4 * abs(t4))
+            ratios.append(abs(Fraction(value) - exact) / e)
+        assert 0 < max(ratios) <= 1
 
 
 class TestEmpiricalSearch:
@@ -731,8 +909,10 @@ class TestMergedFormulasMatchReferences:
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_maximize_surrogate_identical(self, family, beta):
         result = maximize_surrogate(family, beta)
-        assert (result.max_value, result.argmax, result.evaluations) == \
-            reference_maximize_surrogate(family, beta)
+        value, argmax, evals = reference_maximize_surrogate(family, beta)
+        assert (result.max_value, result.argmax) == (value, argmax)
+        assert evals == 6 * 61**3
+        assert rescanned_slices(result.evaluations) >= 1
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("family", list(FamilyId))

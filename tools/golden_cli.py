@@ -40,6 +40,11 @@ COMMANDS = (
     # 0.5405) and near the end of the convex range
     "verify --family starlike --beta 0.2228 --beta 0.5404 --beta 0.5405 --trials 2 --samples 10",
     "verify --family convex --beta 0.99 --trials 2 --samples 10",
+    # the 3-d scan's corner-line certificate: the flat c = 2 slice, the
+    # starlike switch from the corner to an interior c, and betas at the
+    # ends of the range
+    "verify --family both --beta 0.2094 --beta 0.9999999 --trials 2 --samples 10",
+    "verify --family starlike --beta 0 --beta 5e-324 --trials 2 --samples 10",
     "derive",
     "derive --trials 80 --seed 5",
     # the batched series oracle over a larger stream shared by six blocks
