@@ -202,21 +202,11 @@ def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
     w2 = np.float_power(1.0 - beta, 2)
     if family is FamilyId.STARLIKE:
         scale = w2 / 48.0
-        return QuarticProfile(
-            family,
-            beta,
-            alpha4=scale * (16.0 * beta * beta - 26.0 * beta + 5.0),
-            alpha2=scale * 24.0 * (2.0 - beta),
-            alpha0=scale * 48.0,
-        )
-    scale = w2 / 288.0
-    return QuarticProfile(
-        family,
-        beta,
-        alpha4=scale * (3.0 * beta * beta - 3.0 * beta - 4.0),
-        alpha2=scale * 4.0 * (8.0 - 3.0 * beta),
-        alpha0=scale * 32.0,
-    )
+        alpha2, alpha0 = scale * 24.0 * (2.0 - beta), scale * 48.0
+    else:
+        scale = w2 / 288.0
+        alpha2, alpha0 = scale * 4.0 * (8.0 - 3.0 * beta), scale * 32.0
+    return QuarticProfile(family, beta, scale * _lead(family, beta), alpha2, alpha0)
 
 
 def _lead(family: FamilyId, beta):

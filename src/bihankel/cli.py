@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
 
 
 def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
-    """The table's betas: lo, lo + step, ... up to hi (with 1e-9 slack)."""
+    """The table's betas: lo, lo + step, ... up to hi (with 1e-9 slack) and below 1."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise DomainError(
             f"step and beta range must be finite, got step {step}, "
@@ -224,7 +224,8 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
             f"step {step} gives more than {MAX_TABLE_ROWS} rows per family"
         )
     count = int(math.floor(span)) + 1
-    return [lo + k * step for k in range(count)]
+    # the slack may carry the last beta past hi, which is kept, or up to 1
+    return [beta for beta in (lo + k * step for k in range(count)) if beta < 1.0]
 
 
 def _grid_maxima(family: FamilyId, betas: list[float]) -> list[float]:

@@ -3,12 +3,15 @@
 Every closed-form maximum in this package is double-checked by brute force:
 `_refine_max`, a deterministic grid scan with a few rounds of window
 refinement around the incumbent, on a fixed schedule per scan.  Its tie and
-update rules make results reproducible and nondecreasing across rounds.
-Each round's maximum comes from an evaluator: `_mesh_max` evaluates the
-whole grid, and `_corner_line_max` gives the majorant's full-grid result
-bit for bit from the corner line lam = mu = 1 and its neighbours, under a
-rounding certificate.  `quartic_grid_max` runs the same rounds for many
-quartics at once on a certified band of each round's grid.
+update rules, stated there once, make results reproducible and
+nondecreasing across rounds.  Each round hands an evaluator the round's
+window per axis; the evaluator builds the grid points it needs and returns
+the maximum, its point and its evaluation count.  `_mesh_max` evaluates the
+whole grid; `_corner_line_max` gives the majorant's full-grid result bit
+for bit from the corner line lam = mu = 1 and its neighbours, under a
+rounding certificate; `_band_round` does the same for a stack of quartics
+from a band around each one's peak.  The incumbent may be a stack of rows,
+so `quartic_grid_max` scans many quartics in one `_refine_max` call.
 
 `empirical_max_h22` searches the actual parametrized coefficient set rather
 than the majorant: it samples (c, x, y, z, w) and records the largest
@@ -83,23 +86,43 @@ def maximize_1d(objective, interval: tuple[float, float]) -> SearchResult:
     2001 points over the interval, then 3 more rounds of 2001 points, each
     over a window a tenth as wide as the one before.  A constant objective
     reports the left endpoint.  The objective is called on a 1-d array of
-    points; a scalar answer is broadcast over them.
+    points; a scalar answer is broadcast over them.  The width hi - lo must
+    be finite and positive.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise DomainError(f"need low < high, got [{lo}, {hi}]")
+    if not 0.0 < hi - lo < np.inf:
+        raise DomainError(f"need low < high and a finite width, got [{lo}, {hi}]")
     return _refine_max(partial(_mesh_max, objective), ((lo, hi),), LINE_SCHEDULE)
 
 
-def _band_max(profile: bd.QuarticProfile, lo, hi, first, width: int):
-    """Q on grid points first, ..., first + width - 1 of each row's window
-    [lo, hi]: the values, then each row's first-index maximum and its point."""
-    xs = _grid_points(lo[:, None], hi[:, None], first[:, None] + np.arange(width, dtype=float),
-                      LINE_SCHEDULE[0])
+def _band_max(profile: bd.QuarticProfile, lo, hi, index):
+    """Q on grid points `index` of each row's window [lo, hi]: the values,
+    then each row's first-index maximum and its point."""
+    xs = _grid_points(lo[:, None], hi[:, None], index, LINE_SCHEDULE[0])
     ys = profile.value(xs)
     rows = np.arange(ys.shape[0])
     i = ys.argmax(axis=1)
     return ys, ys[rows, i], xs[rows, i]
+
+
+def _band_round(profile: bd.QuarticProfile, peak, two_e, quasi_concave, windows, ramp):
+    """`_refine_max`'s round of a stack of quartics: the band of each row's
+    grid around its `peak`, certified as in `quartic_grid_max`, and the
+    whole grid of each row that fails the certificate."""
+    lo, hi = (np.broadcast_to(end, peak.shape) for end in windows[0])  # round 0: floats
+    n, width = ramp.size, 2 * QUARTIC_BAND + 1
+    centre = np.rint((peak - lo) / ((hi - lo) / (n - 1)))
+    first = np.fmin(np.fmax(centre - QUARTIC_BAND, 0.0), n - width)  # fmax: NaN -> 0
+    ys, vals, xs = _band_max(profile, lo, hi, first[:, None] + ramp[:width])
+    certified = (quasi_concave
+                 & ((first == 0.0) | (ys[:, 0] + two_e < vals))
+                 & ((first == n - width) | (ys[:, -1] + two_e < vals)))
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        rows = replace(profile, **{name: getattr(profile, name)[redo]
+                                   for name in ("beta", "alpha4", "alpha2", "alpha0")})
+        _, vals[redo], xs[redo] = _band_max(rows, lo[redo], hi[redo], ramp)
+    return vals, (xs,), ys.size + redo.size * n
 
 
 def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
@@ -108,8 +131,8 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
 
     `max_value` and `argmax[0]` are arrays over the rows, equal bit for bit
     to the one-row scans; `evaluations` counts the points Q was evaluated on.
-    Each round keeps `_refine_max`'s window, grid points, tie and update
-    rules, but evaluates only the band around the predicted peak: c = 2
+    The scan is `_refine_max` over the stack of rows, whose rounds
+    (`_band_round`) evaluate only the band around the predicted peak: c = 2
     when alpha4 >= 0, else c* = sqrt(-alpha2 / (2 alpha4)).  The hint only
     places the band; a certificate decides whether the band's maximum is
     the round's.  A row that fails it is rescanned on all 2001 points.
@@ -136,105 +159,86 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
     quasi-concavity gives Q~(x_j) <= Q~(x_a), and fl(Q(x_j)) <= fl(Q(x_a))
     + 2E < m; the right edge is the mirror image.  When both edges that are
     not window ends pass (and alpha2 > 0), every point outside the band
-    falls strictly below m, so the full grid's first-index argmax is p and
-    the round updates the incumbent as the full scan does.  A float test
-    `q + 2E < m` implies the real one, as m is a double.
+    falls strictly below m, so the full grid's first-index argmax is p, the
+    round's result as `_refine_max` defines it.  A float test `q + 2E < m`
+    implies the real one, as m is a double.
     """
-    n, rounds, shrink = LINE_SCHEDULE
-    width = 2 * QUARTIC_BAND + 1
     alpha4, alpha2, alpha0 = (np.ravel(a) for a in (profile.alpha4, profile.alpha2, profile.alpha0))
     with np.errstate(divide="ignore", invalid="ignore"):
         peak = np.where(alpha4 < 0.0, np.sqrt(-alpha2 / (2.0 * alpha4)), 2.0)
     two_e = 16.0 * np.abs(alpha4) + 4.0 * np.abs(alpha2) + np.abs(alpha0)
     two_e *= 2.0 ** -49  # 2E = 16u (16 |alpha4| + 4 |alpha2| + |alpha0|)
-    quasi_concave = alpha2 > 0.0
-
-    lo, hi = np.zeros(alpha4.size), np.full(alpha4.size, 2.0)
-    best_val, best_x = np.full(alpha4.size, -np.inf), np.zeros(alpha4.size)
-    span, evals = 2.0, 0
-    for round_idx in range(rounds + 1):
-        if round_idx > 0:
-            span *= shrink
-            lo, hi = _window(best_x, span / 2.0, 0.0, 2.0)
-        centre = np.rint((peak - lo) / ((hi - lo) / (n - 1)))
-        first = np.fmin(np.fmax(centre - QUARTIC_BAND, 0.0), n - width)  # fmax: NaN -> 0
-        ys, vals, xs = _band_max(profile, lo, hi, first, width)
-        certified = (quasi_concave
-                     & ((first == 0.0) | (ys[:, 0] + two_e < vals))
-                     & ((first == n - width) | (ys[:, -1] + two_e < vals)))
-        redo = np.flatnonzero(~certified)
-        if redo.size:
-            rows = replace(profile, **{name: getattr(profile, name)[redo]
-                                       for name in ("beta", "alpha4", "alpha2", "alpha0")})
-            _, vals[redo], xs[redo] = _band_max(rows, lo[redo], hi[redo], np.zeros(redo.size), n)
-        evals += ys.size + redo.size * n
-        better = vals > best_val
-        best_val = np.where(better, vals, best_val)
-        best_x = np.where(better, xs, best_x)
-    return SearchResult(best_val, (best_x,), evals)
+    return _refine_max(partial(_band_round, profile, peak, two_e, alpha2 > 0.0),
+                       ((0.0, 2.0),), LINE_SCHEDULE)
 
 
 def _refine_max(evaluate, axes, schedule) -> SearchResult:
     """Grid maximization over a box, refined around the incumbent.
 
-    Each axis is a `(start, stop)` pair enumerated from start toward stop
-    (`_grid_points`).  `evaluate(points)` is called once per round on the
-    round's points, one array per axis, and returns the maximum over their
-    mesh, its index (one per axis) and the number of points it evaluated;
-    `partial(_mesh_max, objective)` evaluates every point.  `schedule` is a
-    `(points per axis, refinement rounds, shrink factor)` triple such as
-    `LINE_SCHEDULE`: every later round rescans a window of shrink factor
-    times the previous width around the incumbent, clipped to the box.
+    Each axis is a `(start, stop)` pair enumerated from start toward stop.
+    `schedule` is a `(points per axis, refinement rounds, shrink factor)`
+    triple such as `LINE_SCHEDULE`: every later round rescans a window of
+    shrink factor times the previous width around the incumbent, clipped to
+    the box.  `evaluate(windows, ramp)` is called once per round with the
+    round's `(start, stop)` window per axis and `ramp`, the grid indices
+    0..n-1 as floats, built once per scan.  It builds the points it needs
+    with `_grid_points(start, stop, index, n)` and returns the maximum over
+    the round's mesh, its point (one coordinate per axis) and the number of
+    points it evaluated; `partial(_mesh_max, objective)` evaluates them all.
 
-    Ties go to the lowest flat index: an evaluator reports the first
-    maximum in C order, so the enumeration direction decides which point a
-    plateau reports, and a constant objective reports the start corner.
-    The incumbent is replaced only by a strictly larger value, so never by
-    a NaN, and the reported maximum is the best over all evaluated points.
+    The incumbent may be a stack of rows: an evaluator may return arrays
+    over rows, and the windows are then arrays too.  Ties go to the lowest
+    flat index: an evaluator reports the first maximum in C order, so the
+    enumeration direction decides which point a plateau reports, and a
+    constant objective reports the start corner.  Each row's incumbent is
+    replaced only by a strictly larger value, so never by a NaN, and the
+    reported maximum is the best over all evaluated points.  A one-row scan
+    reports Python floats, a stack arrays over the rows.
     """
     n, rounds, shrink = schedule
     box = [(min(a, b), max(a, b)) for a, b in axes]
     widths = [hi - lo for lo, hi in box]
     ramp = np.arange(n, dtype=float)
     best_val = -np.inf
-    best = tuple(float(start) for start, _ in axes)
+    best = [float(start) for start, _ in axes]
     evals = 0
     for round_idx in range(rounds + 1):
         wins = box
         if round_idx > 0:
             widths = [w * shrink for w in widths]
             wins = [_window(b, w / 2.0, lo, hi) for b, w, (lo, hi) in zip(best, widths, box)]
-        points = [
-            _grid_points(lo, hi, ramp, n) if start <= stop else _grid_points(hi, lo, ramp, n)
-            for (lo, hi), (start, stop) in zip(wins, axes)
-        ]
-        value, idx, count = evaluate(points)
+        windows = [(lo, hi) if start <= stop else (hi, lo)
+                   for (lo, hi), (start, stop) in zip(wins, axes)]
+        value, point, count = evaluate(windows, ramp)
         evals += count
-        if value > best_val:
-            best_val = float(value)
-            best = tuple(float(p[i]) for p, i in zip(points, idx))
-    return SearchResult(best_val, best, evals)
+        better = value > best_val
+        best_val = np.where(better, value, best_val)
+        best = [np.where(better, p, b) for p, b in zip(point, best)]
+    if best_val.ndim == 0:
+        return SearchResult(float(best_val), tuple(map(float, best)), evals)
+    return SearchResult(best_val, tuple(best), evals)
 
 
-def _mesh_max(objective, points):
+def _mesh_max(objective, windows, ramp):
     """`_refine_max`'s round for a plain objective: the objective on the open
-    mesh of the points (one array per axis, broadcasting to the full grid),
-    its answer broadcast over the mesh, and the first-index maximum."""
+    mesh of the windows' grids (one array per axis, broadcasting to the full
+    grid), its answer broadcast over the mesh, and the first-index maximum."""
+    points = [_grid_points(start, stop, ramp, ramp.size) for start, stop in windows]
     vals = np.asarray(objective(*np.ix_(*points)), dtype=float)
     vals = np.broadcast_to(vals, tuple(p.size for p in points))
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return vals[idx], idx, vals.size
+    return vals[idx], [p[i] for p, i in zip(points, idx)], vals.size
 
 
-def _corner_line_max(profile: bd.QuarticProfile, points):
+def _corner_line_max(profile: bd.QuarticProfile, windows, ramp):
     """`_refine_max`'s round of the majorant: `_mesh_max` of `surface` bit for
     bit, from the corner line and its neighbours where the certificate in
     `maximize_surrogate` holds, rescanning the (lam, mu) grid of each c
     where it fails, and the whole mesh when lam or mu does not start at 1."""
-    cs, lam, mu = points
-    n = cs.size
-    if lam[0] != 1.0 or mu[0] != 1.0:
-        return _mesh_max(lambda c, x, y: profile.surface(x, y, c), points)
+    if windows[1][0] != 1.0 or windows[2][0] != 1.0:
+        return _mesh_max(lambda c, x, y: profile.surface(x, y, c), windows, ramp)
+    n = ramp.size
+    cs, lam, mu = (_grid_points(start, stop, ramp, n) for start, stop in windows)
     t1, t2, t3, t4 = profile.terms(cs)
     a2, a3, a4 = np.abs(t2), np.abs(t3), np.abs(t4)
     monotone = (t2 >= 0.0) & (t4 >= 0.0)
@@ -253,7 +257,7 @@ def _corner_line_max(profile: bd.QuarticProfile, points):
         vals[redo] = slices[np.arange(redo.size), first]
         lam_mu[:, redo] = np.divmod(first, n)
     i = int(np.argmax(vals))
-    return vals[i], (i, *lam_mu[:, i]), 3 * n + redo.size * n * n
+    return vals[i], (cs[i], lam[lam_mu[0, i]], mu[lam_mu[1, i]]), 3 * n + redo.size * n * n
 
 
 def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:

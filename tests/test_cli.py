@@ -314,6 +314,21 @@ class TestBetaGrid:
             cli._beta_grid(lo, hi, step)
         assert str(info.value).startswith(message)
 
+    def test_slack_may_pass_hi_but_not_reach_one(self):
+        # the table-sweep grid ends one ulp past hi; the second grid's slack
+        # carries a fourth beta past hi to 1.0000000001566667
+        assert cli._beta_grid(0.0, 0.99, 4e-4)[-1] == 0.9900000000000001
+        assert len(cli._beta_grid(0.0, 0.99999999999, 0.33333333338555554)) == 3
+
+    def test_table_drops_a_generated_beta_at_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--family", "starlike",
+            "--beta-range", "0", "0.99999999999", "--step", "0.33333333338555554",
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["0.0", "0.33333333338555554", "0.6666666667711111"]
+
 
 class TestSearch:
     def test_gap_nonnegative_and_exit_zero(self, capsys):

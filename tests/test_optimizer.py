@@ -87,10 +87,13 @@ class TestMaximize1d:
         stacked = quartic_profile(FamilyId.STARLIKE, [0.1, 0.3, 0.5, 0.7, 0.9])
         assert quartic_grid_max(stacked).evaluations == 5 * 4 * 17
 
-    @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 0.0), (math.nan, 1.0)])
+    # an infinite width makes every grid point NaN (0 * inf), and hi - lo
+    # overflows on (-1e308, 1e308): both would report -inf at lo
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 0.0), (math.nan, 1.0),
+                                          (0.0, math.inf), (-1e308, 1e308)])
     def test_invalid_interval_is_a_domain_error(self, interval):
-        with pytest.raises(DomainError, match="need low < high"):
-            maximize_1d(lambda x: x, interval)
+        with pytest.raises(DomainError, match="need low < high and a finite width"):
+            maximize_1d(lambda x: -x * x, interval)
 
 
 def reference_maximize_1d(objective, interval, rounds=LINE_SCHEDULE[1]):
@@ -157,6 +160,12 @@ def assert_rows_equal(got, expected):
 def band_evaluations(rows):
     """`quartic_grid_max`'s count when no row falls back: 4 bands per row."""
     return rows * (LINE_SCHEDULE[1] + 1) * (2 * QUARTIC_BAND + 1)
+
+
+def stacked_profile(rows):
+    """The (rows, 1)-column profile of scalar profiles of one family."""
+    return QuarticProfile(rows[0].family, *(np.array([[getattr(p, a)] for p in rows])
+                                            for a in ("beta", "alpha4", "alpha2", "alpha0")))
 
 
 def dense_betas(center, count=2001, spacing=1e-7):
@@ -264,14 +273,21 @@ class TestQuarticGridMax:
         good = quartic_profile(FamilyId.CONVEX, 0.1)
         nan = QuarticProfile(FamilyId.CONVEX, 0.5, math.nan, good.alpha2, good.alpha0)
         rows = [good, nan, QuarticProfile(FamilyId.CONVEX, 0.9, good.alpha4, math.nan, 0.0)]
-        stacked = QuarticProfile(FamilyId.CONVEX, np.array([[0.1], [0.5], [0.9]]),
-                                 *(np.array([[getattr(p, a)] for p in rows])
-                                   for a in ("alpha4", "alpha2", "alpha0")))
-        scan = quartic_grid_max(stacked)
+        scan = quartic_grid_max(stacked_profile(rows))
         expected = reference_rows([p.value for p in rows])
         assert_rows_equal((scan.max_value, scan.argmax[0]), expected)
         assert scan.max_value[1] == -np.inf and scan.argmax[0][1] == 0.0
         assert scan.evaluations == 4 * 17 + 2 * 4 * (17 + 2001)
+
+    def test_rows_that_are_not_quasi_concave_are_rescanned(self):
+        # alpha2 < 0 < alpha4: Q dips and rises again, so the band at c = 2
+        # passes its edge test while Q(0) = 0 beats Q(2) = -4
+        good = quartic_profile(FamilyId.CONVEX, 0.1)
+        rows = [good, QuarticProfile(FamilyId.CONVEX, 0.5, 1.0, -5.0, 0.0)]
+        scan = quartic_grid_max(stacked_profile(rows))
+        assert_rows_equal((scan.max_value, scan.argmax[0]), reference_rows([p.value for p in rows]))
+        assert (scan.max_value[1], scan.argmax[0][1]) == (0.0, 0.0)
+        assert scan.evaluations == 2 * 4 * 17 + 4 * 2001
 
     def test_constant_rows_report_left_endpoint(self):
         # alpha2 = 0 voids the certificate, so the full scan decides the ties
@@ -497,15 +513,25 @@ class TermsTransformed(QuarticProfile):
         return self.transform(*super().terms(c))
 
 
-def random_round_points(rng, lam_top=1.0, mu_top=1.0):
-    """One round's (c, lam, mu) axes: a random c window in [0, 2], ending at
-    2 half the time, and lam and mu windows enumerated down from their tops."""
-    ramp = np.arange(61, dtype=float)
+CUBE_RAMP = np.arange(61, dtype=float)
+
+
+def random_round_windows(rng, lam_top=1.0, mu_top=1.0):
+    """One round's (c, lam, mu) windows as `(start, stop)` pairs: a random c
+    window in [0, 2], ending at 2 half the time, and lam and mu windows
+    enumerated down from their tops."""
     width = 2.0 * 0.2 ** rng.integers(0, 6)
     lo = rng.uniform(0.0, 2.0 - width)
-    c = _grid_points(lo, 2.0 if rng.random() < 0.5 else lo + width, ramp, 61)
-    return [c] + [_grid_points(top, max(0.0, top - 0.2 ** rng.integers(0, 6)), ramp, 61)
-                  for top in (lam_top, mu_top)]
+    c = (lo, 2.0 if rng.random() < 0.5 else lo + width)
+    return [c] + [(top, max(0.0, top - 0.2 ** rng.integers(0, 6))) for top in (lam_top, mu_top)]
+
+
+def round_points(windows):
+    """The 61-point grid of each window; all of them strictly monotone, so
+    a point of the mesh names its index."""
+    points = [_grid_points(start, stop, CUBE_RAMP, 61) for start, stop in windows]
+    assert all(np.all(np.diff(p) != 0.0) for p in points)
+    return points
 
 
 class TestCornerLineScan:
@@ -536,14 +562,14 @@ class TestCornerLineScan:
         for beta in rng.random(40).tolist() + [0.0, math.nextafter(1.0, 0.0)]:
             profile = quartic_profile(family, beta)
             for tops in ((1.0, 1.0), (1.0, 1.0), (0.9, 0.9), (1.0, 0.9), (0.9, 1.0)):
-                points = random_round_points(rng, *tops)
-                value, idx, count = _corner_line_max(profile, points)
-                expected = _mesh_max(surface_objective(profile), points)
-                assert (float(value).hex(), tuple(map(int, idx))) == \
-                    (float(expected[0]).hex(), tuple(map(int, expected[1])))
+                windows = random_round_windows(rng, *tops)
+                round_points(windows)  # distinct grid points: equal points, equal index
+                value, point, count = _corner_line_max(profile, windows, CUBE_RAMP)
+                expected = _mesh_max(surface_objective(profile), windows, CUBE_RAMP)
+                assert float_bits(value, *point) == float_bits(expected[0], *expected[1])
                 if tops == (1.0, 1.0):
                     rescans, rest = divmod(count - 3 * 61, 61**2)
-                    assert rest == 0 and rescans >= (points[0][-1] == 2.0)  # the flat slice
+                    assert rest == 0 and rescans >= (windows[0][1] == 2.0)  # the flat slice
                 else:
                     assert count == expected[2] == 61**3
 
@@ -589,14 +615,13 @@ class TestCornerLineScan:
         # the corner beats both neighbours, yet another point computes higher
         profile = TermsTransformed(quartic_profile(FamilyId.CONVEX, 0.3),
                                    lambda *t: tuple(np.full_like(t[0], v) for v in terms))
-        ramp = np.arange(61, dtype=float)
-        lam = _grid_points(1.0, lam_low, ramp, 61)
-        points = [_grid_points(0.5, 1.5, ramp, 61), lam, lam]
+        windows = [(0.5, 1.5), (1.0, lam_low), (1.0, lam_low)]
+        lam = round_points(windows)[1]  # distinct grid points: equal points, equal index
         line = profile.surface(np.array([1.0, lam[1], 1.0]), np.array([1.0, 1.0, lam[1]]), 1.0)
-        expected = _mesh_max(surface_objective(profile), points)
+        expected = _mesh_max(surface_objective(profile), windows, CUBE_RAMP)
         assert max(line[1:]) < line[0] < expected[0]
-        value, idx, count = _corner_line_max(profile, points)
-        assert (value, tuple(map(int, idx))) == (expected[0], tuple(map(int, expected[1])))
+        value, point, count = _corner_line_max(profile, windows, CUBE_RAMP)
+        assert float_bits(value, *point) == float_bits(expected[0], *expected[1])
         assert count == 3 * 61 + 61**3
 
     @pytest.mark.parametrize("beta", [0.0, 5e-324, 0.3, 0.7, 0.999, math.nextafter(1.0, 0.0)])
@@ -607,7 +632,7 @@ class TestCornerLineScan:
         # arithmetic
         rng = np.random.default_rng(1703)
         profile = quartic_profile(family, beta)
-        rounds = [random_round_points(rng) for _ in range(10)]
+        rounds = [round_points(random_round_windows(rng)) for _ in range(10)]
         ends = ([0.0, 2.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0])  # (c, lam, mu) columns
         c, lam, mu = (np.concatenate([r[axis][rng.integers(0, 61, 300)] for r in rounds]
                                      + [np.array(ends[axis])])

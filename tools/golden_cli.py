@@ -66,6 +66,9 @@ COMMANDS = (
     "table --family starlike --beta-range 0.2223 0.2235 --step 1e-6",
     "table --family starlike --beta-range 0.2350 0.2362 --step 1e-6",
     "table --family starlike --beta-range 0.5400 0.5410 --step 1e-6",
+    # the grid's slack carries the last generated beta past the range end
+    # to 1, which is dropped
+    "table --family starlike --beta-range 0 0.99999999999 --step 0.33333333338555554",
     "search --family starlike --seed 7",
     "search --family starlike --beta 0 --samples 500000 --seed 3",
     "search --family convex --beta 0.3 --samples 500000 --seed 3 --constrain-sum",
