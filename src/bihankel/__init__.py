@@ -20,6 +20,7 @@ from .bounds import (
     quartic_profile,
     starlike_h22_bound,
     starlike_surrogate_terms,
+    surface,
     surrogate_terms,
     thresholds,
 )

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -96,68 +97,62 @@ def _check_unit(value, name: str) -> None:
         raise DomainError(f"{name} must lie in [0, 1]")
 
 
-def starlike_surrogate_terms(c, beta: float):
-    """The four c-profiles of the starlike majorant; accepts arrays in c.
-
-    t1 = (1-b)^2/12 * [(1 + 4 (1-b)^2) c^4 - 2 c^3 + 8 c]
-    t2 = (1-b)^2/48 * c^2 (4 - c^2) (7 - 3 b)
-    t3 = (1-b)^2/24 * c (4 - c^2) (c - 2)
-    t4 = (1-b)^2/64 * (4 - c^2)^2
-    """
-    beta = check_beta(beta)
-    _check_c(c)
-    w2 = (1.0 - beta) ** 2
-    gap = 4.0 - c * c
-    t1 = w2 / 12.0 * ((1.0 + 4.0 * w2) * c**4 - 2.0 * c**3 + 8.0 * c)
-    t2 = w2 / 48.0 * c * c * gap * (7.0 - 3.0 * beta)
-    t3 = w2 / 24.0 * c * gap * (c - 2.0)
-    t4 = w2 / 64.0 * gap * gap
-    return t1, t2, t3, t4
-
-
-def convex_surrogate_terms(c, beta: float):
-    """The four c-profiles of the convex majorant; accepts arrays in c.
-
-    t1 = (1-b)^2/96  * [(1 + (1-b)^2) c^4 - 2 c^3 + 8 c]
-    t2 = (1-b)^2/192 * c^2 (4 - c^2) (3 - b)
-    t3 = (1-b)^2/192 * c (4 - c^2) (c - 2)
-    t4 = (1-b)^2/576 * (4 - c^2)^2
-    """
-    beta = check_beta(beta)
-    _check_c(c)
-    w2 = (1.0 - beta) ** 2
-    gap = 4.0 - c * c
-    t1 = w2 / 96.0 * ((1.0 + w2) * c**4 - 2.0 * c**3 + 8.0 * c)
-    t2 = w2 / 192.0 * c * c * gap * (3.0 - beta)
-    t3 = w2 / 192.0 * c * gap * (c - 2.0)
-    t4 = w2 / 576.0 * gap * gap
-    return t1, t2, t3, t4
-
-
 def surrogate_terms(family: FamilyId, c, beta: float):
+    """The four c-profiles of the family's majorant; accepts arrays in c.
+
+    t1 = (1-b)^2/k1 * [(1 + k2 (1-b)^2) c^4 - 2 c^3 + 8 c]
+    t2 = (1-b)^2/k3 * c^2 (4 - c^2) (k4 - k5 b)
+    t3 = (1-b)^2/k6 * c (4 - c^2) (c - 2)
+    t4 = (1-b)^2/k7 * (4 - c^2)^2
+
+    The convex k2 = k5 = 1 products are exact, so its terms round as
+    (1 + (1-b)^2) and (3 - b) do.
+    """
+    beta = check_beta(beta)
+    _check_c(c)
     if family is FamilyId.STARLIKE:
-        return starlike_surrogate_terms(c, beta)
-    return convex_surrogate_terms(c, beta)
+        k1, k2, k3, k4, k5, k6, k7 = 12.0, 4.0, 48.0, 7.0, 3.0, 24.0, 64.0
+    else:
+        k1, k2, k3, k4, k5, k6, k7 = 96.0, 1.0, 192.0, 3.0, 1.0, 192.0, 576.0
+    w2 = (1.0 - beta) ** 2
+    gap = 4.0 - c * c
+    t1 = w2 / k1 * ((1.0 + k2 * w2) * c**4 - 2.0 * c**3 + 8.0 * c)
+    t2 = w2 / k3 * c * c * gap * (k4 - k5 * beta)
+    t3 = w2 / k6 * c * gap * (c - 2.0)
+    t4 = w2 / k7 * gap * gap
+    return t1, t2, t3, t4
+
+
+starlike_surrogate_terms = partial(surrogate_terms, FamilyId.STARLIKE)
+convex_surrogate_terms = partial(surrogate_terms, FamilyId.CONVEX)
+
+
+def surface(family: FamilyId, lam, mu, c, beta: float):
+    """Majorant F(lam, mu) at c; lam, mu and c broadcast as numpy arrays.
+
+    This is the package's one evaluation of the majorant: the grid scans
+    and the pointwise dominance check all call it.
+    """
+    _check_unit(lam, "lambda")
+    _check_unit(mu, "mu")
+    t1, t2, t3, t4 = surrogate_terms(family, c, beta)
+    s = lam + mu
+    return t1 + t2 * s + t3 * (lam * lam + mu * mu) + t4 * (s * s)
 
 
 @dataclass(frozen=True)
 class QuarticProfile:
-    """Even quartic Q(c) = alpha4 c^4 + alpha2 c^2 + alpha0 of one family.
+    """Even quartic Q(c) = alpha4 c^4 + alpha2 c^2 + alpha0.
 
-    Q is the corner value of the majorant surface; `terms` exposes the
-    underlying c-profiles so that Q(c) = t1 + 2 t2 + 2 t3 + 4 t4 can be
-    cross-checked term by term.  A profile built from a beta array holds
-    (rows, 1) columns instead of floats and only supports the Q methods.
+    Q is the majorant `surface` at the corner lam = mu = 1, where it equals
+    t1 + 2 t2 + 2 t3 + 4 t4.  The alphas are floats, or (rows, 1) columns
+    for a beta array; every method broadcasts, so a column profile gives
+    one row per beta.
     """
 
-    family: FamilyId
-    beta: float
     alpha4: float
     alpha2: float
     alpha0: float
-
-    def terms(self, c):
-        return surrogate_terms(self.family, c, self.beta)
 
     def value(self, c):
         """alpha4 c2 c2 + alpha2 c2 + alpha0 with c2 = c c, summed in place
@@ -178,18 +173,6 @@ class QuarticProfile:
         _check_c(c)
         return 12.0 * self.alpha4 * c * c + 2.0 * self.alpha2
 
-    def surface(self, lam, mu, c):
-        """Majorant F(lam, mu) at c; lam, mu and c broadcast as numpy arrays.
-
-        This is the package's one evaluation of the majorant: the grid scans
-        and the pointwise dominance check all call it.
-        """
-        _check_unit(lam, "lambda")
-        _check_unit(mu, "mu")
-        t1, t2, t3, t4 = self.terms(c)
-        s = lam + mu
-        return t1 + t2 * s + t3 * (lam * lam + mu * mu) + t4 * (s * s)
-
 
 def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
     """Corner quartic of beta; a 1-d beta array gives (rows, 1) columns, each
@@ -206,7 +189,7 @@ def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
     else:
         scale = w2 / 288.0
         alpha2, alpha0 = scale * 4.0 * (8.0 - 3.0 * beta), scale * 32.0
-    return QuarticProfile(family, beta, scale * _lead(family, beta), alpha2, alpha0)
+    return QuarticProfile(scale * _lead(family, beta), alpha2, alpha0)
 
 
 def _lead(family: FamilyId, beta):

@@ -76,12 +76,14 @@ def _cannot_write(path: str, exc: OSError) -> BihankelError:
 
 
 def _check_output(path: str | None) -> None:
-    """Reject, before any work, an --output that is a directory or whose
-    directory is missing; creates nothing.  Other write errors surface in
+    """Reject, before any work, an --output that is empty, a directory or
+    in a missing directory; creates nothing.  Other write errors surface in
     `_emit`, with the same message."""
     if path is None:
         return
     try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         os.stat(os.path.dirname(path) or ".")
@@ -90,14 +92,20 @@ def _check_output(path: str | None) -> None:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+    """Write text to the file at path, or to stdout (flushed) for None."""
     try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _cannot_write(path, exc) from None
+        if path is None:
+            # the text stays buffered: its flush at exit goes to devnull, not exit 120
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise _cannot_write("<stdout>" if path is None else path, exc) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -326,13 +334,13 @@ def cmd_derive(args) -> int:
     lines.append(f"max residual: {_fmt(worst)}")
     passed = worst <= DERIVE_TOL
     lines.append(("PASS" if passed else "FAIL") + f" (tolerance {_fmt(DERIVE_TOL)})")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", None)
     return 0 if passed else 1
 
 
 def cmd_fs_bound(args) -> int:
     value = bd.fekete_szego_bound(FamilyId(args.family), args.beta, args.mu)
-    print(_fmt(value))
+    _emit(_fmt(value) + "\n", None)
     return 0
 
 

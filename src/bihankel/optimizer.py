@@ -26,7 +26,7 @@ assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -119,8 +119,7 @@ def _band_round(profile: bd.QuarticProfile, peak, two_e, quasi_concave, windows,
                  & ((first == n - width) | (ys[:, -1] + two_e < vals)))
     redo = np.flatnonzero(~certified)
     if redo.size:
-        rows = replace(profile, **{name: getattr(profile, name)[redo]
-                                   for name in ("beta", "alpha4", "alpha2", "alpha0")})
+        rows = bd.QuarticProfile(profile.alpha4[redo], profile.alpha2[redo], profile.alpha0[redo])
         _, vals[redo], xs[redo] = _band_max(rows, lo[redo], hi[redo], ramp)
     return vals, (xs,), ys.size + redo.size * n
 
@@ -230,29 +229,31 @@ def _mesh_max(objective, windows, ramp):
     return vals[idx], [p[i] for p, i in zip(points, idx)], vals.size
 
 
-def _corner_line_max(profile: bd.QuarticProfile, windows, ramp):
-    """`_refine_max`'s round of the majorant: `_mesh_max` of `surface` bit for
-    bit, from the corner line and its neighbours where the certificate in
-    `maximize_surrogate` holds, rescanning the (lam, mu) grid of each c
-    where it fails, and the whole mesh when lam or mu does not start at 1."""
+def _corner_line_max(family: FamilyId, beta: float, windows, ramp):
+    """`_refine_max`'s round of the majorant of (family, beta): `_mesh_max` of
+    `bounds.surface` bit for bit, from the corner line and its neighbours
+    where the certificate in `maximize_surrogate` holds, rescanning the
+    (lam, mu) grid of each c where it fails, and the whole mesh when lam or
+    mu does not start at 1.  The terms come from `bounds.surrogate_terms`."""
     if windows[1][0] != 1.0 or windows[2][0] != 1.0:
-        return _mesh_max(lambda c, x, y: profile.surface(x, y, c), windows, ramp)
+        return _mesh_max(lambda c, x, y: bd.surface(family, x, y, c, beta), windows, ramp)
     n = ramp.size
     cs, lam, mu = (_grid_points(start, stop, ramp, n) for start, stop in windows)
-    t1, t2, t3, t4 = profile.terms(cs)
+    t1, t2, t3, t4 = bd.surrogate_terms(family, cs, beta)
     a2, a3, a4 = np.abs(t2), np.abs(t3), np.abs(t4)
     monotone = (t2 >= 0.0) & (t4 >= 0.0)
     monotone &= t2 + 2.0 * (t3 + t4) >= 2.0 ** -51 * (a2 + 2.0 * a3 + 2.0 * a4)  # 4u M
     two_e = np.abs(t1) + 2.0 * a2 + 2.0 * a3 + 4.0 * a4
     two_e *= 2.0 ** -49  # 2E = 16u S
-    line = profile.surface(np.array([1.0, lam[1], 1.0]), np.array([1.0, 1.0, mu[1]]),
-                           cs[:, None])
+    line = bd.surface(family, np.array([1.0, lam[1], 1.0]), np.array([1.0, 1.0, mu[1]]),
+                      cs[:, None], beta)
     vals = line[:, 0].copy()
     certified = monotone & (np.maximum(line[:, 1], line[:, 2]) + two_e < vals)
     redo = np.flatnonzero(~certified)
     lam_mu = np.zeros((2, n), dtype=np.intp)  # each slice's first-index argmax
     if redo.size:
-        slices = profile.surface(lam[:, None], mu, cs[redo, None, None]).reshape(redo.size, -1)
+        slices = bd.surface(family, lam[:, None], mu, cs[redo, None, None], beta)
+        slices = slices.reshape(redo.size, -1)
         first = slices.argmax(axis=1)
         vals[redo] = slices[np.arange(redo.size), first]
         lam_mu[:, redo] = np.divmod(first, n)
@@ -265,7 +266,7 @@ def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:
 
     This is the brute-force counterpart of the closed-form bound: the two
     must agree to grid accuracy.  The result is bit for bit `_refine_max`
-    of the whole 61^3 mesh of `surface` on `CUBE_SCHEDULE`, whose ties
+    of the whole 61^3 mesh of `bounds.surface` on `CUBE_SCHEDULE`, whose ties
     break at the lowest flat index; the lam and mu axes are enumerated from
     1 downward, so planes where the surface degenerates to a constant
     (c = 2) still report the corner (1, 1) the maximum is approached
@@ -275,7 +276,8 @@ def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:
     c-slice computes above its corner, and a slice that fails it is
     rescanned on its 61 x 61 (lam, mu) grid (`_corner_line_max`).  A round
     whose lam or mu window does not start at 1 is rescanned in full.
-    `evaluations` counts the points evaluated.
+    `evaluations` counts the points evaluated.  The rounds call
+    `bounds.surface` of (family, beta); no quartic profile is built.
 
     The certificate.  Let F~ be the surface with a slice's stored float
     terms t1..t4, evaluated exactly.  Its partial derivative
@@ -315,8 +317,7 @@ def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:
     At c = 2 the gap 4 - c^2 is 0, so t2 = t3 = t4 = 0: the slice is flat,
     fails the certificate (nb = m) and is rescanned.
     """
-    profile = bd.quartic_profile(family, beta)
-    return _refine_max(partial(_corner_line_max, profile),
+    return _refine_max(partial(_corner_line_max, family, bd.check_beta(beta)),
                        ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)), CUBE_SCHEDULE)
 
 

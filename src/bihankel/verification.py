@@ -136,8 +136,8 @@ def run_checks(
     `optimizer._refine_max`, the first on every grid point, the second on
     the corner line lam = mu = 1 and its neighbours, with a rounding
     certificate standing in for the rest of each c-slice (its result is
-    bit for bit the full scan's); the term-level checks use `C_POINTS`
-    points of [0, 2].
+    bit for bit the full scan's); the term-level checks call
+    `surrogate_terms` and `surface` on `C_POINTS` points of [0, 2].
 
     `growth_inequality`, t2 + 2 (t3 + t4) >= 0 on [0, 2], holds for every
     beta in [0, 1): with w2 = (1 - b)^2 the sum factors as
@@ -175,8 +175,8 @@ def run_checks(
 
     # term-level structure of the majorant on a c-grid
     cs = np.linspace(0.0, 2.0, C_POINTS)
-    t1, t2, t3, t4 = profile.terms(cs)
-    corner = profile.surface(1.0, 1.0, cs)
+    t1, t2, t3, t4 = bd.surrogate_terms(family, cs, beta)
+    corner = bd.surface(family, 1.0, 1.0, cs, beta)
     checks.append(
         _check("corner_combination", np.max(np.abs(profile.value(cs) - corner)), ALGEBRA_TOL)
     )
@@ -235,7 +235,7 @@ def run_checks(
     # ... and the majorant dominates sample by sample
     dominance = max(
         float(np.max(opt.h22_batch(family, beta, c, x, y, z, w)
-                     - profile.surface(np.abs(x), np.abs(y), c)))
+                     - bd.surface(family, np.abs(x), np.abs(y), c, beta)))
         for c, x, y, z, w in disk_param_blocks(spot_samples, seed + 5)
     )
     checks.append(_check("pointwise_majorant_dominance", dominance, POINTWISE_SLACK))

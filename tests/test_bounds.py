@@ -13,6 +13,8 @@ from bihankel.bounds import (
     quartic_profile,
     starlike_h22_bound,
     starlike_surrogate_terms,
+    surface,
+    surrogate_terms,
     thresholds,
 )
 from bihankel.caratheodory import disk_coeffs, unit_disk_samples
@@ -69,7 +71,7 @@ class TestQuarticProfile:
     def test_equals_term_combination(self, family, beta):
         profile = quartic_profile(family, beta)
         cs = np.linspace(0, 2, 123)
-        t1, t2, t3, t4 = profile.terms(cs)
+        t1, t2, t3, t4 = surrogate_terms(family, cs, beta)
         assert np.max(np.abs(profile.value(cs) - (t1 + 2 * t2 + 2 * t3 + 4 * t4))) < 1e-12
 
     @pytest.mark.parametrize("beta", BETAS)
@@ -108,18 +110,17 @@ class TestSurface:
     def test_corners_and_origin(self, family):
         profile = quartic_profile(family, 0.25)
         for c in (0.0, 0.7, 1.4, 2.0):
-            t1 = profile.terms(c)[0]
-            assert abs(profile.surface(0.0, 0.0, c) - t1) < 1e-15
-            assert abs(profile.surface(1.0, 1.0, c) - profile.value(c)) < 1e-13
+            t1 = surrogate_terms(family, c, 0.25)[0]
+            assert abs(surface(family, 0.0, 0.0, c, 0.25) - t1) < 1e-15
+            assert abs(surface(family, 1.0, 1.0, c, 0.25) - profile.value(c)) < 1e-13
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_constant_at_c2_starlike(self, beta):
-        profile = quartic_profile(FamilyId.STARLIKE, beta)
         expected = 4 * (1 - beta) ** 2 * (4 * beta**2 - 8 * beta + 5) / 3
         rng = np.random.default_rng(31)
         for _ in range(10):
             lam, mu = rng.uniform(0, 1, 2)
-            assert abs(profile.surface(lam, mu, 2.0) - expected) < 1e-13
+            assert abs(surface(FamilyId.STARLIKE, lam, mu, 2.0, beta) - expected) < 1e-13
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.8, 1.0, 1.3, 1.9])
     @pytest.mark.parametrize("beta", [0.0, 0.2, 0.5])
@@ -127,7 +128,7 @@ class TestSurface:
     def test_strict_maximum_at_corner(self, family, beta, c):
         # for c < 2 the majorant peaks at lam = mu = 1 and nowhere else
         mesh = np.linspace(0.0, 1.0, 101)
-        surf = quartic_profile(family, beta).surface(mesh[:, None], mesh[None, :], c)
+        surf = surface(family, mesh[:, None], mesh[None, :], c, beta)
         assert surf.shape == (101, 101)
         assert np.all(surf.ravel()[:-1] < surf[-1, -1])
 
@@ -136,10 +137,9 @@ class TestSurface:
         h = 1e-4
         for family in FamilyId:
             for beta in (0.0, 0.3, 0.6):
-                profile = quartic_profile(family, beta)
                 for c in (0.4, 1.0, 1.6):
-                    t1, t2, t3, t4 = profile.terms(c)
-                    f = lambda l, m: profile.surface(l, m, c)
+                    t1, t2, t3, t4 = surrogate_terms(family, c, beta)
+                    f = lambda l, m: surface(family, l, m, c, beta)
                     fll = (f(0.5 + h, 0.5) - 2 * f(0.5, 0.5) + f(0.5 - h, 0.5)) / h**2
                     fmm = (f(0.5, 0.5 + h) - 2 * f(0.5, 0.5) + f(0.5, 0.5 - h)) / h**2
                     flm = (
@@ -153,11 +153,10 @@ class TestSurface:
                     assert closed < 0
 
     def test_domain_errors(self):
-        profile = quartic_profile(FamilyId.STARLIKE, 0.0)
         with pytest.raises(DomainError):
-            profile.surface(1.5, 0.5, 1.0)
+            surface(FamilyId.STARLIKE, 1.5, 0.5, 1.0, 0.0)
         with pytest.raises(DomainError):
-            profile.surface(0.5, -0.5, 1.0)
+            surface(FamilyId.STARLIKE, 0.5, -0.5, 1.0, 0.0)
 
 
 class TestThresholds:
@@ -365,12 +364,19 @@ class TestValidatorsRejectNaN:
     """c, lambda and mu are accepted only when every value is in range."""
 
     profile = quartic_profile(FamilyId.STARLIKE, 0.3)
+    methods = {"value": profile.value, "derivative": profile.derivative,
+               "second_derivative": profile.second_derivative,
+               "terms": lambda c: surrogate_terms(FamilyId.STARLIKE, c, 0.3)}
+
+    @staticmethod
+    def majorant(lam, mu, c):
+        return surface(FamilyId.STARLIKE, lam, mu, c, 0.3)
 
     @pytest.mark.parametrize("c", [math.nan, np.array([0.5, math.nan]), np.full((2, 3), math.nan)])
     @pytest.mark.parametrize("method", ["value", "derivative", "second_derivative", "terms"])
     def test_nan_c(self, method, c):
         with pytest.raises(DomainError, match="c must lie in"):
-            getattr(self.profile, method)(c)
+            self.methods[method](c)
 
     @pytest.mark.parametrize(
         "lam,mu,c,name",
@@ -379,18 +385,18 @@ class TestValidatorsRejectNaN:
     )
     def test_nan_surface(self, lam, mu, c, name):
         with pytest.raises(DomainError, match=f"{name} must lie in"):
-            self.profile.surface(lam, mu, c)
+            self.majorant(lam, mu, c)
 
     def test_infinities_rejected(self):
         with pytest.raises(DomainError):
             self.profile.value(math.inf)
         with pytest.raises(DomainError):
-            self.profile.surface(0.5, -math.inf, 1.0)
+            self.majorant(0.5, -math.inf, 1.0)
 
     def test_closed_ranges_and_empty_arrays_pass(self):
         assert self.profile.value(np.array([])).shape == (0,)
         assert np.isfinite(self.profile.value(np.array([0.0, 2.0]))).all()
-        assert np.isfinite(self.profile.surface(np.array([0.0, 1.0]), 1.0, 2.0)).all()
+        assert np.isfinite(self.majorant(np.array([0.0, 1.0]), 1.0, 2.0)).all()
 
 
 # the table-sweep grid plus a beta where numpy's ** rounds (1-b)^2 apart
@@ -404,7 +410,7 @@ class TestArrayProfile:
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_columns_equal_scalar_profiles_over_the_sweep(self, family):
         stacked = quartic_profile(family, SWEEP_BETAS)
-        for name in ("beta", "alpha4", "alpha2", "alpha0"):
+        for name in ("alpha4", "alpha2", "alpha0"):
             column = getattr(stacked, name)
             assert column.shape == (len(SWEEP_BETAS), 1)
             expected = [getattr(quartic_profile(family, b), name) for b in SWEEP_BETAS]
@@ -457,6 +463,18 @@ class TestArrayProfile:
 
     def test_empty_beta_array_gives_no_rows(self):
         assert quartic_profile(FamilyId.CONVEX, []).value(np.linspace(0.0, 2.0, 5)).shape == (0, 5)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_every_method_gives_each_profile_row(self, family):
+        stacked = quartic_profile(family, SWEEP_BETAS)
+        singles = [quartic_profile(family, beta) for beta in SWEEP_BETAS]
+        cs = np.linspace(0.0, 2.0, 41)
+        for name in ("value", "derivative", "second_derivative"):
+            for c in (cs, 1.3):
+                rows = getattr(stacked, name)(c)
+                assert rows.shape == (len(SWEEP_BETAS), np.size(c))
+                expected = np.array([getattr(p, name)(c) for p in singles]).reshape(rows.shape)
+                assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64)), name
 
     def test_stacked_value_checks_every_point(self):
         stacked = quartic_profile(FamilyId.CONVEX, [0.0, 0.5])
@@ -517,3 +535,73 @@ class TestArrayBound:
     def test_bad_entry_is_rejected(self):
         with pytest.raises(DomainError, match=r"got 1\.0$"):
             h22_bound(FamilyId.CONVEX, [0.2, 1.0, math.nan])
+
+
+# The two per-family term functions and the majorant as they were written
+# before `surrogate_terms` took one row of constants per family, kept as
+# references.
+
+def reference_starlike_terms(c, beta):
+    w2 = (1.0 - beta) ** 2
+    gap = 4.0 - c * c
+    t1 = w2 / 12.0 * ((1.0 + 4.0 * w2) * c**4 - 2.0 * c**3 + 8.0 * c)
+    t2 = w2 / 48.0 * c * c * gap * (7.0 - 3.0 * beta)
+    t3 = w2 / 24.0 * c * gap * (c - 2.0)
+    t4 = w2 / 64.0 * gap * gap
+    return t1, t2, t3, t4
+
+
+def reference_convex_terms(c, beta):
+    w2 = (1.0 - beta) ** 2
+    gap = 4.0 - c * c
+    t1 = w2 / 96.0 * ((1.0 + w2) * c**4 - 2.0 * c**3 + 8.0 * c)
+    t2 = w2 / 192.0 * c * c * gap * (3.0 - beta)
+    t3 = w2 / 192.0 * c * gap * (c - 2.0)
+    t4 = w2 / 576.0 * gap * gap
+    return t1, t2, t3, t4
+
+
+REFERENCE_TERMS = {FamilyId.STARLIKE: reference_starlike_terms,
+                   FamilyId.CONVEX: reference_convex_terms}
+
+
+def reference_surface(family, lam, mu, c, beta):
+    t1, t2, t3, t4 = REFERENCE_TERMS[family](c, beta)
+    s = lam + mu
+    return t1 + t2 * s + t3 * (lam * lam + mu * mu) + t4 * (s * s)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestMergedTermsMatchReference:
+    """`surrogate_terms` and `surface` are the per-family formulas, bit for bit.
+
+    Every beta gets the whole c-grid, four scalar c and its own share of the
+    200k random points."""
+
+    rng = np.random.default_rng(1901)
+    GRID = np.linspace(0.0, 2.0, 4001)
+    BETAS = rng.random(300).tolist() + [0.0, thresholds().quartic_sign_change,
+                                        thresholds().branch_split, 0.99, 1.0 - 1e-7]
+    # (c, lam, mu) rows, split into one share per beta
+    SHARES = np.array_split(rng.uniform(0.0, 1.0, (200_000, 3)) * [2.0, 1.0, 1.0], len(BETAS))
+
+    def test_the_grid_holds_both_ends(self):
+        assert self.GRID[0] == 0.0 and self.GRID[-1] == 2.0
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_terms_on_a_grid_random_and_scalar_c(self, family):
+        reference = REFERENCE_TERMS[family]
+        for beta, share in zip(self.BETAS, self.SHARES):
+            for c in (self.GRID, share[:, 0], 0.0, 0.7, 1.3, 2.0):
+                for got, expected in zip(surrogate_terms(family, c, beta), reference(c, beta)):
+                    assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_surface_on_random_points_and_the_corner(self, family):
+        for beta, (c, lam, mu) in zip(self.BETAS, (share.T for share in self.SHARES)):
+            for point in ((lam, mu, c), (1.0, 1.0, self.GRID), (0.3, 0.9, 1.1)):
+                got = surface(family, *point, beta)
+                assert np.array_equal(bits(got), bits(reference_surface(family, *point, beta)))

@@ -2,6 +2,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr
@@ -567,6 +569,7 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("target,reason", [
         ("missing/out.txt", "No such file or directory"),
         (".", "Is a directory"),
+        ("", "No such file or directory"),
     ])
     @pytest.mark.parametrize("argv", COMMANDS)
     def test_rejected_before_any_work(self, capsys, monkeypatch, tmp_path, argv, target, reason):
@@ -574,11 +577,31 @@ class TestUnwritableOutput:
             raise AssertionError("work started before the --output check")
 
         monkeypatch.setattr(*self.WORK[argv[0]], never)
-        path = tmp_path / target
-        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        path = str(tmp_path / target) if target else ""
+        code, out, err = run_cli(capsys, *argv, "--output", path)
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {path}: {reason}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ("fs-bound", "--family", "starlike", "--mu", "2"),
+        ("derive", "--trials", "5"),
+        *COMMANDS,
+    ])
+    def test_full_stdout_exits_2(self, argv, unbuffered):
+        # a failed write to stdout is a write error like any other, whether
+        # it surfaces in the write or in the flush
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "bihankel.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == \
+            (2, b"error: cannot write <stdout>: No space left on device\n")
 
     @pytest.mark.parametrize("argv", [
         ("table", "--step", "nan"),

@@ -10,9 +10,11 @@ from bihankel.bounds import (
     QuarticProfile,
     h22_bound,
     quartic_profile,
+    surface,
     surrogate_terms,
     thresholds,
 )
+from bihankel import bounds as bd
 from bihankel import caratheodory as car
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
@@ -164,8 +166,8 @@ def band_evaluations(rows):
 
 def stacked_profile(rows):
     """The (rows, 1)-column profile of scalar profiles of one family."""
-    return QuarticProfile(rows[0].family, *(np.array([[getattr(p, a)] for p in rows])
-                                            for a in ("beta", "alpha4", "alpha2", "alpha0")))
+    return QuarticProfile(*(np.array([[getattr(p, a)] for p in rows])
+                            for a in ("alpha4", "alpha2", "alpha0")))
 
 
 def dense_betas(center, count=2001, spacing=1e-7):
@@ -271,8 +273,8 @@ class TestQuarticGridMax:
         # argmax lands on a NaN and the strict > never accepts it: an all-NaN
         # row keeps -inf at the left endpoint
         good = quartic_profile(FamilyId.CONVEX, 0.1)
-        nan = QuarticProfile(FamilyId.CONVEX, 0.5, math.nan, good.alpha2, good.alpha0)
-        rows = [good, nan, QuarticProfile(FamilyId.CONVEX, 0.9, good.alpha4, math.nan, 0.0)]
+        nan = QuarticProfile(math.nan, good.alpha2, good.alpha0)
+        rows = [good, nan, QuarticProfile(good.alpha4, math.nan, 0.0)]
         scan = quartic_grid_max(stacked_profile(rows))
         expected = reference_rows([p.value for p in rows])
         assert_rows_equal((scan.max_value, scan.argmax[0]), expected)
@@ -283,7 +285,7 @@ class TestQuarticGridMax:
         # alpha2 < 0 < alpha4: Q dips and rises again, so the band at c = 2
         # passes its edge test while Q(0) = 0 beats Q(2) = -4
         good = quartic_profile(FamilyId.CONVEX, 0.1)
-        rows = [good, QuarticProfile(FamilyId.CONVEX, 0.5, 1.0, -5.0, 0.0)]
+        rows = [good, QuarticProfile(1.0, -5.0, 0.0)]
         scan = quartic_grid_max(stacked_profile(rows))
         assert_rows_equal((scan.max_value, scan.argmax[0]), reference_rows([p.value for p in rows]))
         assert (scan.max_value[1], scan.argmax[0][1]) == (0.0, 0.0)
@@ -293,7 +295,7 @@ class TestQuarticGridMax:
         # alpha2 = 0 voids the certificate, so the full scan decides the ties
         levels = np.array([[1.0], [3.0], [2.0]])
         zeros = np.zeros((3, 1))
-        scan = quartic_grid_max(QuarticProfile(FamilyId.STARLIKE, zeros, zeros, zeros, levels))
+        scan = quartic_grid_max(QuarticProfile(zeros, zeros, levels))
         assert scan.max_value.tolist() == [1.0, 3.0, 2.0]
         assert scan.argmax[0].tolist() == [0.0, 0.0, 0.0]
 
@@ -424,10 +426,9 @@ class TestRefineMax:
         axes = ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0))
         betas = np.random.default_rng(17).random(50).tolist() + threshold_betas()
         for beta in betas:
-            profile = quartic_profile(family, beta)
             got = maximize_surrogate(family, beta)
             value, argmax, evals = reference_refine_max(
-                lambda c, lam, mu: profile.surface(lam, mu, c), axes, CUBE_SCHEDULE)
+                surface_objective(family, beta), axes, CUBE_SCHEDULE)
             assert float_bits(got.max_value, *got.argmax) == float_bits(value, *argmax)
             assert evals == 6 * 61**3
             assert rescanned_slices(got.evaluations) >= 1
@@ -473,14 +474,13 @@ class TestRefineMax:
 SURROGATE_AXES = ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0))
 
 
-def surface_objective(profile):
-    return lambda c, lam, mu: profile.surface(lam, mu, c)
+def surface_objective(family, beta):
+    return lambda c, lam, mu: surface(family, lam, mu, c, beta)
 
 
-def full_surrogate_scan(family, beta, profile=None):
+def full_surrogate_scan(family, beta):
     """`_refine_max` of the whole 61^3 mesh of the majorant in every round."""
-    profile = profile or quartic_profile(family, beta)
-    return _refine_max(functools.partial(_mesh_max, surface_objective(profile)),
+    return _refine_max(functools.partial(_mesh_max, surface_objective(family, beta)),
                        SURROGATE_AXES, CUBE_SCHEDULE)
 
 
@@ -501,16 +501,11 @@ def ulps_around(center, k=3):
     return below[:0:-1] + above
 
 
-class TermsTransformed(QuarticProfile):
-    """A profile whose majorant terms pass through `transform` first."""
-
-    def __init__(self, profile, transform):
-        super().__init__(profile.family, profile.beta, profile.alpha4, profile.alpha2,
-                         profile.alpha0)
-        object.__setattr__(self, "transform", transform)
-
-    def terms(self, c):
-        return self.transform(*super().terms(c))
+def transform_terms(monkeypatch, transform):
+    """Pass the majorant's terms through `transform` first: in the scans
+    and in `surface`, which both call `bounds.surrogate_terms`."""
+    true_terms = bd.surrogate_terms
+    monkeypatch.setattr(bd, "surrogate_terms", lambda *args: transform(*true_terms(*args)))
 
 
 CUBE_RAMP = np.arange(61, dtype=float)
@@ -560,12 +555,11 @@ class TestCornerLineScan:
     def test_rounds_match_the_mesh_round(self, family):
         rng = np.random.default_rng(1702)
         for beta in rng.random(40).tolist() + [0.0, math.nextafter(1.0, 0.0)]:
-            profile = quartic_profile(family, beta)
             for tops in ((1.0, 1.0), (1.0, 1.0), (0.9, 0.9), (1.0, 0.9), (0.9, 1.0)):
                 windows = random_round_windows(rng, *tops)
                 round_points(windows)  # distinct grid points: equal points, equal index
-                value, point, count = _corner_line_max(profile, windows, CUBE_RAMP)
-                expected = _mesh_max(surface_objective(profile), windows, CUBE_RAMP)
+                value, point, count = _corner_line_max(family, beta, windows, CUBE_RAMP)
+                expected = _mesh_max(surface_objective(family, beta), windows, CUBE_RAMP)
                 assert float_bits(value, *point) == float_bits(expected[0], *expected[1])
                 if tops == (1.0, 1.0):
                     rescans, rest = divmod(count - 3 * 61, 61**2)
@@ -588,16 +582,15 @@ class TestCornerLineScan:
         lambda t1, t2, t3, t4: (t1, t2, t3, -t4),
     ], ids=["t2_negated", "growth_broken", "t4_negated"])
     @pytest.mark.parametrize("family", list(FamilyId))
-    def test_terms_breaking_monotonicity_fall_back(self, family, transform):
-        for beta in (0.0, 0.3, 0.7):
-            profile = TermsTransformed(quartic_profile(family, beta), transform)
-            got = _refine_max(functools.partial(_corner_line_max, profile),
-                              SURROGATE_AXES, CUBE_SCHEDULE)
-            full = full_surrogate_scan(family, beta, profile)
+    def test_terms_breaking_monotonicity_fall_back(self, monkeypatch, family, transform):
+        plain = {beta: maximize_surrogate(family, beta).evaluations for beta in (0.0, 0.3, 0.7)}
+        transform_terms(monkeypatch, transform)
+        for beta, evaluations in plain.items():
+            got, full = maximize_surrogate(family, beta), full_surrogate_scan(family, beta)
             assert float_bits(got.max_value, *got.argmax) == \
                 float_bits(full.max_value, *full.argmax)
             # the slices the broken terms leave uncertified are rescanned
-            assert got.evaluations > maximize_surrogate(family, beta).evaluations
+            assert got.evaluations > evaluations
 
     @pytest.mark.parametrize("terms,lam_low", [
         # t2 < 0: the neighbours fall below the corner, (0, 0) rises above it
@@ -611,16 +604,17 @@ class TestCornerLineScan:
         ((1.0000000000962996, 2.2916007261556395e-14, -1.526909910303664e-14,
           4.913165041842003e-15), 1.0 - 0.2**3),
     ], ids=["t2_negative", "t4_negative", "growth_negative", "within_rounding"])
-    def test_slices_the_certificate_must_reject(self, terms, lam_low):
+    def test_slices_the_certificate_must_reject(self, monkeypatch, terms, lam_low):
         # the corner beats both neighbours, yet another point computes higher
-        profile = TermsTransformed(quartic_profile(FamilyId.CONVEX, 0.3),
-                                   lambda *t: tuple(np.full_like(t[0], v) for v in terms))
+        transform_terms(monkeypatch, lambda *t: tuple(np.full_like(t[0], v) for v in terms))
+        family, beta = FamilyId.CONVEX, 0.3
         windows = [(0.5, 1.5), (1.0, lam_low), (1.0, lam_low)]
         lam = round_points(windows)[1]  # distinct grid points: equal points, equal index
-        line = profile.surface(np.array([1.0, lam[1], 1.0]), np.array([1.0, 1.0, lam[1]]), 1.0)
-        expected = _mesh_max(surface_objective(profile), windows, CUBE_RAMP)
+        line = surface(family, np.array([1.0, lam[1], 1.0]), np.array([1.0, 1.0, lam[1]]), 1.0,
+                       beta)
+        expected = _mesh_max(surface_objective(family, beta), windows, CUBE_RAMP)
         assert max(line[1:]) < line[0] < expected[0]
-        value, point, count = _corner_line_max(profile, windows, CUBE_RAMP)
+        value, point, count = _corner_line_max(family, beta, windows, CUBE_RAMP)
         assert float_bits(value, *point) == float_bits(expected[0], *expected[1])
         assert count == 3 * 61 + 61**3
 
@@ -631,15 +625,14 @@ class TestCornerLineScan:
         # the unit square, F~ the surface of the float terms in exact
         # arithmetic
         rng = np.random.default_rng(1703)
-        profile = quartic_profile(family, beta)
         rounds = [round_points(random_round_windows(rng)) for _ in range(10)]
         ends = ([0.0, 2.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0])  # (c, lam, mu) columns
         c, lam, mu = (np.concatenate([r[axis][rng.integers(0, 61, 300)] for r in rounds]
                                      + [np.array(ends[axis])])
                       for axis in range(3))
-        values = profile.surface(lam, mu, c)
+        values = surface(family, lam, mu, c, beta)
         ratios = []
-        for *point, value in zip(*profile.terms(c), lam, mu, values.tolist()):
+        for *point, value in zip(*surrogate_terms(family, c, beta), lam, mu, values.tolist()):
             t1, t2, t3, t4, x, y = (Fraction(float(v)) for v in point)
             exact = t1 + t2 * (x + y) + t3 * (x * x + y * y) + t4 * (x + y) ** 2
             e = Fraction(8, 2**53) * (abs(t1) + 2 * abs(t2) + 2 * abs(t3) + 4 * abs(t4))
@@ -947,7 +940,7 @@ class TestMergedFormulasMatchReferences:
         lam, mu = np.abs(unit_disk_samples(rng, 4000)), np.abs(unit_disk_samples(rng, 4000))
         t1, t2, t3, t4 = surrogate_terms(family, c, beta)
         inline = t1 + t2 * (lam + mu) + t3 * (lam**2 + mu**2) + t4 * (lam + mu) ** 2
-        assert np.array_equal(quartic_profile(family, beta).surface(lam, mu, c), inline)
+        assert np.array_equal(surface(family, lam, mu, c, beta), inline)
 
     def test_inverse_side_matches_docstring_formula(self):
         rng = np.random.default_rng(11)

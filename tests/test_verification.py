@@ -317,8 +317,8 @@ class TestGrowthInequality:
             assert 0.0 <= checks[i + 1].value <= 1e-15
 
     def test_proof_in_exact_arithmetic(self):
-        # the terms as `starlike_surrogate_terms` and `convex_surrogate_terms`
-        # state them; the factored forms and discriminants of `run_checks`
+        # the terms as `surrogate_terms` states them, constants filled in;
+        # the factored forms and discriminants of `run_checks`
         sp = pytest.importorskip("sympy")
         c, b = sp.symbols("c b")
         w2, gap = (1 - b) ** 2, 4 - c * c

@@ -106,6 +106,10 @@ COMMANDS = (
     "table --output .",
     "search --family starlike --samples 10 --output /nonexistent/dir/x.json",
     "verify --family convex --trials 2 --samples 5 --output /nonexistent/dir/x.txt",
+    # an empty --output names no file (exit 2)
+    'search --family starlike --samples 10 --output ""',
+    'verify --family convex --trials 2 --samples 5 --output ""',
+    'table --output ""',
 )
 # counts over their caps (exit 2 before any work).  A checkout without the
 # caps would start runs of minutes to hours and of gigabytes on these, so
