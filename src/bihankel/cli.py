@@ -16,6 +16,10 @@ import os
 import re
 import sys
 
+# The package makes no BLAS call, and OpenBLAS starts one spinning worker per
+# extra core at `import numpy`; a thread count the caller set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import bounds as bd
@@ -120,6 +124,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+    def _print_message(self, message, file=None):
+        # argparse swallows write errors; help for stdout fails as any report does
+        if file is sys.stdout:
+            _emit(message, None)
+        else:
+            super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,6 +361,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except BihankelError as exc:
+        return _usage_error(str(exc))
     handlers = {
         "verify": cmd_verify,
         "table": cmd_table,

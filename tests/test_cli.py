@@ -531,6 +531,12 @@ class TestUsage:
     def test_missing_command_exits_2(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+    def test_help_goes_to_stdout_and_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: bihankel ")
+
 
 class TestUnwritableOutput:
     """An --output path that cannot be written is a usage error, not a failed check."""
@@ -589,6 +595,8 @@ class TestUnwritableOutput:
         ("fs-bound", "--family", "starlike", "--mu", "2"),
         ("derive", "--trials", "5"),
         *COMMANDS,
+        ("--help",),
+        ("verify", "--help"),
     ])
     def test_full_stdout_exits_2(self, argv, unbuffered):
         # a failed write to stdout is a write error like any other, whether

@@ -82,6 +82,10 @@ COMMANDS = (
     "fs-bound --family starlike --beta 0.2 --mu -2",
     # a negative float in exponent form is a value, not a flag
     "fs-bound --family convex --beta 0 --mu -2e0",
+    # help text, which argparse prints outside the command handlers
+    "--help",
+    "verify --help",
+    "search --help",
     # usage and domain errors (exit 2)
     "verify --beta 1.5",
     "verify --beta 0 --beta nan",
