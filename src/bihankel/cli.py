@@ -17,8 +17,10 @@ import re
 import sys
 
 # The package makes no BLAS call, and OpenBLAS starts one spinning worker per
-# extra core at `import numpy`; a thread count the caller set still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# extra core at `import numpy`; a thread count the caller set still wins, and
+# a process that has loaded numpy already keeps its environment as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -45,7 +47,7 @@ TABLE_COLUMNS = ("beta", "family", "bound", "branch", "critical_c", "grid_max", 
 # caps on requested work.  `search`, the sampled spot checks of `verify` and
 # the series oracle of `verify` and `derive` all stream, so their memory
 # stays flat and the caps bound run time (10^8 search samples take about
-# 20 s on a 2-vCPU Xeon, and `verify` at the --samples cap about 2.7 s).
+# 18 s on a 2-vCPU Xeon, and `verify` at the --samples cap about 2 s).
 MAX_SEARCH_SAMPLES = 10**8
 MAX_VERIFY_SAMPLES = 10**6
 MAX_TRIALS = 10**5

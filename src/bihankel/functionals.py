@@ -102,17 +102,22 @@ def bi_coeffs(family: FamilyId, w, c1, dc2, dc3):
         a2 = w c1 / 2
         a3 = w^2 c1^2 / 4 + w dc2 / 12
         a4 = (5/48) w^3 c1^3 + (5/48) w^2 c1 dc2 + w dc3 / 24
+
+    The complex terms are scaled by reciprocals (`* (1.0 / 6.0)`): on arrays
+    that is bit for bit numpy's complex division by a real, which scales by
+    the same reciprocal, at a fraction of its cost.  On Python scalars it
+    may differ from `/ 6.0` in the last bit.
     """
     if family is FamilyId.STARLIKE:
         a2 = w * c1
-        a3 = w * w * c1 * c1 + w * dc2 / 4.0
+        a3 = w * w * c1 * c1 + w * dc2 * 0.25
         a4 = (2.0 / 3.0) * w**3 * c1**3 + (5.0 / 8.0) * w * w * c1 * dc2 \
-            + w * dc3 / 6.0
+            + w * dc3 * (1.0 / 6.0)
     else:
         a2 = w * c1 / 2.0
-        a3 = w * w * c1 * c1 / 4.0 + w * dc2 / 12.0
+        a3 = w * w * c1 * c1 / 4.0 + w * dc2 * (1.0 / 12.0)
         a4 = (5.0 / 48.0) * w**3 * c1**3 + (5.0 / 48.0) * w * w * c1 * dc2 \
-            + w * dc3 / 24.0
+            + w * dc3 * (1.0 / 24.0)
     return a2, a3, a4
 
 

@@ -385,9 +385,10 @@ def h22_terms(family, beta, c, x, y):
     a2, a3, a4 = bi_coeffs(family, om, c, dc2, dc3)
     a = a2 * a4
     a -= a3 * a3
-    # k, the weight of dc3 in a4, is the a4 of c1 = dc2 = 0 and dc3 = 1
+    # k as a division: `bi_coeffs` scales by the reciprocal, which on a
+    # float can round differently from om / 6
     half = a2 * gap
-    half *= bi_coeffs(family, om, 0.0, 0.0, 1.0)[2] / 2.0
+    half *= om / (6.0 if family is FamilyId.STARLIKE else 24.0) / 2.0
     b = 1.0 - abs(x) ** 2
     b *= half
     cw = abs(y) ** 2 - 1.0

@@ -377,7 +377,7 @@ def arrays_equal(got, expected):
 
 # block sizes for the streamed samplers: one draw, a prime, one short of the
 # default, and one block of exactly / more than all the draws
-CHUNKS = (1, 7, (1 << 14) - 1, "samples", "more")
+CHUNKS = (1, 7, (1 << 12) - 1, "samples", "more")
 
 
 def chunk_size(chunk, samples):
@@ -393,10 +393,10 @@ class TestSamplers:
         assert arrays_equal(whole(disk_param_blocks(50, 3)), reference_disk_params(50, 3))
 
     def test_default_block_size(self):
-        assert car.SAMPLE_CHUNK == 1 << 14
-        sizes = [block[0].size for block in disk_param_blocks(40000, 1)]
-        assert sizes == [1 << 14, 1 << 14, 40000 - (2 << 14)]
-        assert [w.shape for w, _ in herglotz_blocks(20000, 1)] == [(1 << 14, 6), (3616, 6)]
+        assert car.SAMPLE_CHUNK == 1 << 12
+        sizes = [block[0].size for block in disk_param_blocks(10000, 1)]
+        assert sizes == [1 << 12, 1 << 12, 10000 - (2 << 12)]
+        assert [w.shape for w, _ in herglotz_blocks(5000, 1)] == [(1 << 12, 6), (904, 6)]
 
     def test_disk_rejection_stays_inside(self):
         rng = np.random.default_rng(5)

@@ -792,10 +792,10 @@ def search(case):
 class TestStreamingSearch:
     @pytest.mark.parametrize("case", SEARCH_CASES, ids=CASE_IDS)
     def test_default_chunk_matches_whole_array_reference(self, case):
-        assert car.SAMPLE_CHUNK == 1 << 14
+        assert car.SAMPLE_CHUNK == 1 << 12
         assert search(case) == reference_search(*case)
 
-    @pytest.mark.parametrize("chunk", [7, (1 << 14) - 1, "samples", "more"])
+    @pytest.mark.parametrize("chunk", [7, (1 << 12) - 1, "samples", "more"])
     @pytest.mark.parametrize("case", SEARCH_CASES, ids=CASE_IDS)
     def test_independent_of_chunk_size(self, monkeypatch, case, chunk):
         samples = case[2]
@@ -840,6 +840,19 @@ class TestStreamingSearch:
         assert large < 8 * 2**20
         assert large <= small + 2**18
 
+    @pytest.mark.parametrize("constrain_sum", [False, True])
+    def test_one_block_of_temporaries(self, constrain_sum):
+        # a block of 2^12 draws and its kernel temporaries take about 0.8 MiB
+        # (0.6 MiB with the sum constraint); blocks of 2^14 take 3.3 MiB
+        tracemalloc.start()
+        try:
+            empirical_max_h22(FamilyId.CONVEX, 0.3, 200_000, seed=9,
+                              constrain_sum=constrain_sum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
 
 # The merged scans must reproduce the code they replaced bit for bit, and the
 # kernel must agree with the one it replaced to rounding.  These are copies of
@@ -867,6 +880,21 @@ def reference_h22_batch(family, beta, c, x, y, z, w):
         a4 = (5.0 / 48.0) * om**3 * c**3 + (5.0 / 48.0) * om * om * c * dc2 \
             + om * dc3 / 24.0
     return np.abs(a2 * a4 - a3 * a3)
+
+
+def division_bi_coeffs(family, w, c1, dc2, dc3):
+    """`bi_coeffs` with every constant divisor written as a division."""
+    if family is FamilyId.STARLIKE:
+        a2 = w * c1
+        a3 = w * w * c1 * c1 + w * dc2 / 4.0
+        a4 = (2.0 / 3.0) * w**3 * c1**3 + (5.0 / 8.0) * w * w * c1 * dc2 \
+            + w * dc3 / 6.0
+    else:
+        a2 = w * c1 / 2.0
+        a3 = w * w * c1 * c1 / 4.0 + w * dc2 / 12.0
+        a4 = (5.0 / 48.0) * w**3 * c1**3 + (5.0 / 48.0) * w * w * c1 * dc2 \
+            + w * dc3 / 24.0
+    return a2, a3, a4
 
 
 def reference_maximize_surrogate(family, beta):
@@ -922,6 +950,17 @@ class TestMergedFormulasMatchReferences:
         got = h22_batch(family, beta, c, x, y, z, w)
         expected = reference_h22_batch(family, beta, c, x, y, z, w)
         assert np.max(np.abs(got - expected)) <= H22_ULPS * 2.0**-52 * np.max(expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_h22_batch_identical_to_division_form(self, monkeypatch, family, seed):
+        # `bi_coeffs` scales its complex terms by reciprocals, which numpy's
+        # complex division by a real does too, so the kernel's bytes are
+        # those of the plain divisions
+        c, x, y, z, w = next(disk_param_blocks(1 << 12, seed, 0.25))
+        got = h22_batch(family, 0.3, c, x, y, z, w)
+        monkeypatch.setattr(opt, "bi_coeffs", division_bi_coeffs)
+        assert got.tobytes() == h22_batch(family, 0.3, c, x, y, z, w).tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("family", list(FamilyId))

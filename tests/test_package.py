@@ -49,7 +49,8 @@ class TestLazyPackage:
 
 class TestCliThreads:
     """`bihankel.cli` sets numpy's BLAS to one thread before numpy loads; a
-    library import leaves the environment as it is."""
+    library import, or a cli import after numpy, leaves the environment as
+    it is."""
 
     def test_cli_sets_one_thread_when_unset(self):
         assert fresh("import os, bihankel.cli; "
@@ -61,6 +62,11 @@ class TestCliThreads:
 
     def test_library_import_leaves_the_variable_unset(self):
         assert fresh("import os, bihankel.bounds; "
+                     "print(os.environ.get('OPENBLAS_NUM_THREADS'))") == "None"
+
+    def test_cli_after_numpy_leaves_the_variable_unset(self):
+        # numpy's thread pool has started, so the variable would only misreport it
+        assert fresh("import os, numpy, bihankel.cli; "
                      "print(os.environ.get('OPENBLAS_NUM_THREADS'))") == "None"
 
     @pytest.mark.skipif(not HAS_PROC_TASKS, reason="needs /proc/self/task")

@@ -226,7 +226,7 @@ class TestArraySpotChecks:
         monkeypatch.setattr(vf, "herglotz_blocks", quarter_turns)
         assert vf._herglotz_excess(5, 0) == pytest.approx(np.sqrt(2.0) - 2.0, rel=1e-15)
 
-    @pytest.mark.parametrize("chunk", [1, 7, (1 << 14) - 1, "samples", "more"])
+    @pytest.mark.parametrize("chunk", [1, 7, (1 << 12) - 1, "samples", "more"])
     def test_chunks_give_the_whole_batch_value(self, chunk, monkeypatch):
         samples = 300
         monkeypatch.setattr(car, "SAMPLE_CHUNK", samples + 1)

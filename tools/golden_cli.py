@@ -31,8 +31,9 @@ COMMANDS = (
     "verify --family both --beta 0 --beta 0.3 --beta 0.7 --trials 200 --samples 4000 --seed 0",
     "verify",
     "verify --family convex --beta 0.95 --beta 0.5 --seed 11 --trials 30 --samples 300",
-    # block edges of the streamed spot checks: one sample past a block, and
-    # a single sample
+    # block edges of the streamed spot checks: one sample past a block (of
+    # 2^12 and of 2^14 samples), and a single sample
+    "verify --family starlike --beta 0.3 --samples 4097 --trials 1 --seed 3",
     "verify --family starlike --beta 0.3 --samples 16385 --trials 1 --seed 3",
     "verify --family convex --beta 0 --samples 1 --trials 1",
     # the 1-d and 3-d scan values at the starlike thresholds (the quartic's
@@ -74,8 +75,10 @@ COMMANDS = (
     "search --family convex --beta 0.3 --samples 500000 --seed 3 --constrain-sum",
     "search --family convex --beta 0.3 --samples 1000 --boundary-fraction 1.0",
     "search --family convex --beta 0.3 --samples 1000 --boundary-fraction 0",
-    # chunk edges of the streaming search: one sample past a chunk, and a
-    # boundary prefix (21000 of 70000 samples) that ends inside a chunk
+    # chunk edges of the streaming search: one sample past a chunk (of 2^12
+    # and of 2^14 samples), and a boundary prefix (21000 of 70000 samples)
+    # that ends inside a chunk
+    "search --family starlike --samples 4097 --seed 2",
     "search --family starlike --samples 16385 --seed 2",
     "search --family convex --beta 0.3 --samples 70000 --boundary-fraction 0.3 --seed 4",
     "fs-bound --family convex --beta 0 --mu 1",
