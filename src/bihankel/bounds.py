@@ -8,21 +8,17 @@ free disk parameters by their moduli (lam, mu) and majorizes
 
 with c-dependent coefficients t1..t4 (t1, t2, t4 >= 0 and t3 <= 0 on
 [0, 2]).  The surface attains its maximum at the corner lam = mu = 1, where
-it collapses to an even quartic in c:
+it collapses to an even quartic Q in c.  Maximizing Q over c in [0, 2]
+gives the closed-form bounds, at c = 2 up to the branch split and at the
+interior critical point past it:
 
-    STARLIKE: Q(c) = (1-b)^2/48  * [(16 b^2 - 26 b + 5) c^4
-                                    + 24 (2 - b) c^2 + 48]
-    CONVEX:   Q(c) = (1-b)^2/288 * [(3 b^2 - 3 b - 4) c^4
-                                    + 4 (8 - 3 b) c^2 + 32]
+    STARLIKE: Q(c) = (1-b)^2/48 [(16 b^2 - 26 b + 5) c^4 + 24 (2 - b) c^2 + 48]
+              (4/3)(1-b)^2 (4 b^2 - 8 b + 5)  for b <= (29-sqrt(137))/32,
+              else (1-b)^2 (13 b^2 - 14 b - 7) / (16 b^2 - 26 b + 5)
+    CONVEX:   Q(c) = (1-b)^2/288 [(3 b^2 - 3 b - 4) c^4 + 4 (8 - 3 b) c^2 + 32]
+              (1-b)^2/24 (5 b^2 + 8 b - 32) / (3 b^2 - 3 b - 4)  (no split)
 
-Maximizing Q over c in [0, 2] gives the closed-form bounds:
-
-    STARLIKE: (4/3)(1-b)^2 (4 b^2 - 8 b + 5)          for b <= (29-sqrt(137))/32
-              (1-b)^2 (13 b^2 - 14 b - 7)
-                      / (16 b^2 - 26 b + 5)            otherwise (interior max)
-    CONVEX:   (1-b)^2/24 * (5 b^2 + 8 b - 32)
-                      / (3 b^2 - 3 b - 4)               (always interior max)
-
+The families differ only in their constants, one row of `_ROWS` each.
 Everything here is a pure function of scalars (or numpy arrays in c), so
 grid-based verification can evaluate the same expressions the closed forms
 are made of.
@@ -32,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -71,10 +68,40 @@ class Thresholds:
     branch_split: float
 
 
+# One family's constants; every formula below is written once over them.
+#   terms:    k1..k7 of `surrogate_terms`
+#   quartic:  (s, q1, q2, q3, q0) of the corner quartic
+#             Q = (1-b)^2/s [lead(b) c^4 + q1 (q2 - q3 b) c^2 + q0]
+#   lead:     the quadratic lead(b), as `_quadratic` takes it
+#   at_c2:    (f, p, d) of Q(2) = f (1-b)^2 p(b) / d, p a quadratic
+#   interior: (d, p) of the interior maximum (1-b)^2/d p(b) / lead(b)
+#   split:    the bound is Q(2) for b <= split, else the interior maximum
+#   fs:       (flat divisor, outer factor, joins) of `fekete_szego_bound`
+_Row = namedtuple("_Row", "terms quartic lead at_c2 interior split fs")
+_ROWS = {
+    FamilyId.STARLIKE: _Row(
+        terms=(12.0, 4.0, 48.0, 7.0, 3.0, 24.0, 64.0), quartic=(48.0, 24.0, 2.0, 1.0, 48.0),
+        lead=(16.0, -26.0, 5.0), at_c2=(4.0, (4.0, -8.0, 5.0), 3.0),
+        interior=(1.0, (13.0, -14.0, -7.0)), split=(29.0 - math.sqrt(137.0)) / 32.0,
+        fs=(1.0, 2.0, (0.5, 1.5))),
+    FamilyId.CONVEX: _Row(
+        terms=(96.0, 1.0, 192.0, 3.0, 1.0, 192.0, 576.0), quartic=(288.0, 4.0, 8.0, 3.0, 32.0),
+        lead=(3.0, -3.0, -4.0), at_c2=(1.0, (1.0, -2.0, 2.0), 6.0),
+        interior=(24.0, (5.0, 8.0, -32.0)), split=-math.inf,  # no split
+        fs=(3.0, 1.0, (2.0 / 3.0, 4.0 / 3.0))),
+}
+
+
+def _quadratic(p, b):
+    """p[0] b^2 + p[1] b + p[2]; + (-x) rounds as - x does."""
+    p2, p1, p0 = p
+    return p2 * b * b + p1 * b + p0
+
+
 def thresholds() -> Thresholds:
     return Thresholds(
         quartic_sign_change=(13.0 - math.sqrt(89.0)) / 16.0,
-        branch_split=(29.0 - math.sqrt(137.0)) / 32.0,
+        branch_split=_ROWS[FamilyId.STARLIKE].split,
     )
 
 
@@ -110,10 +137,7 @@ def surrogate_terms(family: FamilyId, c, beta: float):
     """
     beta = check_beta(beta)
     _check_c(c)
-    if family is FamilyId.STARLIKE:
-        k1, k2, k3, k4, k5, k6, k7 = 12.0, 4.0, 48.0, 7.0, 3.0, 24.0, 64.0
-    else:
-        k1, k2, k3, k4, k5, k6, k7 = 96.0, 1.0, 192.0, 3.0, 1.0, 192.0, 576.0
+    k1, k2, k3, k4, k5, k6, k7 = _ROWS[family].terms
     w2 = (1.0 - beta) ** 2
     gap = 4.0 - c * c
     t1 = w2 / k1 * ((1.0 + k2 * w2) * c**4 - 2.0 * c**3 + 8.0 * c)
@@ -182,46 +206,35 @@ def quartic_profile(family: FamilyId, beta) -> QuarticProfile:
     beta = check_beta(beta)
     if np.ndim(beta):
         beta = beta[:, None]
-    w2 = np.float_power(1.0 - beta, 2)
-    if family is FamilyId.STARLIKE:
-        scale = w2 / 48.0
-        alpha2, alpha0 = scale * 24.0 * (2.0 - beta), scale * 48.0
-    else:
-        scale = w2 / 288.0
-        alpha2, alpha0 = scale * 4.0 * (8.0 - 3.0 * beta), scale * 32.0
-    return QuarticProfile(scale * _lead(family, beta), alpha2, alpha0)
+    row = _ROWS[family]
+    s, q1, q2, q3, q0 = row.quartic
+    scale = np.float_power(1.0 - beta, 2) / s
+    return QuarticProfile(scale * _quadratic(row.lead, beta), scale * q1 * (q2 - q3 * beta),
+                          scale * q0)
 
 
-def _lead(family: FamilyId, beta):
-    """c^4 coefficient of the bracketed quartic: 16 b^2 - 26 b + 5 (starlike)
-    or 3 b^2 - 3 b - 4 (convex)."""
-    if family is FamilyId.STARLIKE:
-        return 16.0 * beta * beta - 26.0 * beta + 5.0
-    return 3.0 * beta * beta - 3.0 * beta - 4.0
-
-
-def _stationary_c(family: FamilyId, beta, lead):
-    """sqrt(-12 (2 - b) / lead) (starlike) or sqrt(2 (3 b - 8) / lead)
-    (convex); NaN where there is no interior stationary point."""
+def _stationary_c(row: _Row, beta, lead):
+    """sqrt(-(q1/2) (q2 - q3 b) / lead), where Q' = 0: sqrt(-12 (2 - b) /
+    lead) (starlike) or sqrt(2 (3 b - 8) / lead) (convex), bit for bit; NaN
+    where there is no interior stationary point."""
+    _, q1, q2, q3, _ = row.quartic
     with np.errstate(divide="ignore", invalid="ignore"):
-        if family is FamilyId.STARLIKE:
-            return np.sqrt(-12.0 * (2.0 - beta) / lead)
-        return np.sqrt(2.0 * (3.0 * beta - 8.0) / lead)
+        return np.sqrt(-q1 / 2.0 * (q2 - q3 * beta) / lead)
 
 
 def critical_point(family: FamilyId, beta: float) -> float | None:
     """Interior stationary point of Q, when the quartic has one.
 
-    STARLIKE: None while 16 b^2 - 26 b + 5 >= 0, else
-              sqrt(-12 (2 - b) / (16 b^2 - 26 b + 5)).
-    CONVEX:   always sqrt(2 (3 b - 8) / (3 b^2 - 3 b - 4)); the denominator
-              is negative throughout [0, 1), and the value never exceeds 2.
+    None while lead(b) >= 0 (starlike, up to about (13 - sqrt(89))/16), else
+    `_stationary_c`.  The convex lead(b) = 3 b^2 - 3 b - 4 is negative
+    throughout [0, 1), and its stationary point never exceeds 2.
     """
     beta = check_beta(beta)
-    lead = _lead(family, beta)
-    if family is FamilyId.STARLIKE and lead >= 0.0:
+    row = _ROWS[family]
+    lead = _quadratic(row.lead, beta)
+    if lead >= 0.0:
         return None
-    return float(_stationary_c(family, beta, lead))
+    return float(_stationary_c(row, beta, lead))
 
 
 def _bound_result(family: FamilyId, beta, bound, on_c2, critical_c) -> BoundResult:
@@ -233,42 +246,32 @@ def _bound_result(family: FamilyId, beta, bound, on_c2, critical_c) -> BoundResu
     return BoundResult(family, beta, float(bound), branch.item(), float(critical_c))
 
 
-def starlike_h22_bound(beta) -> BoundResult:
-    """max over [0, 2] of the starlike quartic, in closed form.
+def h22_bound(family: FamilyId, beta) -> BoundResult:
+    """max over [0, 2] of the family's corner quartic, in closed form.
 
-    Up to and including the branch split the quartic is nondecreasing and
-    the maximum sits on the boundary c = 2; past it the interior critical
-    point takes over.  Both branches agree at the split.  A 1-d beta array
-    gives arrays, each entry bit for bit the float beta's result.
+    Up to and including the family's branch split the quartic is
+    nondecreasing and the maximum sits on the boundary c = 2; past it the
+    interior critical point takes over, and both branches agree at the
+    split.  Convex has no split: its critical point always wins.  A 1-d beta
+    array gives arrays, each entry bit for bit the float beta's result.
     """
     beta = check_beta(beta)
+    row = _ROWS[family]
     b = np.asarray(beta)
     w2 = np.float_power(1.0 - b, 2)
-    on_c2 = b <= thresholds().branch_split
-    lead = _lead(FamilyId.STARLIKE, b)
+    on_c2 = b <= row.split
+    lead = _quadratic(row.lead, b)
+    f, at_c2, d_c2 = row.at_c2
+    d, interior = row.interior
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(on_c2, 4.0 * w2 * (4.0 * b * b - 8.0 * b + 5.0) / 3.0,
-                         w2 * (13.0 * b * b - 14.0 * b - 7.0) / lead)
-    critical_c = np.where(on_c2, 2.0, _stationary_c(FamilyId.STARLIKE, b, lead))
-    return _bound_result(FamilyId.STARLIKE, beta, bound, on_c2, critical_c)
+        bound = np.where(on_c2, f * w2 * _quadratic(at_c2, b) / d_c2,
+                         w2 / d * _quadratic(interior, b) / lead)
+    critical_c = np.where(on_c2, 2.0, _stationary_c(row, b, lead))
+    return _bound_result(family, beta, bound, on_c2, critical_c)
 
 
-def convex_h22_bound(beta) -> BoundResult:
-    """max over [0, 2] of the convex quartic; the critical point always wins.
-    A 1-d beta array gives arrays, as for `starlike_h22_bound`."""
-    beta = check_beta(beta)
-    b = np.asarray(beta)
-    w2 = np.float_power(1.0 - b, 2)
-    lead = _lead(FamilyId.CONVEX, b)
-    bound = w2 / 24.0 * (5.0 * b * b + 8.0 * b - 32.0) / lead
-    critical_c = _stationary_c(FamilyId.CONVEX, b, lead)
-    return _bound_result(FamilyId.CONVEX, beta, bound, np.zeros(b.shape, bool), critical_c)
-
-
-def h22_bound(family: FamilyId, beta) -> BoundResult:
-    if family is FamilyId.STARLIKE:
-        return starlike_h22_bound(beta)
-    return convex_h22_bound(beta)
+starlike_h22_bound = partial(h22_bound, FamilyId.STARLIKE)
+convex_h22_bound = partial(h22_bound, FamilyId.CONVEX)
 
 
 def fekete_szego_bound(family: FamilyId, beta: float, mu: float) -> float:
@@ -291,12 +294,8 @@ def fekete_szego_bound(family: FamilyId, beta: float, mu: float) -> float:
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"mu must be finite, got {mu}")
-    if family is FamilyId.STARLIKE:
-        bound = w if 0.5 <= mu <= 1.5 else 2.0 * w * abs(mu - 1.0)
-    elif 2.0 / 3.0 <= mu <= 4.0 / 3.0:
-        bound = w / 3.0
-    else:
-        bound = w * abs(mu - 1.0)
+    flat, outer, (lo, hi) = _ROWS[family].fs
+    bound = w / flat if lo <= mu <= hi else outer * w * abs(mu - 1.0)
     if not math.isfinite(bound):
         raise DomainError(f"Fekete-Szego bound overflows at mu={mu}")
     return bound

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,65 +89,63 @@ class BiCoefficients:
         return (complex(self.a2), complex(self.a3), complex(self.a4))
 
 
+# One family's coefficient system: the weights (h, g1, g2, e1, e2) and a4's
+# divisor k of `bi_coeffs`, the constants m1..m9 of `_lhs`, and the family's
+# series functional.
+_System = namedtuple("_System", "weights divisor lhs functional")
+_SYSTEMS = {
+    FamilyId.STARLIKE: _System((1.0, 1.0, 0.25, 2.0 / 3.0, 5.0 / 8.0), 6.0,
+                               (1.0, 2.0, 1.0, 3.0, 3.0, 1.0, 3.0, 10.0, 12.0),
+                               ts.starlike_functional),
+    FamilyId.CONVEX: _System((0.5, 0.25, 1.0 / 12.0, 5.0 / 48.0, 5.0 / 48.0), 24.0,
+                             (2.0, 6.0, 4.0, 12.0, 18.0, 8.0, 8.0, 32.0, 42.0),
+                             ts.convex_functional),
+}
+
+
 def bi_coeffs(family: FamilyId, w, c1, dc2, dc3):
     """Closed-form (a2, a3, a4); scalars or numpy arrays.
 
     w is 1 - beta, c1 the shared first coefficient, and dc2 = c2 - d2,
-    dc3 = c3 - d3 the differences of the two coefficient triples.
+    dc3 = c3 - d3 the differences of the two coefficient triples.  With the
+    family's row of `_SYSTEMS`,
 
-    STARLIKE:
-        a2 = w c1
-        a3 = w^2 c1^2 + w dc2 / 4
-        a4 = (2/3) w^3 c1^3 + (5/8) w^2 c1 dc2 + w dc3 / 6
-    CONVEX:
-        a2 = w c1 / 2
-        a3 = w^2 c1^2 / 4 + w dc2 / 12
-        a4 = (5/48) w^3 c1^3 + (5/48) w^2 c1 dc2 + w dc3 / 24
+        a2 = h w c1
+        a3 = g1 w^2 c1^2 + g2 w dc2
+        a4 = e1 w^3 c1^3 + e2 w^2 c1 dc2 + w dc3 / k
 
-    The complex terms are scaled by reciprocals (`* (1.0 / 6.0)`): on arrays
-    that is bit for bit numpy's complex division by a real, which scales by
-    the same reciprocal, at a fraction of its cost.  On Python scalars it
-    may differ from `/ 6.0` in the last bit.
+        family    h    g1   g2    e1    e2    k
+        STARLIKE  1    1    1/4   2/3   5/8   6
+        CONVEX    1/2  1/4  1/12  5/48  5/48  24
+
+    h and g1 are powers of two, so their products round as w c1 / 2 and
+    w^2 c1^2 / 4 would.  dc3 is scaled by the reciprocal 1/k: on arrays that
+    is bit for bit numpy's complex division by a real, which scales by the
+    same reciprocal, at a fraction of its cost.  On Python scalars it may
+    differ from `/ k` in the last bit.
     """
-    if family is FamilyId.STARLIKE:
-        a2 = w * c1
-        a3 = w * w * c1 * c1 + w * dc2 * 0.25
-        a4 = (2.0 / 3.0) * w**3 * c1**3 + (5.0 / 8.0) * w * w * c1 * dc2 \
-            + w * dc3 * (1.0 / 6.0)
-    else:
-        a2 = w * c1 / 2.0
-        a3 = w * w * c1 * c1 / 4.0 + w * dc2 * (1.0 / 12.0)
-        a4 = (5.0 / 48.0) * w**3 * c1**3 + (5.0 / 48.0) * w * w * c1 * dc2 \
-            + w * dc3 * (1.0 / 24.0)
+    row = _SYSTEMS[family]
+    h, g1, g2, e1, e2 = row.weights
+    a2 = w * c1 * h
+    a3 = w * w * c1 * c1 * g1 + w * dc2 * g2
+    a4 = e1 * w**3 * c1**3 + e2 * w * w * c1 * dc2 + w * dc3 * (1.0 / row.divisor)
     return a2, a3, a4
 
 
-# closed-form left-hand sides of the six coefficient equations, per family
-def _lhs_starlike(a2: complex, a3: complex, a4: complex):
-    direct = (
-        a2,
-        2.0 * a3 - a2 * a2,
-        3.0 * a4 - 3.0 * a3 * a2 + a2**3,
-    )
-    inverse = (
-        -a2,
-        3.0 * a2 * a2 - 2.0 * a3,
-        -10.0 * a2**3 + 12.0 * a3 * a2 - 3.0 * a4,
-    )
-    return direct, inverse
+def _lhs(family: FamilyId, a2, a3, a4):
+    """Closed-form left-hand sides of the six coefficient equations.
 
+    With m1..m9 from the family's row of `_SYSTEMS`, the direct side (f) is
 
-def _lhs_convex(a2: complex, a3: complex, a4: complex):
-    direct = (
-        2.0 * a2,
-        6.0 * a3 - 4.0 * a2 * a2,
-        12.0 * a4 - 18.0 * a3 * a2 + 8.0 * a2**3,
-    )
-    inverse = (
-        -2.0 * a2,
-        8.0 * a2 * a2 - 6.0 * a3,
-        -32.0 * a2**3 + 42.0 * a3 * a2 - 12.0 * a4,
-    )
+        m1 a2,  m2 a3 - m3 a2^2,  m4 a4 - m5 a3 a2 + m6 a2^3
+
+    and the inverse side (g) is
+
+        -m1 a2,  m7 a2^2 - m2 a3,  -m8 a2^3 + m9 a3 a2 - m4 a4.
+    """
+    m1, m2, m3, m4, m5, m6, m7, m8, m9 = _SYSTEMS[family].lhs
+    direct = (m1 * a2, m2 * a3 - m3 * a2 * a2, m4 * a4 - m5 * a3 * a2 + m6 * a2**3)
+    inverse = (-m1 * a2, m7 * a2 * a2 - m2 * a3, -m8 * a2**3 + m9 * a3 * a2 - m4 * a4)
     return direct, inverse
 
 
@@ -173,16 +172,11 @@ def _system_residuals(family: FamilyId, a2, a3, a4):
     Residual k is |lhs_k - functional coefficient| on the direct (k < 3) or
     the inverse side.
     """
-    functional = (
-        ts.starlike_functional
-        if family is FamilyId.STARLIKE
-        else ts.convex_functional
-    )
+    functional = _SYSTEMS[family].functional
     f = ts.TruncatedSeries.from_coeffs([0, 1, a2, a3, a4], 4)
     func_f = functional(f)
     func_g = functional(ts.invert_composition(f))
-    lhs = _lhs_starlike if family is FamilyId.STARLIKE else _lhs_convex
-    direct, inverse = lhs(a2, a3, a4)
+    direct, inverse = _lhs(family, a2, a3, a4)
     residuals = tuple(
         abs(val - func[k + 1])
         for func, side in ((func_f, direct), (func_g, inverse))

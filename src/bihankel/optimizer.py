@@ -34,7 +34,7 @@ import numpy as np
 from . import bounds as bd
 from .caratheodory import check_disk_params, check_unit_disk, disk_coeffs, disk_param_blocks
 from .errors import DomainError
-from .functionals import FamilyId, Order, bi_coeffs
+from .functionals import _SYSTEMS, FamilyId, Order, bi_coeffs
 
 
 # Grid schedules: (points per axis, refinement rounds, shrink factor).  The
@@ -361,14 +361,15 @@ def h22_terms(family, beta, c, x, y):
     z and w enter the coefficients only through the third ones, linearly:
     with gap = 4 - c^2, c3 - d3 is its value at z = w = 0 plus
     gap ((1 - |x|^2) z - (1 - |y|^2) w) / 2, and a4 is linear in c3 - d3
-    with weight k = (1 - beta)/6 (starlike) or (1 - beta)/24 (convex).
+    with weight (1 - beta)/k, k being a4's divisor in `bi_coeffs` (6
+    starlike, 24 convex; the family's row of `functionals._SYSTEMS`).
     So A is a2 a4 - a3^2 at z = w = 0, from `bi_coeffs` on the differences
 
         dc2 = (x - y) gap / 2
         dc3 = [2 c^3 + 2 gap c (x + y) - c gap (x^2 + y^2)] / 4,
 
-    and B = a2 k gap (1 - |x|^2)/2 and C = -a2 k gap (1 - |y|^2)/2 are real,
-    as a2 = (1 - beta) c or (1 - beta) c / 2 is.  c, x and y broadcast
+    and B = a2 (1 - beta)/k gap (1 - |x|^2)/2 and C = -a2 (1 - beta)/k gap
+    (1 - |y|^2)/2 are real, as a2 = h (1 - beta) c is.  c, x and y broadcast
     against each other, and the terms have their common shape.
     """
     c, x, y = np.broadcast_arrays(c, x, y)
@@ -385,10 +386,8 @@ def h22_terms(family, beta, c, x, y):
     a2, a3, a4 = bi_coeffs(family, om, c, dc2, dc3)
     a = a2 * a4
     a -= a3 * a3
-    # k as a division: `bi_coeffs` scales by the reciprocal, which on a
-    # float can round differently from om / 6
     half = a2 * gap
-    half *= om / (6.0 if family is FamilyId.STARLIKE else 24.0) / 2.0
+    half *= om / _SYSTEMS[family].divisor / 2.0
     b = 1.0 - abs(x) ** 2
     b *= half
     cw = abs(y) ** 2 - 1.0

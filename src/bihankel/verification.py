@@ -41,6 +41,11 @@ POINTWISE_SLACK = 1e-10
 # points of the c-grid on [0, 2] behind the term-level checks
 C_POINTS = 401
 
+# (d, r, g2, g1, g, g0) of the factored forms t3 + 2 t4 = w2 gap (2 - c)(r - c)/d
+# and t2 + 2 (t3 + t4) = w2 gap ((g2 - g1 b) c^2 - g c + g0)/d (see `run_checks`)
+_FACTORS = {FamilyId.STARLIKE: (96.0, 6.0, 19.0, 6.0, 16.0, 12.0),
+            FamilyId.CONVEX: (576.0, 4.0, 13.0, 3.0, 12.0, 8.0)}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -148,7 +153,8 @@ def run_checks(
     and the quadratics have positive leading coefficients and the
     discriminants 288 b - 656 and 96 b - 272, both negative for b < 1, so
     they are positive; w2 > 0 and 4 - c^2 >= 0 on [0, 2].
-    `growth_factorization` checks the factored form against the terms.
+    `growth_factorization` checks the factored form against the terms; it
+    and `positivity_factorization` are each one expression over `_FACTORS`.
 
     `trials` and `spot_samples` below 1 raise DomainError: no check may
     pass over zero draws.  So does a negative `seed`, which numpy rejects.
@@ -192,12 +198,9 @@ def run_checks(
 
     w2 = (1.0 - beta) ** 2
     gap = 4.0 - cs * cs
-    if family is FamilyId.STARLIKE:
-        factored = w2 * gap * (2.0 - cs) * (6.0 - cs) / 96.0
-        growth_factored = w2 * gap * ((19.0 - 6.0 * beta) * cs * cs - 16.0 * cs + 12.0) / 96.0
-    else:
-        factored = w2 * gap * (2.0 - cs) * (4.0 - cs) / 576.0
-        growth_factored = w2 * gap * ((13.0 - 3.0 * beta) * cs * cs - 12.0 * cs + 8.0) / 576.0
+    d, r, g2, g1, g, g0 = _FACTORS[family]
+    factored = w2 * gap * (2.0 - cs) * (r - cs) / d
+    growth_factored = w2 * gap * ((g2 - g1 * beta) * cs * cs - g * cs + g0) / d
     checks.append(
         _check(
             "positivity_factorization",
@@ -243,8 +246,8 @@ def run_checks(
     # branch structure of the closed form
     if family is FamilyId.STARLIKE:
         split = bd.thresholds().branch_split
-        left = bd.starlike_h22_bound(math.nextafter(split, 0.0)).bound
-        right = bd.starlike_h22_bound(math.nextafter(split, 1.0)).bound
+        left = bd.h22_bound(family, math.nextafter(split, 0.0)).bound
+        right = bd.h22_bound(family, math.nextafter(split, 1.0)).bound
         checks.append(_check("branch_continuity", abs(left - right), CONTINUITY_TOL))
         if beta <= split:
             checks.append(
@@ -271,8 +274,8 @@ def run_checks(
         )
         checks.append(_check("endpoint_values", endpoint_dev, ALGEBRA_TOL))
 
-    # continuity of the Fekete-Szego bound across each branch join
-    joins = (0.5, 1.5) if family is FamilyId.STARLIKE else (2.0 / 3.0, 4.0 / 3.0)
+    # continuity of the Fekete-Szego bound across each join it uses
+    _, _, joins = bd._ROWS[family].fs
     join_dev = max(
         abs(bd.fekete_szego_bound(family, beta, m)
             - bd.fekete_szego_bound(family, beta, math.nextafter(m, outward)))

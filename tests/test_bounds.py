@@ -605,3 +605,132 @@ class TestMergedTermsMatchReference:
             for point in ((lam, mu, c), (1.0, 1.0, self.GRID), (0.3, 0.9, 1.1)):
                 got = surface(family, *point, beta)
                 assert np.array_equal(bits(got), bits(reference_surface(family, *point, beta)))
+
+
+# The corner quartic, its stationary point, the closed-form bounds and the
+# Fekete-Szego bound as they were written with one branch per family, before
+# each family became one row of `_ROWS`; kept as references.
+
+def reference_lead(family, beta):
+    if family is FamilyId.STARLIKE:
+        return 16.0 * beta * beta - 26.0 * beta + 5.0
+    return 3.0 * beta * beta - 3.0 * beta - 4.0
+
+
+def reference_stationary_c(family, beta, lead):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if family is FamilyId.STARLIKE:
+            return np.sqrt(-12.0 * (2.0 - beta) / lead)
+        return np.sqrt(2.0 * (3.0 * beta - 8.0) / lead)
+
+
+def reference_alphas(family, beta):
+    """(alpha4, alpha2, alpha0) of `quartic_profile`."""
+    if np.ndim(beta):
+        beta = np.asarray(beta, dtype=float)[:, None]
+    w2 = np.float_power(1.0 - beta, 2)
+    if family is FamilyId.STARLIKE:
+        scale = w2 / 48.0
+        alpha2, alpha0 = scale * 24.0 * (2.0 - beta), scale * 48.0
+    else:
+        scale = w2 / 288.0
+        alpha2, alpha0 = scale * 4.0 * (8.0 - 3.0 * beta), scale * 32.0
+    return scale * reference_lead(family, beta), alpha2, alpha0
+
+
+def reference_critical_point(family, beta):
+    lead = reference_lead(family, beta)
+    if family is FamilyId.STARLIKE and lead >= 0.0:
+        return None
+    return float(reference_stationary_c(family, beta, lead))
+
+
+def reference_h22_bound(family, beta):
+    """(bound, on_c2, critical_c) of `h22_bound`, before `_bound_result`."""
+    b = np.asarray(beta, dtype=float)
+    w2 = np.float_power(1.0 - b, 2)
+    lead = reference_lead(family, b)
+    if family is FamilyId.STARLIKE:
+        on_c2 = b <= (29.0 - math.sqrt(137.0)) / 32.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(on_c2, 4.0 * w2 * (4.0 * b * b - 8.0 * b + 5.0) / 3.0,
+                             w2 * (13.0 * b * b - 14.0 * b - 7.0) / lead)
+        return bound, on_c2, np.where(on_c2, 2.0, reference_stationary_c(family, b, lead))
+    bound = w2 / 24.0 * (5.0 * b * b + 8.0 * b - 32.0) / lead
+    return bound, np.zeros(b.shape, bool), reference_stationary_c(family, b, lead)
+
+
+def reference_fekete_szego_bound(family, beta, mu):
+    w = 1.0 - beta
+    if family is FamilyId.STARLIKE:
+        return w if 0.5 <= mu <= 1.5 else 2.0 * w * abs(mu - 1.0)
+    if 2.0 / 3.0 <= mu <= 4.0 / 3.0:
+        return w / 3.0
+    return w * abs(mu - 1.0)
+
+
+def same_bits(got, expected):
+    return np.array_equal(bits(got), bits(expected))
+
+
+class TestRowsMatchReference:
+    """Each row-driven function is its per-family formula, bit for bit, on a
+    beta array and on each float beta: the table-sweep grid, 20,000 random
+    betas, the ends of the range and both thresholds one ulp either side."""
+
+    BETAS = (SWEEP_BETAS + np.random.default_rng(2201).random(20_000).tolist()
+             + [5e-324, 0.9999999] + threshold_betas())
+    JOINS = (0.5, 1.5, 2.0 / 3.0, 4.0 / 3.0)
+    MUS = np.linspace(-1.0, 3.0, 11).tolist() + [
+        math.nextafter(m, to) for m in JOINS for to in (-math.inf, math.inf)] + list(JOINS)
+
+    def test_the_betas(self):
+        assert len(self.BETAS) == 22_486 and min(self.BETAS) == 0.0
+        assert max(self.BETAS) == math.nextafter(1.0, 0.0)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_quartic_profile(self, family):
+        stacked = quartic_profile(family, self.BETAS)
+        for name, expected in zip(("alpha4", "alpha2", "alpha0"),
+                                  reference_alphas(family, self.BETAS)):
+            assert same_bits(getattr(stacked, name), expected), name
+        for beta in self.BETAS:
+            profile = quartic_profile(family, beta)
+            got = (profile.alpha4, profile.alpha2, profile.alpha0)
+            expected = reference_alphas(family, beta)
+            assert all(type(g) is type(e) and same_bits(g, e) for g, e in zip(got, expected))
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_critical_point(self, family):
+        for beta in self.BETAS:
+            got, expected = critical_point(family, beta), reference_critical_point(family, beta)
+            assert got is expected is None or (type(got) is float and same_bits(got, expected))
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_h22_bound_on_an_array(self, family):
+        got = h22_bound(family, self.BETAS)
+        bound, on_c2, critical_c = reference_h22_bound(family, self.BETAS)
+        assert same_bits(got.bound, bound) and same_bits(got.critical_c, critical_c)
+        assert got.branch.tolist() == np.where(
+            on_c2, Branch.BOUNDARY_C2, Branch.INTERIOR_CRITICAL).tolist()
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_h22_bound_on_floats(self, family):
+        for beta in self.BETAS:
+            got = h22_bound(family, beta)
+            bound, on_c2, critical_c = reference_h22_bound(family, beta)
+            assert same_bits(got.bound, bound) and same_bits(got.critical_c, critical_c)
+            assert got.branch is (Branch.BOUNDARY_C2 if on_c2 else Branch.INTERIOR_CRITICAL)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_fekete_szego_bound(self, family):
+        for beta in self.BETAS[::50]:
+            for mu in self.MUS:
+                got = fekete_szego_bound(family, beta, mu)
+                expected = reference_fekete_szego_bound(family, beta, mu)
+                assert type(got) is float and same_bits(got, expected)
+
+    def test_the_partials_are_h22_bound(self):
+        for beta in (0.0, 0.3, 0.6):
+            assert starlike_h22_bound(beta) == h22_bound(FamilyId.STARLIKE, beta)
+            assert convex_h22_bound(beta) == h22_bound(FamilyId.CONVEX, beta)

@@ -233,3 +233,85 @@ class TestVerifyCoefficientSystem:
             order = Order(rng.uniform(0, 0.95))
             a = BiCoefficients(*class_pair_coeffs(family, order.beta, c, x, y, z, w))
             assert verify_coefficient_system(family, order, a).max_residual <= 1e-11
+
+
+# `bi_coeffs` and the six left-hand sides as they were written with one branch
+# per family, before each family became one row of constants; kept as
+# references.
+
+def reference_bi_coeffs(family, w, c1, dc2, dc3):
+    if family is FamilyId.STARLIKE:
+        a2 = w * c1
+        a3 = w * w * c1 * c1 + w * dc2 * 0.25
+        a4 = (2.0 / 3.0) * w**3 * c1**3 + (5.0 / 8.0) * w * w * c1 * dc2 \
+            + w * dc3 * (1.0 / 6.0)
+    else:
+        a2 = w * c1 / 2.0
+        a3 = w * w * c1 * c1 / 4.0 + w * dc2 * (1.0 / 12.0)
+        a4 = (5.0 / 48.0) * w**3 * c1**3 + (5.0 / 48.0) * w * w * c1 * dc2 \
+            + w * dc3 * (1.0 / 24.0)
+    return a2, a3, a4
+
+
+def reference_lhs(family, a2, a3, a4):
+    if family is FamilyId.STARLIKE:
+        direct = (a2, 2.0 * a3 - a2 * a2, 3.0 * a4 - 3.0 * a3 * a2 + a2**3)
+        inverse = (-a2, 3.0 * a2 * a2 - 2.0 * a3, -10.0 * a2**3 + 12.0 * a3 * a2 - 3.0 * a4)
+    else:
+        direct = (2.0 * a2, 6.0 * a3 - 4.0 * a2 * a2, 12.0 * a4 - 18.0 * a3 * a2 + 8.0 * a2**3)
+        inverse = (-2.0 * a2, 8.0 * a2 * a2 - 6.0 * a3,
+                   -32.0 * a2**3 + 42.0 * a3 * a2 - 12.0 * a4)
+    return direct, inverse
+
+
+def same_bits(got, expected):
+    """Same type, dtype, shape and bytes: signed zeros told apart."""
+    if type(got) is not type(expected):
+        return False
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (got.dtype == expected.dtype and got.shape == expected.shape
+            and got.tobytes() == expected.tobytes())
+
+
+class TestRowsMatchReference:
+    """`bi_coeffs` and `_lhs` are the per-family formulas, bit for bit, on
+    4,096 complex draws as arrays and 200 as Python complex, at four w."""
+
+    WS = tuple(1.0 - beta for beta in (0.0, 0.3, 0.7, 0.9999999))
+
+    @staticmethod
+    def draws(seed, rows):
+        """Three complex arrays with parts uniform on [-3, 3]."""
+        return tuple(np.random.default_rng(seed).uniform(-3.0, 3.0, (rows, 6)).view(complex).T)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_bi_coeffs(self, family):
+        for k, w in enumerate(self.WS):
+            arrays = self.draws(k, 4096)
+            for got, expected in zip(bi_coeffs(family, w, *arrays),
+                                     reference_bi_coeffs(family, w, *arrays)):
+                assert same_bits(got, expected)
+            for args in zip(*(v.tolist() for v in self.draws(k + 10, 200))):
+                for got, expected in zip(bi_coeffs(family, w, *args),
+                                         reference_bi_coeffs(family, w, *args)):
+                    assert type(got) is complex and same_bits(got, expected)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_bi_coeffs_on_the_kernel_inputs(self, family):
+        # `h22_terms` passes a real c1 array and complex differences
+        c1 = np.random.default_rng(5).uniform(0.0, 2.0, 4096)
+        _, dc2, dc3 = self.draws(6, 4096)
+        for w in self.WS:
+            for got, expected in zip(bi_coeffs(family, w, c1, dc2, dc3),
+                                     reference_bi_coeffs(family, w, c1, dc2, dc3)):
+                assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_lhs(self, family):
+        arrays = self.draws(20, 4096)
+        scalars = list(zip(*(v.tolist() for v in self.draws(21, 800))))
+        for a in [arrays] + scalars:
+            got, expected = functionals._lhs(family, *a), reference_lhs(family, *a)
+            for got_side, expected_side in zip(got, expected):
+                for g, e in zip(got_side, expected_side):
+                    assert same_bits(g, e)

@@ -1197,3 +1197,47 @@ class TestH22FromParamsPinned:
         # case evaluated to (-2.453125+10j)
         with pytest.raises(ConstraintViolation, match=rf"\|{name}\| must be <= 1"):
             h22_from_params(FamilyId.STARLIKE, Order(0.0), 1.0, 0j, y, 0j, w)
+
+
+def reference_h22_terms(family, beta, c, x, y):
+    """`h22_terms` as written with a4's divisor chosen by a family branch."""
+    c, x, y = np.broadcast_arrays(c, x, y)
+    om = 1.0 - beta
+    gap = 4.0 - c * c
+    dc2 = x - y
+    dc2 *= gap / 2.0
+    dc3 = x + y
+    dc3 *= 2.0
+    dc3 -= x * x + y * y
+    dc3 *= c * gap
+    dc3 += 2.0 * c * c * c
+    dc3 *= 0.25
+    a2, a3, a4 = bi_coeffs(family, om, c, dc2, dc3)
+    a = a2 * a4
+    a -= a3 * a3
+    half = a2 * gap
+    half *= om / (6.0 if family is FamilyId.STARLIKE else 24.0) / 2.0
+    b = 1.0 - abs(x) ** 2
+    b *= half
+    cw = abs(y) ** 2 - 1.0
+    cw *= half
+    return a, b, cw
+
+
+class TestH22TermsMatchReference:
+    """`h22_terms` reads a4's divisor from the family's row of constants; its
+    terms are the branch version's, bit for bit, on 4,096 draws as arrays
+    and 200 as Python scalars, at four betas.  (`bi_coeffs` is pinned to its
+    per-family formulas in test_functionals.py.)"""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.9999999])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_arrays_and_scalars(self, family, beta):
+        c, x, y, _, _ = next(disk_param_blocks(4096, 22, 0.25))
+        for got, expected in zip(h22_terms(family, beta, c, x, y),
+                                 reference_h22_terms(family, beta, c, x, y)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        for args in zip(c[:200].tolist(), x[:200].tolist(), y[:200].tolist()):
+            for got, expected in zip(h22_terms(family, beta, *args),
+                                     reference_h22_terms(family, beta, *args)):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

@@ -85,6 +85,24 @@ COMMANDS = (
     "fs-bound --family starlike --beta 0.2 --mu -2",
     # a negative float in exponent form is a value, not a flag
     "fs-bound --family convex --beta 0 --mu -2e0",
+    # each join of the Fekete-Szego pieces, one ulp inside and one outside
+    # it, and a mu beyond each join
+    "fs-bound --family starlike --beta 0.3 --mu 0.1",
+    "fs-bound --family starlike --beta 0.3 --mu 0.49999999999999994",
+    "fs-bound --family starlike --beta 0.3 --mu 0.5",
+    "fs-bound --family starlike --beta 0.3 --mu 0.5000000000000001",
+    "fs-bound --family starlike --beta 0.3 --mu 1.4999999999999998",
+    "fs-bound --family starlike --beta 0.3 --mu 1.5",
+    "fs-bound --family starlike --beta 0.3 --mu 1.5000000000000002",
+    "fs-bound --family starlike --beta 0.3 --mu 2.5",
+    "fs-bound --family convex --beta 0.3 --mu 0.1",
+    "fs-bound --family convex --beta 0.3 --mu 0.6666666666666665",
+    "fs-bound --family convex --beta 0.3 --mu 0.6666666666666666",
+    "fs-bound --family convex --beta 0.3 --mu 0.6666666666666667",
+    "fs-bound --family convex --beta 0.3 --mu 1.333333333333333",
+    "fs-bound --family convex --beta 0.3 --mu 1.3333333333333333",
+    "fs-bound --family convex --beta 0.3 --mu 1.3333333333333335",
+    "fs-bound --family convex --beta 0.3 --mu 2.5",
     # help text, which argparse prints outside the command handlers
     "--help",
     "verify --help",
