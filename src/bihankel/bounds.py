@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .functionals import FamilyId, check_beta
 
 
@@ -105,23 +105,12 @@ def thresholds() -> Thresholds:
     )
 
 
-def _in_range(value, lo: float, hi: float) -> bool:
-    """True when every value lies in [lo, hi]; NaN never does.
-
-    min and max propagate NaN, and NaN compares false with both bounds.
-    """
-    arr = np.asarray(value)
-    return arr.size == 0 or bool(arr.min() >= lo and arr.max() <= hi)
-
-
 def _check_c(c) -> None:
-    if not _in_range(c, 0.0, 2.0):
-        raise DomainError("c must lie in [0, 2]")
+    require((c >= 0.0) & (c <= 2.0), "c must lie in [0, 2]", c, DomainError)
 
 
 def _check_unit(value, name: str) -> None:
-    if not _in_range(value, 0.0, 1.0):
-        raise DomainError(f"{name} must lie in [0, 1]")
+    require((value >= 0.0) & (value <= 1.0), f"{name} must lie in [0, 1]", value, DomainError)
 
 
 def surrogate_terms(family: FamilyId, c, beta: float):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, DomainError
+from .errors import ConstraintViolation, DomainError, require
 
 # slack on the |c_k| <= 2 coefficient bound
 COEFF_BOUND_TOL = 1e-12
@@ -45,19 +45,12 @@ class PCoefficients:
         return (complex(self.c1), complex(self.c2), complex(self.c3))
 
 
-def _require(ok, message: str, values) -> None:
-    """Raise ConstraintViolation naming the first value where `ok` fails."""
-    if not np.all(ok):
-        bad = np.asarray(values)[~np.asarray(ok)]
-        raise ConstraintViolation(f"{message}, got {bad.flat[0]}")
-
-
 def check_disk_params(c, x, z) -> None:
     """Validate (c, x, z): c in [0, 2] and |x|, |z| <= 1; scalars or arrays.
 
     Each bound has `DOMAIN_TOL` of slack, and NaN fails every bound.
     """
-    _require((c >= -DOMAIN_TOL) & (c <= 2.0 + DOMAIN_TOL), "c must lie in [0, 2]", c)
+    require((c >= -DOMAIN_TOL) & (c <= 2.0 + DOMAIN_TOL), "c must lie in [0, 2]", c)
     check_unit_disk(x=x, z=z)
 
 
@@ -66,7 +59,7 @@ def check_unit_disk(**values) -> None:
     the error names the keyword.  NaN fails."""
     for name, value in values.items():
         size = abs(value)
-        _require(size <= 1.0 + DOMAIN_TOL, f"|{name}| must be <= 1", size)
+        require(size <= 1.0 + DOMAIN_TOL, f"|{name}| must be <= 1", size)
 
 
 def check_herglotz(weights: np.ndarray, angles: np.ndarray) -> None:
@@ -83,11 +76,11 @@ def check_herglotz(weights: np.ndarray, angles: np.ndarray) -> None:
         )
     if weights.shape[-1] == 0:
         raise ConstraintViolation("measure needs at least one atom")
-    _require(weights >= -DOMAIN_TOL, "negative atom weight", weights)
-    _require((angles >= 0.0) & (angles < 2.0 * math.pi),
-             "atom angle outside [0, 2*pi)", angles)
+    require(weights >= -DOMAIN_TOL, "negative atom weight", weights)
+    require((angles >= 0.0) & (angles < 2.0 * math.pi),
+            "atom angle outside [0, 2*pi)", angles)
     total = weights.sum(axis=-1)
-    _require(abs(total - 1.0) <= 1e-12, "atom weights do not sum to 1", total)
+    require(abs(total - 1.0) <= 1e-12, "atom weights do not sum to 1", total)
 
 
 def disk_coeffs(c, x, z):
@@ -182,11 +175,14 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-# samples per block of the streamed samplers below.  A 5*10^5-sample
-# `search` in a fresh process (2-vCPU Xeon, best of 5) peaks at 36.1 MB RSS
-# and computes for 0.137 s at 2^12, against 37.0 MB at 2^13 and 39.5 MB and
+# rows per block of every streamed pass: the samplers below and the series
+# oracle's draws (`functionals.series_residual`).  A 5*10^5-sample `search`
+# in a fresh process (2-vCPU Xeon, best of 5) peaks at 36.1 MB RSS and
+# computes for 0.137 s at 2^12, against 37.0 MB at 2^13 and 39.5 MB and
 # 0.140 s at 2^14; 2^11 saves 0.5 MB more but takes 0.162 s (per-call
-# overhead).  Importing the CLI and numpy.random alone takes 34.8 MB.
+# overhead).  Importing the CLI and numpy.random alone takes 34.8 MB.  A
+# 10^5-trial series residual peaks at 38.6 MB at 2^12 (35 MB at 2^8, four
+# times slower; 108 MB in one pass over every draw).
 SAMPLE_CHUNK = 1 << 12
 
 # atoms per sampled Herglotz measure, padding included

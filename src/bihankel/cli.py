@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 # The package makes no BLAS call, and OpenBLAS starts one spinning worker per
@@ -82,9 +83,9 @@ def _cannot_write(path: str, exc: OSError) -> BihankelError:
 
 
 def _check_output(path: str | None) -> None:
-    """Reject, before any work, an --output that is empty, a directory or
-    in a missing directory; creates nothing.  Other write errors surface in
-    `_emit`, with the same message."""
+    """Reject, before any work, an --output that is empty or a directory, or
+    whose parent is missing or not a directory; creates nothing.  Other write
+    errors surface in `_emit`, with the same message."""
     if path is None:
         return
     try:
@@ -92,7 +93,8 @@ def _check_output(path: str | None) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        os.stat(os.path.dirname(path) or ".")
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
         raise _cannot_write(path, exc) from None
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one range check."""
+
+import numpy as np
 
 
 class BihankelError(Exception):
@@ -19,3 +21,11 @@ class NotNormalized(BihankelError, ValueError):
 
 class ConstraintViolation(BihankelError, ValueError):
     """Structured data violates one of its declared invariants."""
+
+
+def require(ok, message: str, values, error=ConstraintViolation) -> None:
+    """Raise `error` naming the first value where `ok` fails; `ok` and
+    `values` are scalars or arrays of one shape."""
+    if not np.all(ok):
+        bad = np.asarray(values)[~np.asarray(ok)]
+        raise error(f"{message}, got {bad.flat[0]}")

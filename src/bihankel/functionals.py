@@ -29,14 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import caratheodory as car
 from . import series as ts
 from .caratheodory import PCoefficients
-from .errors import ConstraintViolation, DomainError
-
-# draws per batched pass of `series_residual`.  At 10^5 trials a fresh
-# process peaks at 38.6 MB with 2^12 (35 MB with 2^8, four times slower;
-# 108 MB with one pass over every draw).
-SERIES_CHUNK = 1 << 12
+from .errors import ConstraintViolation, DomainError, require
 
 
 class FamilyId(enum.Enum):
@@ -49,15 +45,8 @@ def check_beta(beta):
 
     An array is checked in one pass and reported by its first bad entry.
     """
-    if np.ndim(beta) == 1:
-        betas = np.array(beta, dtype=float)
-        bad = np.flatnonzero(~((betas >= 0.0) & (betas < 1.0)))
-        if bad.size:
-            check_beta(betas[bad[0]])
-        return betas
-    beta = float(beta)
-    if not 0.0 <= beta < 1.0:
-        raise DomainError(f"beta must lie in [0, 1), got {beta}")
+    beta = np.array(beta, dtype=float) if np.ndim(beta) == 1 else float(beta)
+    require((beta >= 0.0) & (beta < 1.0), "beta must lie in [0, 1)", beta, DomainError)
     return beta
 
 
@@ -207,7 +196,7 @@ def series_residual(family: FamilyId, rng, trials: int) -> float:
     """Worst `verify_coefficient_system` residual over `trials` random draws.
 
     Each draw takes a2, a3, a4 with real and imaginary parts uniform on
-    [-3, 3] from `rng`.  The draws come `SERIES_CHUNK` at a time from
+    [-3, 3] from `rng`.  The draws come `car.SAMPLE_CHUNK` at a time from
     `rng.uniform` calls of shape (rows, 6), which take the same numbers
     from the stream, and leave the generator in the same state, as one call
     per draw; so consecutive calls sharing one generator continue the same
@@ -218,8 +207,8 @@ def series_residual(family: FamilyId, rng, trials: int) -> float:
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     worst = 0.0
-    for start in range(0, trials, SERIES_CHUNK):
-        rows = min(SERIES_CHUNK, trials - start)
+    for start in range(0, trials, car.SAMPLE_CHUNK):
+        rows = min(car.SAMPLE_CHUNK, trials - start)
         a2, a3, a4 = rng.uniform(-3.0, 3.0, (rows, 6)).view(complex).T
         _, _, residuals = _system_residuals(family, a2, a3, a4)
         worst = max(worst, *(float(np.max(r)) for r in residuals))

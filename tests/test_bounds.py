@@ -387,6 +387,16 @@ class TestValidatorsRejectNaN:
         with pytest.raises(DomainError, match=f"{name} must lie in"):
             self.majorant(lam, mu, c)
 
+    @pytest.mark.parametrize("lam,mu,c,message", [
+        (1.5, 0.5, 1.0, "lambda must lie in [0, 1], got 1.5"),
+        (0.5, np.array([0.2, -0.25]), 1.0, "mu must lie in [0, 1], got -0.25"),
+        (0.5, 0.5, np.array([0.5, 2.5, 3.0]), "c must lie in [0, 2], got 2.5"),
+    ])
+    def test_message_names_the_first_bad_value(self, lam, mu, c, message):
+        with pytest.raises(DomainError) as info:
+            self.majorant(lam, mu, c)
+        assert str(info.value) == message
+
     def test_infinities_rejected(self):
         with pytest.raises(DomainError):
             self.profile.value(math.inf)

@@ -576,6 +576,7 @@ class TestUnwritableOutput:
         ("missing/out.txt", "No such file or directory"),
         (".", "Is a directory"),
         ("", "No such file or directory"),
+        ("/dev/null/out.txt", "Not a directory"),
     ])
     @pytest.mark.parametrize("argv", COMMANDS)
     def test_rejected_before_any_work(self, capsys, monkeypatch, tmp_path, argv, target, reason):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bihankel import caratheodory as car
 from bihankel import functionals
 from bihankel.caratheodory import disk_coeffs
 from bihankel.errors import DomainError
@@ -124,7 +125,7 @@ class TestSeriesResidual:
             passes.append(a2.size)
             return batched(fam, a2, a3, a4)
 
-        monkeypatch.setattr(functionals, "SERIES_CHUNK", 3)
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", 3)
         monkeypatch.setattr(functionals, "_system_residuals", counting)
         chunked = series_residual(FamilyId.CONVEX, chunked_rng, trials)
         assert passes == [3] * (trials // 3) + ([trials % 3] if trials % 3 else [])

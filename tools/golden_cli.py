@@ -131,6 +131,9 @@ COMMANDS = (
     "table --output .",
     "search --family starlike --samples 10 --output /nonexistent/dir/x.json",
     "verify --family convex --trials 2 --samples 5 --output /nonexistent/dir/x.txt",
+    # a parent that exists but is not a directory
+    "table --output /dev/null/x.csv",
+    "verify --family convex --trials 2 --samples 5 --output /dev/null/x.txt",
     # an empty --output names no file (exit 2)
     'search --family starlike --samples 10 --output ""',
     'verify --family convex --trials 2 --samples 5 --output ""',
