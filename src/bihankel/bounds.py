@@ -30,7 +30,6 @@ import enum
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -136,8 +135,14 @@ def surrogate_terms(family: FamilyId, c, beta: float):
     return t1, t2, t3, t4
 
 
-starlike_surrogate_terms = partial(surrogate_terms, FamilyId.STARLIKE)
-convex_surrogate_terms = partial(surrogate_terms, FamilyId.CONVEX)
+def starlike_surrogate_terms(c, beta: float):
+    """`surrogate_terms` of the starlike family."""
+    return surrogate_terms(FamilyId.STARLIKE, c, beta)
+
+
+def convex_surrogate_terms(c, beta: float):
+    """`surrogate_terms` of the convex family."""
+    return surrogate_terms(FamilyId.CONVEX, c, beta)
 
 
 def surface(family: FamilyId, lam, mu, c, beta: float):
@@ -259,8 +264,14 @@ def h22_bound(family: FamilyId, beta) -> BoundResult:
     return _bound_result(family, beta, bound, on_c2, critical_c)
 
 
-starlike_h22_bound = partial(h22_bound, FamilyId.STARLIKE)
-convex_h22_bound = partial(h22_bound, FamilyId.CONVEX)
+def starlike_h22_bound(beta) -> BoundResult:
+    """`h22_bound` of the starlike family."""
+    return h22_bound(FamilyId.STARLIKE, beta)
+
+
+def convex_h22_bound(beta) -> BoundResult:
+    """`h22_bound` of the convex family."""
+    return h22_bound(FamilyId.CONVEX, beta)
 
 
 def fekete_szego_bound(family: FamilyId, beta: float, mu: float) -> float:

@@ -13,8 +13,8 @@ evaluates it on scalars or arrays; `coeffs_from_herglotz` gives the
 coefficients of packed atomic Herglotz measures (convex combinations of
 the extreme points (1 + e^{i t} z)/(1 - e^{i t} z), whose k-th coefficient
 is 2 e^{i k t}).  Every sampled check and search draws from two streamed
-samplers, `disk_param_blocks` and `herglotz_blocks`, in blocks of
-`SAMPLE_CHUNK` from one seeded stream per variable.
+samplers, `disk_param_blocks` and `herglotz_blocks`, in blocks of at most
+`SAMPLE_CHUNK` entries per array from one seeded stream per variable.
 """
 
 from __future__ import annotations
@@ -108,8 +108,14 @@ def coeffs_from_herglotz(measure, k_max: int) -> np.ndarray:
     weights, angles = measure
     check_herglotz(weights, angles)
     out = np.empty(weights.shape[:-1] + (k_max,), dtype=complex)
+    # the terms w_j e^{i k t_j} of each k, in one reused buffer: the same
+    # operations in the same order as a new array each, so the same bits
+    terms = np.empty(weights.shape, dtype=complex)
     for k in range(1, k_max + 1):
-        out[..., k - 1] = 2.0 * np.sum(weights * np.exp(1j * k * angles), axis=-1)
+        np.multiply(1j * k, angles, out=terms)
+        np.exp(terms, out=terms)
+        terms *= weights
+        out[..., k - 1] = 2.0 * np.sum(terms, axis=-1)
     return out
 
 
@@ -175,14 +181,19 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-# rows per block of every streamed pass: the samplers below and the series
-# oracle's draws (`functionals.series_residual`).  A 5*10^5-sample `search`
+# entries per array in a block of every streamed pass: rows of the samplers
+# below (`herglotz_blocks` yields `SAMPLE_CHUNK // MAX_ATOMS` measures of
+# `MAX_ATOMS` atoms) and the series oracle's draws
+# (`functionals.series_residual`).  A 5*10^5-sample `search`
 # in a fresh process (2-vCPU Xeon, best of 5) peaks at 36.1 MB RSS and
 # computes for 0.137 s at 2^12, against 37.0 MB at 2^13 and 39.5 MB and
 # 0.140 s at 2^14; 2^11 saves 0.5 MB more but takes 0.162 s (per-call
 # overhead).  Importing the CLI and numpy.random alone takes 34.8 MB.  A
 # 10^5-trial series residual peaks at 38.6 MB at 2^12 (35 MB at 2^8, four
-# times slower; 108 MB in one pass over every draw).
+# times slower; 108 MB in one pass over every draw).  A 10^6-sample `verify
+# --trials 1` peaks at 36.5 MB with Herglotz blocks of 682 measures, against
+# 37.0 MB at 2^12 measures, and 37.8 MB there when `coeffs_from_herglotz`
+# makes a new array per operation instead of reusing one buffer.
 SAMPLE_CHUNK = 1 << 12
 
 # atoms per sampled Herglotz measure, padding included
@@ -240,7 +251,8 @@ def _padded_measures(n_atoms, raw, angles):
 
 
 def herglotz_blocks(samples: int, seed: int):
-    """Yield `(weights, angles)` blocks of `SAMPLE_CHUNK` rows by `MAX_ATOMS`.
+    """Yield `(weights, angles)` blocks of `SAMPLE_CHUNK // MAX_ATOMS` rows
+    (at least one) by `MAX_ATOMS`: an array holds 2^12 atoms at most.
 
     Row i has an atom count n_i uniform on {1..MAX_ATOMS}; its first n_i
     atoms get raw weights uniform on [0.1, 1], normalized to sum 1, and
@@ -250,8 +262,9 @@ def herglotz_blocks(samples: int, seed: int):
     order, so as in `disk_param_blocks` the block size changes no draw.
     """
     count_rng, weight_rng, angle_rng = _streams(seed, 3)
-    for start in range(0, samples, SAMPLE_CHUNK):
-        rows = min(SAMPLE_CHUNK, samples - start)
+    block = max(SAMPLE_CHUNK // MAX_ATOMS, 1)
+    for start in range(0, samples, block):
+        rows = min(block, samples - start)
         yield _padded_measures(
             count_rng.integers(1, MAX_ATOMS + 1, rows),
             weight_rng.uniform(0.1, 1.0, (rows, MAX_ATOMS)),

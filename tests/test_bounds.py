@@ -744,3 +744,33 @@ class TestRowsMatchReference:
         for beta in (0.0, 0.3, 0.6):
             assert starlike_h22_bound(beta) == h22_bound(FamilyId.STARLIKE, beta)
             assert convex_h22_bound(beta) == h22_bound(FamilyId.CONVEX, beta)
+
+
+class TestFamilyAliases:
+    """The per-family names are functions of their own that call the one
+    formula, bit for bit, on the table-sweep betas as an array."""
+
+    ALIASES = ((starlike_surrogate_terms, surrogate_terms, FamilyId.STARLIKE),
+               (convex_surrogate_terms, surrogate_terms, FamilyId.CONVEX),
+               (starlike_h22_bound, h22_bound, FamilyId.STARLIKE),
+               (convex_h22_bound, h22_bound, FamilyId.CONVEX))
+    IDS = ("starlike_terms", "convex_terms", "starlike_bound", "convex_bound")
+
+    @pytest.mark.parametrize("alias,general,family", ALIASES, ids=IDS)
+    def test_named_and_documented(self, alias, general, family):
+        assert alias.__name__ == f"{family.value}_{general.__name__}"
+        assert alias.__module__ == "bihankel.bounds"
+        assert alias.__doc__ and general.__name__ in alias.__doc__
+
+    @pytest.mark.parametrize("alias,general,family", ALIASES, ids=IDS)
+    def test_the_general_result_bit_for_bit(self, alias, general, family):
+        betas = np.array(SWEEP_BETAS)
+        if general is h22_bound:
+            got, expected = alias(betas), general(family, betas)
+            assert same_bits(got.bound, expected.bound)
+            assert same_bits(got.critical_c, expected.critical_c)
+            assert got.branch.tolist() == expected.branch.tolist()
+        else:
+            c = np.linspace(0.0, 2.0, 9)[:, None]
+            got, expected = alias(c, betas), general(family, c, betas)
+            assert all(same_bits(u, v) for u, v in zip(got, expected))

@@ -82,6 +82,16 @@ class TestDiskParams:
         assert disk_coeffs(1.0, 0j, 1 + 0j) == (0.5, 1.75)
 
 
+def reference_coeffs_from_herglotz(measure, k_max):
+    """`coeffs_from_herglotz` as written before it reused one buffer: a new
+    array for each operation of each k."""
+    weights, angles = measure
+    out = np.empty(weights.shape[:-1] + (k_max,), dtype=complex)
+    for k in range(1, k_max + 1):
+        out[..., k - 1] = 2.0 * np.sum(weights * np.exp(1j * k * angles), axis=-1)
+    return out
+
+
 class TestHerglotz:
     def test_single_atom_extreme_point(self):
         assert coeffs_from_herglotz(packed((1.0, 0.0)), 5).tolist() == [[2, 2, 2, 2, 2]]
@@ -125,6 +135,25 @@ class TestHerglotz:
             check_herglotz(weights, angles)
         with pytest.raises(ConstraintViolation, match="must share one shape"):
             coeffs_from_herglotz((weights, angles), 3)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 4])
+    def test_one_buffer_matches_a_new_array_per_operation(self, k_max):
+        # streamed blocks of several seeds (with padded rows), hand-made
+        # measures whose terms cancel to signed zeros, one measure as a 1-d
+        # row and a 3-d stack; compared as bytes so that signed zeros count
+        measures = [block for seed in range(6) for block in herglotz_blocks(1500, seed)]
+        assert all(np.any(weights == 0.0) for weights, _ in measures)
+        measures += [
+            packed((1.0, 0.0)),
+            packed((0.5, 0.0), (0.5, math.pi)),
+            packed((0.25, math.pi / 2), (0.75, 3 * math.pi / 2), (0.0, 0.0)),
+        ]
+        weights, angles = herglotz_draws(40, 3)
+        measures += [(weights[0], angles[0]),
+                     (weights.reshape(4, 10, 6), angles.reshape(4, 10, 6))]
+        for measure in measures:
+            got = coeffs_from_herglotz(measure, k_max)
+            assert got.tobytes() == reference_coeffs_from_herglotz(measure, k_max).tobytes()
 
     @pytest.mark.parametrize("k_max", [0, -1])
     def test_k_max_below_one_is_a_domain_error(self, k_max):
@@ -396,7 +425,8 @@ class TestSamplers:
         assert car.SAMPLE_CHUNK == 1 << 12
         sizes = [block[0].size for block in disk_param_blocks(10000, 1)]
         assert sizes == [1 << 12, 1 << 12, 10000 - (2 << 12)]
-        assert [w.shape for w, _ in herglotz_blocks(5000, 1)] == [(1 << 12, 6), (904, 6)]
+        # Herglotz blocks hold SAMPLE_CHUNK // MAX_ATOMS = 682 measures of 6 atoms
+        assert [w.shape for w, _ in herglotz_blocks(5000, 1)] == [(682, 6)] * 7 + [(226, 6)]
 
     def test_disk_rejection_stays_inside(self):
         rng = np.random.default_rng(5)
@@ -419,7 +449,11 @@ class TestStreamedSamplers:
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_herglotz_blocks_match_one_whole_draw(self, monkeypatch, chunk):
         samples = 400 if chunk == 1 else 20000
-        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk_size(chunk, samples))
+        # a block holds SAMPLE_CHUNK // MAX_ATOMS measures (at least one), so
+        # "samples" and "more" scale by the atoms to give one block of exactly
+        # and of more than all the measures
+        scale = car.MAX_ATOMS if isinstance(chunk, str) else 1
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", chunk_size(chunk, samples) * scale)
         got = whole(herglotz_blocks(samples, 9))
         assert arrays_equal(got, reference_herglotz(samples, 9))
 

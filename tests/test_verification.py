@@ -229,7 +229,9 @@ class TestArraySpotChecks:
     @pytest.mark.parametrize("chunk", [1, 7, (1 << 12) - 1, "samples", "more"])
     def test_chunks_give_the_whole_batch_value(self, chunk, monkeypatch):
         samples = 300
-        monkeypatch.setattr(car, "SAMPLE_CHUNK", samples + 1)
+        # one block for every pass: a Herglotz block holds SAMPLE_CHUNK //
+        # MAX_ATOMS measures
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", (samples + 1) * car.MAX_ATOMS)
         whole = values(vf.run_checks(FamilyId.STARLIKE, 0.3, seed=5, trials=2,
                                      spot_samples=samples))
         vf.clear_spot_check_cache()
@@ -238,6 +240,17 @@ class TestArraySpotChecks:
         got = values(vf.run_checks(FamilyId.STARLIKE, 0.3, seed=5, trials=2,
                                    spot_samples=samples))
         assert got == whole
+
+    def test_herglotz_check_holds_one_block_of_temporaries(self):
+        # blocks of 682 measures and one complex buffer take about 0.2 MiB;
+        # blocks of 2^12 measures and a new array per operation take 1.3 MiB
+        tracemalloc.start()
+        try:
+            vf._herglotz_excess(200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**19
 
     def test_memory_does_not_grow_with_samples(self):
         def peaks(samples):

@@ -36,6 +36,10 @@ COMMANDS = (
     "verify --family starlike --beta 0.3 --samples 4097 --trials 1 --seed 3",
     "verify --family starlike --beta 0.3 --samples 16385 --trials 1 --seed 3",
     "verify --family convex --beta 0 --samples 1 --trials 1",
+    # exactly one Herglotz block (SAMPLE_CHUNK // MAX_ATOMS = 682 measures)
+    # and one measure past it
+    "verify --family convex --beta 0 --samples 682 --trials 1",
+    "verify --family convex --beta 0 --samples 683 --trials 1",
     # the 1-d and 3-d scan values at the starlike thresholds (the quartic's
     # c^4 coefficient changes sign near 0.2229, the peak reaches c = 2 near
     # 0.5405) and near the end of the convex range
