@@ -133,8 +133,9 @@ def unit_disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
     left just past the last pair used, so the sampler is prefix-consistent:
     drawing n points and then m points gives the same points, and the same
     generator state afterwards, as drawing n + m at once.  The rewind
-    assumes that each double takes one 64-bit output of the bit generator
-    and that the bit generator has `advance` (PCG64, numpy's default, does).
+    assumes that each double takes one 64-bit output of the bit generator,
+    and steps back over the unused candidates with a negative `advance`,
+    which PCG64 (numpy's default) takes modulo its period 2^128.
     A candidate coordinate is `2 u - 1` for u from `rng.random`, the same
     double as `rng.uniform(-1, 1)` draws.
     """
@@ -142,7 +143,6 @@ def unit_disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
     need = count
     while need > 0:
         batch = int(need * 1.35) + 8
-        state = rng.bit_generator.state
         pts = rng.random((batch, 2))
         pts *= 2.0
         pts -= 1.0
@@ -150,8 +150,7 @@ def unit_disk_samples(rng: np.random.Generator, count: int) -> np.ndarray:
         used = np.flatnonzero(np.abs(pts) <= 1.0)
         if used.size >= need:
             used = used[:need]
-            rng.bit_generator.state = state
-            rng.bit_generator.advance(2 * (int(used[-1]) + 1))
+            rng.bit_generator.advance(2 * (int(used[-1]) + 1 - batch))
         parts.append(pts.take(used))
         need -= used.size
     if len(parts) == 1:

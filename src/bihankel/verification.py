@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ POINTWISE_SLACK = 1e-10
 C_POINTS = 401
 
 # (d, r, g2, g1, g, g0) of the factored forms t3 + 2 t4 = w2 gap (2 - c)(r - c)/d
-# and t2 + 2 (t3 + t4) = w2 gap ((g2 - g1 b) c^2 - g c + g0)/d (see `run_checks`)
+# and t2 + 2 (t3 + t4) = w2 gap ((g2 - g1 b) c^2 - g c + g0)/d (see `_term_structure`)
 _FACTORS = {FamilyId.STARLIKE: (96.0, 6.0, 19.0, 6.0, 16.0, 12.0),
             FamilyId.CONVEX: (576.0, 4.0, 13.0, 3.0, 12.0, 8.0)}
 
@@ -110,6 +111,144 @@ def check_run_args(seed: int, trials: int, spot_samples: int) -> None:
         raise DomainError("trials and samples must be >= 1")
 
 
+# What every check of one `run_checks` call reads, with the corner quartic, the
+# bound, and the majorant's terms (t1, t2, t3, t4) on `C_POINTS` points `cs` of [0, 2]
+CheckContext = namedtuple("CheckContext",
+                          "family beta seed trials spot_samples profile bound cs terms")
+
+
+def _grid_scans(ctx):
+    """Closed form vs. the 1-d scan of the corner quartic and the 3-d scan of the majorant.
+
+    The scans run on fixed schedules: `maximize_1d` (the corner quartic on
+    `LINE_SCHEDULE`) and `maximize_surrogate` (the majorant on
+    `CUBE_SCHEDULE`) both run the one refinement loop
+    `optimizer._refine_max`, the first on every grid point, the second on
+    the corner line lam = mu = 1 and its neighbours, with a rounding
+    certificate standing in for the rest of each c-slice (its result is bit
+    for bit the full scan's).
+    """
+    bound = ctx.bound.bound
+    grid_1d = opt.maximize_1d(ctx.profile.value, (0.0, 2.0))
+    yield _check("grid_max_matches_bound", abs(grid_1d.max_value - bound), GRID_MAX_TOL)
+    grid_3d = opt.maximize_surrogate(ctx.family, ctx.beta)
+    yield _check("surrogate_scan_matches_bound", abs(grid_3d.max_value - bound), SURROGATE_TOL)
+    corner_dev = max(abs(grid_3d.argmax[1] - 1.0), abs(grid_3d.argmax[2] - 1.0))
+    yield _check("surrogate_argmax_at_corner", corner_dev, 1e-4)
+
+
+def _term_structure(ctx):
+    """Term-level structure of the majorant on the c-grid.
+
+    `growth_inequality`, t2 + 2 (t3 + t4) >= 0 on [0, 2], holds for every
+    beta in [0, 1): with w2 = (1 - b)^2 the sum factors as
+
+        starlike: w2 (4 - c^2) ((19 - 6 b) c^2 - 16 c + 12) / 96,
+        convex:   w2 (4 - c^2) ((13 - 3 b) c^2 - 12 c + 8) / 576,
+
+    and the quadratics have positive leading coefficients and the
+    discriminants 288 b - 656 and 96 b - 272, both negative for b < 1, so
+    they are positive; w2 > 0 and 4 - c^2 >= 0 on [0, 2].
+    `growth_factorization` checks the factored form against the terms; it
+    and `positivity_factorization` are each one expression over `_FACTORS`.
+    """
+    family, beta, cs = ctx.family, ctx.beta, ctx.cs
+    t1, t2, t3, t4 = ctx.terms
+    corner = bd.surface(family, 1.0, 1.0, cs, beta)
+    yield _check("corner_combination", np.max(np.abs(ctx.profile.value(cs) - corner)), ALGEBRA_TOL)
+    sign_violation = max(np.max(-t1), np.max(-t2), np.max(t3), np.max(-t4))
+    yield _check("term_sign_pattern", sign_violation, ALGEBRA_TOL)
+    i3, i4 = t3[1:-1], t4[1:-1]  # the interior of the c-grid
+    yield _sign_check("hessian_negative", np.max(4.0 * i3 * (i3 + 2.0 * i4)))
+    w2 = (1.0 - beta) ** 2
+    gap = 4.0 - cs * cs
+    d, r, g2, g1, g, g0 = _FACTORS[family]
+    factored = w2 * gap * (2.0 - cs) * (r - cs) / d
+    yield _check("positivity_factorization", np.max(np.abs(t3 + 2.0 * t4 - factored)), ALGEBRA_TOL)
+    growth = t2 + 2.0 * (t3 + t4)
+    growth_factored = w2 * gap * ((g2 - g1 * beta) * cs * cs - g * cs + g0) / d
+    yield _check("growth_inequality", np.max(-growth), ALGEBRA_TOL)
+    yield _check("growth_factorization", np.max(np.abs(growth - growth_factored)), ALGEBRA_TOL)
+
+
+def _spot_checks(ctx):
+    """The memoized spot checks: series algebra and the two |c_k| <= 2 samplers."""
+    samples, seed = ctx.spot_samples, ctx.seed
+    yield _check(
+        "series_identity_residual", _series_worst(ctx.family, ctx.trials, seed), SERIES_TOL
+    )
+    yield _check("disk_param_coeff_bound", _disk_param_excess(samples, seed), COEFF_BOUND_TOL)
+    yield _check("herglotz_coeff_bound", _herglotz_excess(samples, seed), COEFF_BOUND_TOL)
+
+
+def _sampled_dominance(ctx):
+    """The empirical search never beats the bound; the majorant dominates |H| per sample."""
+    family, beta = ctx.family, ctx.beta
+    search = opt.empirical_max_h22(family, beta, ctx.spot_samples, ctx.seed + 4)
+    yield _check("empirical_dominance", search.max_value - ctx.bound.bound, DOMINANCE_SLACK)
+    dominance = max(
+        float(np.max(opt.h22_batch(family, beta, c, x, y, z, w)
+                     - bd.surface(family, np.abs(x), np.abs(y), c, beta)))
+        for c, x, y, z, w in disk_param_blocks(ctx.spot_samples, ctx.seed + 5)
+    )
+    yield _check("pointwise_majorant_dominance", dominance, POINTWISE_SLACK)
+
+
+def _branch_structure(ctx):
+    """The starlike bound is continuous at its split; up to it the corner quartic rises."""
+    split = bd.thresholds().branch_split
+    left = bd.h22_bound(ctx.family, math.nextafter(split, 0.0)).bound
+    right = bd.h22_bound(ctx.family, math.nextafter(split, 1.0)).bound
+    yield _check("branch_continuity", abs(left - right), CONTINUITY_TOL)
+    if ctx.beta <= split:
+        yield _check("quartic_monotone", np.max(-ctx.profile.derivative(ctx.cs)), ALGEBRA_TOL)
+
+
+def _critical_point(ctx):
+    """The corner quartic is stationary at a maximum at its critical point in [0, 2]."""
+    profile = ctx.profile
+    c_star = bd.critical_point(ctx.family, ctx.beta)
+    if c_star is not None and c_star <= 2.0:
+        yield _check("critical_point_stationary", abs(profile.derivative(c_star)), STATIONARY_TOL)
+        yield _sign_check("critical_point_maximum", profile.second_derivative(c_star))
+
+
+def _endpoint_values(ctx):
+    """The convex corner quartic takes its closed-form values at c = 0 and c = 2."""
+    beta, value = ctx.beta, ctx.profile.value
+    w2 = (1.0 - beta) ** 2
+    endpoint_dev = max(
+        abs(value(0.0) - w2 / 9.0), abs(value(2.0) - w2 * (beta * beta - 2.0 * beta + 2.0) / 6.0)
+    )
+    yield _check("endpoint_values", endpoint_dev, ALGEBRA_TOL)
+
+
+def _fs_continuity(ctx):
+    """The Fekete-Szego bound is continuous across each join it uses."""
+    _, _, joins = bd._ROWS[ctx.family].fs
+    join_dev = max(
+        abs(bd.fekete_szego_bound(ctx.family, ctx.beta, m)
+            - bd.fekete_szego_bound(ctx.family, ctx.beta, math.nextafter(m, outward)))
+        for m, outward in zip(joins, (-math.inf, math.inf))
+    )
+    yield _check("fs_branch_continuity", join_dev, ALGEBRA_TOL)
+
+
+# Every check of `verify`, in report order, with the families it runs for.
+# Each function takes a `CheckContext` and yields its `CheckResult`s.
+_BOTH = tuple(FamilyId)
+CHECKS = (
+    (_grid_scans, _BOTH),
+    (_term_structure, _BOTH),
+    (_spot_checks, _BOTH),
+    (_sampled_dominance, _BOTH),
+    (_branch_structure, (FamilyId.STARLIKE,)),
+    (_critical_point, _BOTH),
+    (_endpoint_values, (FamilyId.CONVEX,)),
+    (_fs_continuity, _BOTH),
+)
+
+
 def run_checks(
     family: FamilyId,
     beta: float,
@@ -118,7 +257,7 @@ def run_checks(
     trials: int = 100,
     spot_samples: int = 2000,
 ) -> list[CheckResult]:
-    """Run the full invariant suite for one (family, beta).
+    """Run every entry of `CHECKS` that names the family, for one (family, beta).
 
     Three checks do not depend on beta and are memoized:
 
@@ -135,155 +274,15 @@ def run_checks(
     check depends on both family and beta and runs on every call.
     `clear_spot_check_cache` forgets the memo.
 
-    The grid checks run on fixed schedules: `maximize_1d` (the corner
-    quartic on `LINE_SCHEDULE`) and `maximize_surrogate` (the majorant on
-    `CUBE_SCHEDULE`) both run the one refinement loop
-    `optimizer._refine_max`, the first on every grid point, the second on
-    the corner line lam = mu = 1 and its neighbours, with a rounding
-    certificate standing in for the rest of each c-slice (its result is
-    bit for bit the full scan's); the term-level checks call
-    `surrogate_terms` and `surface` on `C_POINTS` points of [0, 2].
-
-    `growth_inequality`, t2 + 2 (t3 + t4) >= 0 on [0, 2], holds for every
-    beta in [0, 1): with w2 = (1 - b)^2 the sum factors as
-
-        starlike: w2 (4 - c^2) ((19 - 6 b) c^2 - 16 c + 12) / 96,
-        convex:   w2 (4 - c^2) ((13 - 3 b) c^2 - 12 c + 8) / 576,
-
-    and the quadratics have positive leading coefficients and the
-    discriminants 288 b - 656 and 96 b - 272, both negative for b < 1, so
-    they are positive; w2 > 0 and 4 - c^2 >= 0 on [0, 2].
-    `growth_factorization` checks the factored form against the terms; it
-    and `positivity_factorization` are each one expression over `_FACTORS`.
-
     `trials` and `spot_samples` below 1 raise DomainError: no check may
     pass over zero draws.  So does a negative `seed`, which numpy rejects.
     """
     beta = bd.check_beta(beta)
     check_run_args(seed, trials, spot_samples)
-    profile = bd.quartic_profile(family, beta)
-    bound = bd.h22_bound(family, beta)
-    checks: list[CheckResult] = []
-
-    # closed form vs. 1-d grid maximization of the corner quartic
-    grid_1d = opt.maximize_1d(profile.value, (0.0, 2.0))
-    checks.append(
-        _check("grid_max_matches_bound", abs(grid_1d.max_value - bound.bound), GRID_MAX_TOL)
-    )
-
-    # closed form vs. full 3-d scan of the majorant
-    grid_3d = opt.maximize_surrogate(family, beta)
-    checks.append(
-        _check("surrogate_scan_matches_bound", abs(grid_3d.max_value - bound.bound), SURROGATE_TOL)
-    )
-    corner_dev = max(abs(grid_3d.argmax[1] - 1.0), abs(grid_3d.argmax[2] - 1.0))
-    checks.append(_check("surrogate_argmax_at_corner", corner_dev, 1e-4))
-
-    # term-level structure of the majorant on a c-grid
     cs = np.linspace(0.0, 2.0, C_POINTS)
-    t1, t2, t3, t4 = bd.surrogate_terms(family, cs, beta)
-    corner = bd.surface(family, 1.0, 1.0, cs, beta)
-    checks.append(
-        _check("corner_combination", np.max(np.abs(profile.value(cs) - corner)), ALGEBRA_TOL)
-    )
-    sign_violation = max(
-        float(np.max(-t1)), float(np.max(-t2)), float(np.max(t3)), float(np.max(-t4))
-    )
-    checks.append(_check("term_sign_pattern", sign_violation, ALGEBRA_TOL))
-
-    i3, i4 = t3[1:-1], t4[1:-1]  # the interior of the c-grid
-    checks.append(
-        _sign_check("hessian_negative", float(np.max(4.0 * i3 * (i3 + 2.0 * i4))))
-    )
-
-    w2 = (1.0 - beta) ** 2
-    gap = 4.0 - cs * cs
-    d, r, g2, g1, g, g0 = _FACTORS[family]
-    factored = w2 * gap * (2.0 - cs) * (r - cs) / d
-    growth_factored = w2 * gap * ((g2 - g1 * beta) * cs * cs - g * cs + g0) / d
-    checks.append(
-        _check(
-            "positivity_factorization",
-            float(np.max(np.abs((t3 + 2.0 * t4) - factored))),
-            ALGEBRA_TOL,
-        )
-    )
-
-    # the growth inequality and the factored form that proves it
-    growth = t2 + 2.0 * (t3 + t4)
-    checks.append(_check("growth_inequality", float(np.max(-growth)), ALGEBRA_TOL))
-    checks.append(
-        _check("growth_factorization", float(np.max(np.abs(growth - growth_factored))),
-               ALGEBRA_TOL)
-    )
-
-    checks.append(
-        _check("series_identity_residual", _series_worst(family, trials, seed), SERIES_TOL)
-    )
-    checks.append(
-        _check("disk_param_coeff_bound", _disk_param_excess(spot_samples, seed),
-               COEFF_BOUND_TOL)
-    )
-    checks.append(
-        _check("herglotz_coeff_bound", _herglotz_excess(spot_samples, seed),
-               COEFF_BOUND_TOL)
-    )
-
-    # empirical search never beats the closed form ...
-    search = opt.empirical_max_h22(family, beta, spot_samples, seed + 4)
-    checks.append(
-        _check("empirical_dominance", search.max_value - bound.bound, DOMINANCE_SLACK)
-    )
-
-    # ... and the majorant dominates sample by sample
-    dominance = max(
-        float(np.max(opt.h22_batch(family, beta, c, x, y, z, w)
-                     - bd.surface(family, np.abs(x), np.abs(y), c, beta)))
-        for c, x, y, z, w in disk_param_blocks(spot_samples, seed + 5)
-    )
-    checks.append(_check("pointwise_majorant_dominance", dominance, POINTWISE_SLACK))
-
-    # branch structure of the closed form
-    if family is FamilyId.STARLIKE:
-        split = bd.thresholds().branch_split
-        left = bd.h22_bound(family, math.nextafter(split, 0.0)).bound
-        right = bd.h22_bound(family, math.nextafter(split, 1.0)).bound
-        checks.append(_check("branch_continuity", abs(left - right), CONTINUITY_TOL))
-        if beta <= split:
-            checks.append(
-                _check(
-                    "quartic_monotone",
-                    float(np.max(-profile.derivative(cs))),
-                    ALGEBRA_TOL,
-                )
-            )
-
-    c_star = bd.critical_point(family, beta)
-    if c_star is not None and c_star <= 2.0:
-        checks.append(
-            _check("critical_point_stationary", abs(profile.derivative(c_star)), STATIONARY_TOL)
-        )
-        checks.append(
-            _sign_check("critical_point_maximum", profile.second_derivative(c_star))
-        )
-
-    if family is FamilyId.CONVEX:
-        endpoint_dev = max(
-            abs(profile.value(0.0) - w2 / 9.0),
-            abs(profile.value(2.0) - w2 * (beta * beta - 2.0 * beta + 2.0) / 6.0),
-        )
-        checks.append(_check("endpoint_values", endpoint_dev, ALGEBRA_TOL))
-
-    # continuity of the Fekete-Szego bound across each join it uses
-    _, _, joins = bd._ROWS[family].fs
-    join_dev = max(
-        abs(bd.fekete_szego_bound(family, beta, m)
-            - bd.fekete_szego_bound(family, beta, math.nextafter(m, outward)))
-        for m, outward in zip(joins, (-math.inf, math.inf))
-    )
-    checks.append(_check("fs_branch_continuity", join_dev, ALGEBRA_TOL))
-
-    return checks
+    ctx = CheckContext(family, beta, seed, trials, spot_samples, bd.quartic_profile(family, beta),
+                       bd.h22_bound(family, beta), cs, bd.surrogate_terms(family, cs, beta))
+    return [result for run, families in CHECKS if family in families for result in run(ctx)]
 
 
 def all_passed(checks: list[CheckResult]) -> bool:

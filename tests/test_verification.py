@@ -295,6 +295,84 @@ class TestRunChecksInputs:
         assert vf.all_passed(checks)
 
 
+class TestRegistry:
+    # 0.2228761792464623: the sign change of the quartic's c^4 coefficient;
+    # 0.5404781277900117: the split, the last beta where quartic_monotone runs
+    BETAS = (0.0, 0.2228761792464623, 0.3, 0.5404781277900117, 0.5404781277900118, 0.9999999)
+    SHARED = (
+        "grid_max_matches_bound", "surrogate_scan_matches_bound", "surrogate_argmax_at_corner",
+        "corner_combination", "term_sign_pattern", "hessian_negative",
+        "positivity_factorization", "growth_inequality", "growth_factorization",
+        "series_identity_residual", "disk_param_coeff_bound", "herglotz_coeff_bound",
+        "empirical_dominance", "pointwise_majorant_dominance",
+    )
+    CRITICAL = ("critical_point_stationary", "critical_point_maximum")
+    BELOW_SPLIT = SHARED + ("branch_continuity", "quartic_monotone", "fs_branch_continuity")
+    NAMES = {
+        FamilyId.STARLIKE: (
+            BELOW_SPLIT, BELOW_SPLIT, BELOW_SPLIT,
+            SHARED + ("branch_continuity", "quartic_monotone") + CRITICAL
+            + ("fs_branch_continuity",),
+            SHARED + ("branch_continuity",) + CRITICAL + ("fs_branch_continuity",),
+            SHARED + ("branch_continuity",) + CRITICAL + ("fs_branch_continuity",),
+        ),
+        FamilyId.CONVEX: (
+            SHARED + CRITICAL + ("endpoint_values", "fs_branch_continuity"),
+        ) * 6,
+    }
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_names_in_report_order(self, family):
+        for beta, expected in zip(self.BETAS, self.NAMES[family]):
+            checks = vf.run_checks(family, beta, trials=1, spot_samples=1)
+            assert tuple(c.name for c in checks) == expected, beta
+
+    def recorded(self, monkeypatch):
+        """The families each `CHECKS` entry ran for and the names it gave,
+        and the names of every run, over both families and `BETAS`."""
+        ran = [set() for _ in vf.CHECKS]
+        gave = [set() for _ in vf.CHECKS]
+
+        def recording(i, check):
+            def run(ctx):
+                results = list(check(ctx))
+                ran[i].add(ctx.family)
+                gave[i].update(r.name for r in results)
+                return results
+            return run
+
+        monkeypatch.setattr(vf, "CHECKS", tuple(
+            (recording(i, check), families) for i, (check, families) in enumerate(vf.CHECKS)
+        ))
+        runs = {
+            (family, beta): [c.name for c in vf.run_checks(family, beta, trials=1, spot_samples=1)]
+            for family in FamilyId for beta in self.BETAS
+        }
+        return ran, gave, runs
+
+    def test_each_name_once_per_run_and_in_one_entry(self, monkeypatch):
+        _, gave, runs = self.recorded(monkeypatch)
+        for names in runs.values():
+            assert len(names) == len(set(names))
+        every = set().union(*gave)
+        assert every == set().union(*runs.values())
+        for name in every:
+            assert sum(name in names for names in gave) == 1, name
+
+    def test_single_family_entries_never_run_for_the_other(self, monkeypatch):
+        ran, gave, runs = self.recorded(monkeypatch)
+        single = {
+            family: [i for i, (_, families) in enumerate(vf.CHECKS) if families == (family,)]
+            for family in FamilyId
+        }
+        assert all(single.values())
+        for family, entries in single.items():
+            other = {name for (f, _), names in runs.items() if f is not family for name in names}
+            for i in entries:
+                assert ran[i] == {family}
+                assert gave[i] and not gave[i] & other
+
+
 class TestFsBranchContinuity:
     JOINS = {FamilyId.STARLIKE: (0.5, 1.5), FamilyId.CONVEX: (2.0 / 3.0, 4.0 / 3.0)}
 

@@ -44,6 +44,10 @@ COMMANDS = (
     # c^4 coefficient changes sign near 0.2229, the peak reaches c = 2 near
     # 0.5405) and near the end of the convex range
     "verify --family starlike --beta 0.2228 --beta 0.5404 --beta 0.5405 --trials 2 --samples 10",
+    # the betas where conditional checks switch: the quartic's sign change,
+    # and the split's last double (quartic_monotone runs) and the next one
+    "verify --family starlike --beta 0.2228761792464623 --beta 0.5404781277900117"
+    " --beta 0.5404781277900118 --trials 2 --samples 10",
     "verify --family convex --beta 0.99 --trials 2 --samples 10",
     # the 3-d scan's corner-line certificate: the flat c = 2 slice, the
     # starlike switch from the corner to an interior c, and betas at the
