@@ -76,18 +76,22 @@ class Thresholds:
 #   interior: (d, p) of the interior maximum (1-b)^2/d p(b) / lead(b)
 #   split:    the bound is Q(2) for b <= split, else the interior maximum
 #   fs:       (flat divisor, outer factor, joins) of `fekete_szego_bound`
-_Row = namedtuple("_Row", "terms quartic lead at_c2 interior split fs")
+#   factors:  (d, r, g2, g1, g, g0) of the factored forms, with w2 = (1-b)^2,
+#             t3 + 2 t4 = w2 (4 - c^2) (2 - c)(r - c)/d and
+#             t2 + 2 (t3 + t4) = w2 (4 - c^2) ((g2 - g1 b) c^2 - g c + g0)/d
+#             (checked in `verification`)
+_Row = namedtuple("_Row", "terms quartic lead at_c2 interior split fs factors")
 _ROWS = {
     FamilyId.STARLIKE: _Row(
         terms=(12.0, 4.0, 48.0, 7.0, 3.0, 24.0, 64.0), quartic=(48.0, 24.0, 2.0, 1.0, 48.0),
         lead=(16.0, -26.0, 5.0), at_c2=(4.0, (4.0, -8.0, 5.0), 3.0),
         interior=(1.0, (13.0, -14.0, -7.0)), split=(29.0 - math.sqrt(137.0)) / 32.0,
-        fs=(1.0, 2.0, (0.5, 1.5))),
+        fs=(1.0, 2.0, (0.5, 1.5)), factors=(96.0, 6.0, 19.0, 6.0, 16.0, 12.0)),
     FamilyId.CONVEX: _Row(
         terms=(96.0, 1.0, 192.0, 3.0, 1.0, 192.0, 576.0), quartic=(288.0, 4.0, 8.0, 3.0, 32.0),
         lead=(3.0, -3.0, -4.0), at_c2=(1.0, (1.0, -2.0, 2.0), 6.0),
         interior=(24.0, (5.0, 8.0, -32.0)), split=-math.inf,  # no split
-        fs=(3.0, 1.0, (2.0 / 3.0, 4.0 / 3.0))),
+        fs=(3.0, 1.0, (2.0 / 3.0, 4.0 / 3.0)), factors=(576.0, 4.0, 13.0, 3.0, 12.0, 8.0)),
 }
 
 

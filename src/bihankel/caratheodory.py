@@ -184,14 +184,14 @@ def check_seed(seed: int) -> int:
 # below (`herglotz_blocks` yields `SAMPLE_CHUNK // MAX_ATOMS` measures of
 # `MAX_ATOMS` atoms) and the series oracle's draws
 # (`functionals.series_residual`).  A 5*10^5-sample `search`
-# in a fresh process (2-vCPU Xeon, best of 5) peaks at 36.1 MB RSS and
-# computes for 0.137 s at 2^12, against 37.0 MB at 2^13 and 39.5 MB and
-# 0.140 s at 2^14; 2^11 saves 0.5 MB more but takes 0.162 s (per-call
-# overhead).  Importing the CLI and numpy.random alone takes 34.8 MB.  A
-# 10^5-trial series residual peaks at 38.6 MB at 2^12 (35 MB at 2^8, four
+# in a fresh process (2-vCPU Xeon, median of 5) peaks at 32.5 MB RSS and
+# computes for 0.137 s at 2^12, against 33.5 MB at 2^13 and 35.9 MB and
+# 0.140 s at 2^14; 2^11 saves 0.4 MB more but takes 0.162 s (per-call
+# overhead).  Importing the CLI and numpy.random alone takes 30.8 MB.  A
+# 10^5-trial series residual peaks at 35.9 MB at 2^12 (32.2 MB at 2^8, four
 # times slower; 108 MB in one pass over every draw).  A 10^6-sample `verify
-# --trials 1` peaks at 36.5 MB with Herglotz blocks of 682 measures, against
-# 37.0 MB at 2^12 measures, and 37.8 MB there when `coeffs_from_herglotz`
+# --trials 1` peaks at 33.0 MB with Herglotz blocks of 682 measures, against
+# 33.2 MB at 2^12 measures, and 34.5 MB there when `coeffs_from_herglotz`
 # makes a new array per operation instead of reusing one buffer.
 SAMPLE_CHUNK = 1 << 12
 

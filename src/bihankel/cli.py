@@ -17,11 +17,18 @@ import re
 import stat
 import sys
 
-# The package makes no BLAS call, and OpenBLAS starts one spinning worker per
-# extra core at `import numpy`; a thread count the caller set still wins, and
-# a process that has loaded numpy already keeps its environment as it is.
+# Two process settings, made only when the CLI is the first to load numpy, so
+# a library import or a process that has loaded numpy already is left as it
+# is.  The package makes no BLAS call, and OpenBLAS starts one spinning worker
+# per extra core at `import numpy`; a thread count the caller set still wins.
+# `numpy.random` imports `secrets`, whose `hmac` maps OpenSSL's libcrypto
+# (3.3 MB of RSS) through `_hashlib`, which no code here calls; a None entry
+# makes `hashlib` and `hmac` fall back to CPython's built-in digests, as in a
+# build without OpenSSL, and `secrets` still reads `os.urandom`.  A process
+# that has loaded `_hashlib` already keeps it.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    sys.modules.setdefault("_hashlib", None)
 
 import numpy as np
 

@@ -42,11 +42,6 @@ POINTWISE_SLACK = 1e-10
 # points of the c-grid on [0, 2] behind the term-level checks
 C_POINTS = 401
 
-# (d, r, g2, g1, g, g0) of the factored forms t3 + 2 t4 = w2 gap (2 - c)(r - c)/d
-# and t2 + 2 (t3 + t4) = w2 gap ((g2 - g1 b) c^2 - g c + g0)/d (see `_term_structure`)
-_FACTORS = {FamilyId.STARLIKE: (96.0, 6.0, 19.0, 6.0, 16.0, 12.0),
-            FamilyId.CONVEX: (576.0, 4.0, 13.0, 3.0, 12.0, 8.0)}
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -150,7 +145,8 @@ def _term_structure(ctx):
     discriminants 288 b - 656 and 96 b - 272, both negative for b < 1, so
     they are positive; w2 > 0 and 4 - c^2 >= 0 on [0, 2].
     `growth_factorization` checks the factored form against the terms; it
-    and `positivity_factorization` are each one expression over `_FACTORS`.
+    and `positivity_factorization` are each one expression over the family's
+    `bounds._ROWS` factors.
     """
     family, beta, cs = ctx.family, ctx.beta, ctx.cs
     t1, t2, t3, t4 = ctx.terms
@@ -162,7 +158,7 @@ def _term_structure(ctx):
     yield _sign_check("hessian_negative", np.max(4.0 * i3 * (i3 + 2.0 * i4)))
     w2 = (1.0 - beta) ** 2
     gap = 4.0 - cs * cs
-    d, r, g2, g1, g, g0 = _FACTORS[family]
+    d, r, g2, g1, g, g0 = bd._ROWS[family].factors
     factored = w2 * gap * (2.0 - cs) * (r - cs) / d
     yield _check("positivity_factorization", np.max(np.abs(t3 + 2.0 * t4 - factored)), ALGEBRA_TOL)
     growth = t2 + 2.0 * (t3 + t4)

@@ -1,5 +1,6 @@
 """What importing the package does: the root alone loads nothing, and the
-command line sets the BLAS thread count; each checked in a fresh interpreter."""
+command line sets the BLAS thread count and keeps OpenSSL's libcrypto
+unloaded; each checked in a fresh interpreter."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ import bihankel
 
 SRC = Path(bihankel.__file__).resolve().parents[1]
 HAS_PROC_TASKS = os.path.isdir("/proc/self/task")
+HAS_PROC_MAPS = os.path.exists("/proc/self/maps")
 
 
 def fresh(code: str, **env_vars) -> str:
@@ -73,3 +75,53 @@ class TestCliThreads:
     def test_cli_process_has_one_thread(self):
         assert fresh("import os, bihankel.cli; "
                      "print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def run_cli(*argv: str) -> str:
+    """Code that runs `cli.main(argv)` with stdout redirected."""
+    return ("import contextlib, io, sys; from bihankel import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({list(argv)!r}) == 0\n")
+
+
+SEARCH = run_cli("search", "--family", "starlike", "--samples", "10")
+
+
+class TestCliHashlib:
+    """`bihankel.cli` keeps `_hashlib`, and with it libcrypto, from loading
+    when it is the first to load numpy; `hashlib`, `hmac` and `secrets` then
+    run on CPython's built-in digests.  Library imports, and processes that
+    loaded numpy or `_hashlib` first, keep the real module."""
+
+    def test_sampling_command_leaves_hashlib_unloaded(self):
+        assert fresh(SEARCH + "print('numpy.random' in sys.modules, "
+                     "sys.modules['_hashlib'] is None)") == "True True"
+
+    @pytest.mark.skipif(not HAS_PROC_MAPS, reason="needs /proc/self/maps")
+    def test_sampling_command_maps_no_libcrypto(self):
+        assert fresh(SEARCH + "print('libcrypto' in open('/proc/self/maps').read())") \
+            == "False"
+
+    def test_digests_still_work(self):
+        out = fresh(SEARCH + "import hashlib, hmac, secrets\n"
+                    "print(hashlib.sha256(b'abc').hexdigest(), "
+                    "hmac.compare_digest(b'ab', b'ab'), hmac.compare_digest(b'ab', b'ac'), "
+                    "len(bytes.fromhex(secrets.token_hex(4))))")
+        assert out == ("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad "
+                       "True False 4")
+
+    @pytest.mark.parametrize("imports", [
+        "bihankel.bounds, numpy.random",
+        "numpy, bihankel.cli, numpy.random",
+        "_hashlib, bihankel.cli, numpy.random",
+    ])
+    def test_other_import_orders_keep_hashlib(self, imports):
+        assert fresh(f"import sys, types, {imports}; "
+                     "print(isinstance(sys.modules['_hashlib'], types.ModuleType))") == "True"
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "both"),
+        ("fs-bound", "--family", "convex", "--beta", "0.3", "--mu", "0.5"),
+    ])
+    def test_closed_form_commands_never_load_numpy_random(self, argv):
+        assert fresh(run_cli(*argv) + "print('numpy.random' in sys.modules)") == "False"
