@@ -187,12 +187,13 @@ def check_seed(seed: int) -> int:
 # in a fresh process (2-vCPU Xeon, median of 5) peaks at 32.5 MB RSS and
 # computes for 0.137 s at 2^12, against 33.5 MB at 2^13 and 35.9 MB and
 # 0.140 s at 2^14; 2^11 saves 0.4 MB more but takes 0.162 s (per-call
-# overhead).  Importing the CLI and numpy.random alone takes 30.8 MB.  A
-# 10^5-trial series residual peaks at 35.9 MB at 2^12 (32.2 MB at 2^8, four
-# times slower; 108 MB in one pass over every draw).  A 10^6-sample `verify
-# --trials 1` peaks at 33.0 MB with Herglotz blocks of 682 measures, against
-# 33.2 MB at 2^12 measures, and 34.5 MB there when `coeffs_from_herglotz`
-# makes a new array per operation instead of reusing one buffer.
+# overhead).  Loading the modules `search` uses, numpy.random among them,
+# takes 30.8 MB.  A 10^5-trial series residual peaks at 35.9 MB at 2^12
+# (32.2 MB at 2^8, four times slower; 108 MB in one pass over every draw).
+# A 10^6-sample `verify --trials 1` peaks at 33.0 MB with Herglotz blocks of
+# 682 measures, against 33.2 MB at 2^12 measures, and 34.5 MB there when
+# `coeffs_from_herglotz` makes a new array per operation instead of reusing
+# one buffer.
 SAMPLE_CHUNK = 1 << 12
 
 # atoms per sampled Herglotz measure, padding included

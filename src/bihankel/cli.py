@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import argparse
 import errno
+import importlib.util
 import json
 import math
 import os
 import re
 import stat
 import sys
+import types
 
-# Two process settings, made only when the CLI is the first to load numpy, so
-# a library import or a process that has loaded numpy already is left as it
-# is.  The package makes no BLAS call, and OpenBLAS starts one spinning worker
-# per extra core at `import numpy`; a thread count the caller set still wins.
+# Two process settings, made only when the CLI is imported before numpy, so a
+# library import or a process that has loaded numpy already is left as it is;
+# the CLI loads numpy itself only once a command runs (see `_lazy`).  The
+# package makes no BLAS call, and OpenBLAS starts one spinning worker per
+# extra core at `import numpy`; a thread count the caller set still wins.
 # `numpy.random` imports `secrets`, whose `hmac` maps OpenSSL's libcrypto
 # (3.3 MB of RSS) through `_hashlib`, which no code here calls; a None entry
 # makes `hashlib` and `hmac` fall back to CPython's built-in digests, as in a
@@ -30,15 +33,34 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.modules.setdefault("_hashlib", None)
 
-import numpy as np
-
-from . import bounds as bd
-from . import optimizer as opt
-from . import series as ts
-from . import verification
-from .caratheodory import check_seed
 from .errors import BihankelError, DomainError
-from .functionals import FamilyId, series_residual
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The package's module `name`, run at its first attribute access.
+
+    Until then it is registered in `sys.modules` and on the package but not
+    executed, so the numeric modules, and numpy with them, load only when a
+    command's handler first uses them; `--help` and usage errors never do.
+    A module something has imported already is returned as it is.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+bd = _lazy("bounds")
+car = _lazy("caratheodory")
+fn = _lazy("functionals")
+opt = _lazy("optimizer")
+ts = _lazy("series")
+verification = _lazy("verification")
 
 DERIVE_TOL = 1e-10
 # per family; keeps a tiny --step from building an unbounded table
@@ -69,10 +91,10 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _families(name: str) -> list[FamilyId]:
+def _families(name: str) -> list[fn.FamilyId]:
     if name == "both":
-        return [FamilyId.STARLIKE, FamilyId.CONVEX]
-    return [FamilyId(name)]
+        return [fn.FamilyId.STARLIKE, fn.FamilyId.CONVEX]
+    return [fn.FamilyId(name)]
 
 
 def _usage_error(message: str) -> int:
@@ -258,7 +280,7 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
     return [beta for beta in (lo + k * step for k in range(count)) if beta < 1.0]
 
 
-def _grid_maxima(family: FamilyId, betas: list[float]) -> list[float]:
+def _grid_maxima(family: fn.FamilyId, betas: list[float]) -> list[float]:
     """Grid maximum of each beta's corner quartic, TABLE_BLOCK_ROWS at a time."""
     maxima: list[float] = []
     for start in range(0, len(betas), TABLE_BLOCK_ROWS):
@@ -267,13 +289,14 @@ def _grid_maxima(family: FamilyId, betas: list[float]) -> list[float]:
     return maxima
 
 
-def _table_columns(family: FamilyId, betas: list[float]) -> tuple[list, ...]:
+def _table_columns(family: fn.FamilyId, betas: list[float]) -> tuple[list, ...]:
     """One family's rows of the table, as lists in `TABLE_COLUMNS` order."""
-    grid_max = np.array(_grid_maxima(family, betas))
+    grid_max = _grid_maxima(family, betas)
     result = bd.h22_bound(family, betas)
-    return (betas, [family.value] * len(betas), result.bound.tolist(),
+    bound = result.bound.tolist()
+    return (betas, [family.value] * len(betas), bound,
             [branch.value for branch in result.branch], result.critical_c.tolist(),
-            grid_max.tolist(), np.abs(grid_max - result.bound).tolist())
+            grid_max, [abs(g - b) for g, b in zip(grid_max, bound)])
 
 
 def cmd_table(args) -> int:
@@ -295,10 +318,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_search(args) -> int:
-    family = FamilyId(args.family)
+    family = fn.FamilyId(args.family)
     _check_cap("--samples", args.samples, MAX_SEARCH_SAMPLES)
     opt.check_search_args(args.samples, args.beta, args.boundary_fraction)
-    check_seed(args.seed)
+    car.check_seed(args.seed)
     _check_output(args.output)
     result = opt.empirical_max_h22(
         family,
@@ -338,6 +361,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    import numpy as np
+
     _check_cap("--trials", args.trials, MAX_TRIALS)
 
     koebe_like = ts.TruncatedSeries.from_coeffs([0, 1, 2, 3, 4], 4)
@@ -348,10 +373,10 @@ def cmd_derive(args) -> int:
         + inv_coeffs
     ]
 
-    rng = np.random.default_rng(check_seed(args.seed))
+    rng = np.random.default_rng(car.check_seed(args.seed))
     worst = 0.0
-    for family in (FamilyId.STARLIKE, FamilyId.CONVEX):
-        worst = max(worst, series_residual(family, rng, args.trials))
+    for family in (fn.FamilyId.STARLIKE, fn.FamilyId.CONVEX):
+        worst = max(worst, fn.series_residual(family, rng, args.trials))
     lines.append(f"trials={args.trials} per family, seed={args.seed}")
     lines.append(f"max residual: {_fmt(worst)}")
     passed = worst <= DERIVE_TOL
@@ -361,7 +386,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_fs_bound(args) -> int:
-    value = bd.fekete_szego_bound(FamilyId(args.family), args.beta, args.mu)
+    value = bd.fekete_szego_bound(fn.FamilyId(args.family), args.beta, args.mu)
     _emit(_fmt(value) + "\n", None)
     return 0
 

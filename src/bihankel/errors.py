@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its one range check."""
+"""Exception types shared across the package, and its one range check.
 
-import numpy as np
+Importing the module loads no numpy, so the command line can parse its
+arguments before numpy loads; numpy loads when `require` runs."""
 
 
 class BihankelError(Exception):
@@ -26,6 +27,8 @@ class ConstraintViolation(BihankelError, ValueError):
 def require(ok, message: str, values, error=ConstraintViolation) -> None:
     """Raise `error` naming the first value where `ok` fails; `ok` and
     `values` are scalars or arrays of one shape."""
+    import numpy as np
+
     if not np.all(ok):
         bad = np.asarray(values)[~np.asarray(ok)]
         raise error(f"{message}, got {bad.flat[0]}")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from bihankel import bounds as bd
 from bihankel import cli
 from bihankel import optimizer as opt
+from bihankel import verification
 from bihankel.cli import main
 from bihankel.errors import DomainError
 from bihankel.functionals import FamilyId, series_residual
@@ -564,7 +565,7 @@ class TestUnwritableOutput:
     WORK = {
         "table": (cli, "_grid_maxima"),
         "search": (opt, "empirical_max_h22"),
-        "verify": (cli.verification, "run_checks"),
+        "verify": (verification, "run_checks"),
     }
     COMMANDS = [
         ("table",),

@@ -1,6 +1,7 @@
-"""What importing the package does: the root alone loads nothing, and the
-command line sets the BLAS thread count and keeps OpenSSL's libcrypto
-unloaded; each checked in a fresh interpreter."""
+"""What importing the package does: the root alone loads nothing, the
+command line loads numpy only when a command runs, and it sets the BLAS
+thread count and keeps OpenSSL's libcrypto unloaded; each checked in a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -25,6 +26,31 @@ def fresh(code: str, **env_vars) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     return proc.stdout.strip()
+
+
+def run_cli(*argv: str, code: int = 0) -> str:
+    """Code that runs `cli.main(argv)` with stdout and stderr redirected and
+    asserts its exit code."""
+    return ("import contextlib, io, sys; from bihankel import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert cli.main({list(argv)!r}) == {code}\n")
+
+
+SEARCH = run_cli("search", "--family", "starlike", "--samples", "10")
+
+
+def are_loaded(*modules: str) -> str:
+    """Code that prints whether each of `modules` has run.  A module the CLI
+    registered and no code has used yet sits in `sys.modules` unexecuted, as
+    an `importlib.util.LazyLoader` module of its own class."""
+    return ("import types; print([type(sys.modules.get(m)) is types.ModuleType "
+            f"for m in {modules!r}])")
+
+
+PACKAGE = ("bihankel.bounds", "bihankel.caratheodory", "bihankel.cli", "bihankel.errors",
+           "bihankel.functionals", "bihankel.optimizer", "bihankel.series",
+           "bihankel.verification")
 
 
 class TestLazyPackage:
@@ -73,23 +99,63 @@ class TestCliThreads:
 
     @pytest.mark.skipif(not HAS_PROC_TASKS, reason="needs /proc/self/task")
     def test_cli_process_has_one_thread(self):
-        assert fresh("import os, bihankel.cli; "
-                     "print(len(os.listdir('/proc/self/task')))") == "1"
+        # a command has run, so numpy and its BLAS have loaded
+        assert fresh(SEARCH + "import os; print('numpy' in sys.modules, "
+                     "len(os.listdir('/proc/self/task')))") == "True 1"
 
 
-def run_cli(*argv: str) -> str:
-    """Code that runs `cli.main(argv)` with stdout redirected."""
-    return ("import contextlib, io, sys; from bihankel import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({list(argv)!r}) == 0\n")
+class TestCliDefersNumpy:
+    """`import bihankel.cli` and its argument parsing load the standard
+    library and `bihankel.errors` alone; numpy loads when a command runs, and
+    each command loads the modules it uses."""
 
+    @pytest.mark.parametrize("first", ["", "numpy, "])
+    def test_import_and_parser_run_only_errors(self, first):
+        # the same whether or not numpy is loaded already
+        out = fresh(f"import sys, {first}bihankel.cli; bihankel.cli.build_parser(); "
+                    + are_loaded("numpy", *PACKAGE))
+        assert out == str([bool(first), False, False, True, True, False, False, False, False])
 
-SEARCH = run_cli("search", "--family", "starlike", "--samples", "10")
+    def test_import_registers_every_module(self):
+        assert fresh("import sys, bihankel.cli; "
+                     "print(sorted(m for m in sys.modules if m.startswith('bihankel.')))") \
+            == str(sorted(PACKAGE))
+
+    def test_registered_modules_import_as_usual(self):
+        out = fresh("import bihankel.cli as cli, bihankel.bounds\n"
+                    "from bihankel.functionals import FamilyId\n"
+                    "print(bihankel.bounds is cli.bd, FamilyId is cli.fn.FamilyId, "
+                    "bihankel.bounds.h22_bound(FamilyId.CONVEX, 0.0).bound)")
+        assert out == "True True 0.3333333333333333"
+
+    def test_module_loaded_before_the_cli_is_kept(self):
+        assert fresh("import bihankel.bounds as bd, bihankel.cli as cli; "
+                     "print(cli.bd is bd)") == "True"
+
+    @pytest.mark.parametrize("argv,code", [
+        (("--help",), 0),
+        (("verify", "--help"), 0),
+        (("verify", "--nonsense"), 2),
+        (("search",), 2),
+        (("table", "--format", "xml"), 2),
+    ])
+    def test_help_and_usage_errors_leave_numpy_unloaded(self, argv, code):
+        assert fresh(run_cli(*argv, code=code) + are_loaded("numpy")) == "[False]"
+
+    def test_fs_bound_loads_no_optimizer_or_verification(self):
+        out = fresh(run_cli("fs-bound", "--family", "convex", "--mu", "0.5")
+                    + are_loaded("numpy", "bihankel.optimizer", "bihankel.verification"))
+        assert out == "[True, False, False]"
+
+    def test_table_loads_no_verification(self):
+        out = fresh(run_cli("table", "--family", "both")
+                    + are_loaded("bihankel.optimizer", "bihankel.verification"))
+        assert out == "[True, False]"
 
 
 class TestCliHashlib:
     """`bihankel.cli` keeps `_hashlib`, and with it libcrypto, from loading
-    when it is the first to load numpy; `hashlib`, `hmac` and `secrets` then
+    when it is imported before numpy; `hashlib`, `hmac` and `secrets` then
     run on CPython's built-in digests.  Library imports, and processes that
     loaded numpy or `_hashlib` first, keep the real module."""
 

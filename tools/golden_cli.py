@@ -115,6 +115,13 @@ COMMANDS = (
     "--help",
     "verify --help",
     "search --help",
+    # usage errors argparse reports before any handler runs (exit 2): an
+    # unknown flag, a missing required option, a bad choice, a bad float
+    "verify --nonsense",
+    "search",
+    "table --format xml",
+    "verify --beta abc",
+    "fs-bound --family starlike",
     # usage and domain errors (exit 2)
     "verify --beta 1.5",
     "verify --beta 0 --beta nan",
