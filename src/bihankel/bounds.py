@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +41,13 @@ class Branch(enum.Enum):
     INTERIOR_CRITICAL = "INTERIOR_CRITICAL"
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(namedtuple("BoundResult", "family beta bound branch critical_c")):
     """Bound value for one (family, beta) with its active branch."""
 
-    family: FamilyId
-    beta: float
-    bound: float
-    branch: Branch
-    critical_c: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(namedtuple("Thresholds", "quartic_sign_change branch_split")):
     """The two beta values organizing the starlike branch analysis.
 
     quartic_sign_change: (13 - sqrt(89))/16, where the c^4 coefficient of
@@ -63,8 +56,7 @@ class Thresholds:
     crosses c = 2 and the bound switches branch (~0.540478).
     """
 
-    quartic_sign_change: float
-    branch_split: float
+    __slots__ = ()
 
 
 # One family's constants; every formula below is written once over them.
@@ -162,8 +154,7 @@ def surface(family: FamilyId, lam, mu, c, beta: float):
     return t1 + t2 * s + t3 * (lam * lam + mu * mu) + t4 * (s * s)
 
 
-@dataclass(frozen=True)
-class QuarticProfile:
+class QuarticProfile(namedtuple("QuarticProfile", "alpha4 alpha2 alpha0")):
     """Even quartic Q(c) = alpha4 c^4 + alpha2 c^2 + alpha0.
 
     Q is the majorant `surface` at the corner lam = mu = 1, where it equals
@@ -172,9 +163,7 @@ class QuarticProfile:
     one row per beta.
     """
 
-    alpha4: float
-    alpha2: float
-    alpha0: float
+    __slots__ = ()
 
     def value(self, c):
         """alpha4 c2 c2 + alpha2 c2 + alpha0 with c2 = c c, summed in place

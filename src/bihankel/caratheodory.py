@@ -20,7 +20,7 @@ samplers, `disk_param_blocks` and `herglotz_blocks`, in blocks of at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,13 +33,10 @@ COEFF_BOUND_TOL = 1e-12
 DOMAIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PCoefficients:
+class PCoefficients(namedtuple("PCoefficients", "c1 c2 c3")):
     """First three Taylor coefficients (c1, c2, c3) of a class member."""
 
-    c1: complex
-    c2: complex
-    c3: complex
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (complex(self.c1), complex(self.c2), complex(self.c3))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import enum
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,45 +49,54 @@ def check_beta(beta):
     return beta
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(namedtuple("Order", "beta")):
     """Order parameter beta of the geometric condition, 0 <= beta < 1."""
 
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_beta(self.beta)
+    def __new__(cls, beta):
+        check_beta(beta)
+        return super().__new__(cls, beta)
+
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's `_replace` and `_make` would skip the check of `__new__`
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class BiCoefficients:
+class BiCoefficients(namedtuple("BiCoefficients", "a2 a3 a4")):
     """Reconstructed Taylor coefficients (a2, a3, a4)."""
 
-    a2: complex
-    a3: complex
-    a4: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a2", "a3", "a4"):
-            v = complex(getattr(self, name))
+    def __new__(cls, a2, a3, a4):
+        for name, value in zip(cls._fields, (a2, a3, a4)):
+            v = complex(value)
             if not (cmath.isfinite(v)):
                 raise ConstraintViolation(f"{name} must be finite, got {v}")
+        return super().__new__(cls, a2, a3, a4)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (complex(self.a2), complex(self.a3), complex(self.a4))
 
 
 # One family's coefficient system: the weights (h, g1, g2, e1, e2) and a4's
-# divisor k of `bi_coeffs`, the constants m1..m9 of `_lhs`, and the family's
-# series functional.
-_System = namedtuple("_System", "weights divisor lhs functional")
+# divisor k of `bi_coeffs`, the constants m1..m9 of `_lhs`, the family's
+# series functional, and ((u1, u0), (v1, v0)) of the sum constraint's
+# x + y = (u1 b + u0) c^2 (v1 b + v0)/(4 - c^2) in `optimizer`.  Convex's
+# u0 is -0.0 so that -2 b + u0 keeps the sign of -2 b at b = 0.
+_System = namedtuple("_System", "weights divisor lhs functional sum_target")
 _SYSTEMS = {
     FamilyId.STARLIKE: _System((1.0, 1.0, 0.25, 2.0 / 3.0, 5.0 / 8.0), 6.0,
                                (1.0, 2.0, 1.0, 3.0, 3.0, 1.0, 3.0, 10.0, 12.0),
-                               ts.starlike_functional),
+                               ts.starlike_functional, ((0.0, 2.0), (-2.0, 1.0))),
     FamilyId.CONVEX: _System((0.5, 0.25, 1.0 / 12.0, 5.0 / 48.0, 5.0 / 48.0), 24.0,
                              (2.0, 6.0, 4.0, 12.0, 18.0, 8.0, 8.0, 32.0, 42.0),
-                             ts.convex_functional),
+                             ts.convex_functional, ((-2.0, -0.0), (0.0, 1.0))),
 }
 
 
@@ -138,15 +146,10 @@ def _lhs(family: FamilyId, a2, a3, a4):
     return direct, inverse
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(namedtuple("SystemReport", "family beta p q residuals")):
     """Residuals of the six coefficient equations for one (family, beta, a)."""
 
-    family: FamilyId
-    beta: float
-    p: PCoefficients
-    q: PCoefficients
-    residuals: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def max_residual(self) -> float:

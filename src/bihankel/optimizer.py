@@ -26,7 +26,7 @@ assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -47,17 +47,14 @@ CUBE_SCHEDULE = (61, 5, 0.2)
 QUARTIC_BAND = 8
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", "max_value argmax evaluations seed",
+                              defaults=(0,))):
     """Best value seen, where it was seen, and how much work it took.
 
     `quartic_grid_max` reports arrays over the rows.
     """
 
-    max_value: float
-    argmax: tuple
-    evaluations: int
-    seed: int = 0
+    __slots__ = ()
 
 
 def _window(center, half, lo, hi):
@@ -414,12 +411,11 @@ def _sum_constraint_target(family: FamilyId, beta: float, c: np.ndarray) -> np.n
 
     Adding the two second-coefficient equations ties c2 + d2 to a2^2, which
     in the (c, x, y) variables reads x + y = 2 c^2 (1 - 2 b)/(4 - c^2) for
-    the starlike family and x + y = -2 b c^2/(4 - c^2) for the convex one.
+    the starlike family and x + y = -2 b c^2/(4 - c^2) for the convex one,
+    both written over the family's `sum_target` in `_SYSTEMS`.
     """
-    gap = 4.0 - c * c
-    if family is FamilyId.STARLIKE:
-        return 2.0 * c * c * (1.0 - 2.0 * beta) / gap
-    return -2.0 * beta * c * c / gap
+    (u1, u0), (v1, v0) = _SYSTEMS[family].sum_target
+    return (u1 * beta + u0) * c * c * (v1 * beta + v0) / (4.0 - c * c)
 
 
 def check_search_args(samples: int, beta: float, boundary_fraction: float) -> float:

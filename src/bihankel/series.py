@@ -20,7 +20,7 @@ instances are safe to share freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 import numpy as np
@@ -35,34 +35,38 @@ ZERO_DIVISOR_TOL = 1e-14
 NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "order coeffs")):
     """Coefficients c0..c_order of a power series truncated at z**order.
 
     If any coefficient is an array, the series is a batch: the coefficients
     are broadcast to one batch shape and stored as one complex array of
     shape (order + 1, *batch), so `coeffs[k]` is c_k over the batch.
     Otherwise `coeffs` is a tuple of Python complex numbers.  A batched
-    series has no `==` or hash.
+    series has no `==` or hash.  `series[k]` is c_k too, while iteration
+    and `len` give the record's two fields, order and coeffs.
     """
 
-    order: int
-    coeffs: tuple[complex, ...] | np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise DomainError(f"order must be >= 1, got {self.order}")
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.order + 1:
+    def __new__(cls, order, coeffs):
+        if order < 1:
+            raise DomainError(f"order must be >= 1, got {order}")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != order + 1:
             raise DomainError(
-                f"expected {self.order + 1} coefficients for order "
-                f"{self.order}, got {len(coeffs)}"
+                f"expected {order + 1} coefficients for order "
+                f"{order}, got {len(coeffs)}"
             )
         if any(np.ndim(c) for c in coeffs):
             coeffs = np.array(np.broadcast_arrays(*coeffs), dtype=complex)
         else:
             coeffs = tuple(complex(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, order, coeffs)
+
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's `_replace` and `_make` would skip the checks of `__new__`
+        return cls(*fields)
 
     @classmethod
     def from_coeffs(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +42,7 @@ POINTWISE_SLACK = 1e-10
 C_POINTS = 401
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
+CheckResult = namedtuple("CheckResult", "name value tolerance passed")
 
 
 def _check(name, value, tolerance) -> CheckResult:

@@ -6,7 +6,7 @@ import pytest
 from bihankel import caratheodory as car
 from bihankel import functionals
 from bihankel.caratheodory import disk_coeffs
-from bihankel.errors import DomainError
+from bihankel.errors import ConstraintViolation, DomainError
 from bihankel.functionals import (
     BiCoefficients,
     FamilyId,
@@ -17,6 +17,7 @@ from bihankel.functionals import (
     verify_coefficient_system,
 )
 from bihankel.optimizer import h22_from_params
+from bihankel.series import TruncatedSeries
 
 
 def class_pair_coeffs(family, beta, c, x, y, z, w):
@@ -35,6 +36,41 @@ class TestOrder:
             Order(1.0)
         with pytest.raises(DomainError):
             Order(-0.1)
+
+
+class TestValidatedRecords:
+    """`Order`, `BiCoefficients` and `TruncatedSeries` check their fields on
+    every construction path: the constructor, `_make`, and `_replace`, which
+    namedtuple builds on `_make`."""
+
+    RECORDS = [
+        (Order, (0.3,), {"beta": 1.5}, DomainError),
+        (Order, (0.3,), {"beta": math.nan}, DomainError),
+        (BiCoefficients, (1, 2j, 3), {"a2": math.nan}, ConstraintViolation),
+        (BiCoefficients, (1, 2j, 3), {"a4": complex(0.0, math.inf)}, ConstraintViolation),
+        (TruncatedSeries, (2, (0, 1, 2)), {"order": 0}, DomainError),
+        (TruncatedSeries, (2, (0, 1, 2)), {"coeffs": (0, 1)}, DomainError),
+    ]
+
+    @pytest.mark.parametrize("path", ["constructor", "_make", "_replace"])
+    @pytest.mark.parametrize("record,good,bad,error", RECORDS)
+    def test_bad_field_is_rejected(self, record, good, bad, error, path):
+        fields = dict(zip(record._fields, good), **bad)
+        build = {"constructor": lambda: record(**fields),
+                 "_make": lambda: record._make(fields.values()),
+                 "_replace": lambda: record(*good)._replace(**bad)}[path]
+        with pytest.raises(error):
+            build()
+
+    @pytest.mark.parametrize("record,good", [r[:2] for r in RECORDS[::2]])
+    def test_good_fields_build_the_same_record_on_every_path(self, record, good):
+        built = record(*good)
+        for other in (record._make(good), built._replace(), record(**built._asdict())):
+            assert type(other) is record and other == built
+
+    def test_replace_normalizes_series_coefficients(self):
+        s = TruncatedSeries(2, (0, 1, 2))._replace(coeffs=[0, 1, np.float64(3.0)])
+        assert s.coeffs == (0, 1, 3) and all(type(c) is complex for c in s.coeffs)
 
 
 class TestCheckBeta:

@@ -13,7 +13,6 @@ Print each mutation's failing checks and the score with
     PYTHONPATH=src python tests/test_mutations.py
 """
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ def scaled_bound(factor):
 
         def mutated(family, beta):
             result = true_bound(family, beta)
-            return dataclasses.replace(result, bound=result.bound * factor)
+            return result._replace(bound=result.bound * factor)
 
         mp.setattr(bd, "h22_bound", mutated)
     return apply

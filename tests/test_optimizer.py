@@ -897,6 +897,13 @@ def division_bi_coeffs(family, w, c1, dc2, dc3):
     return a2, a3, a4
 
 
+def reference_sum_constraint_target(family, beta, c):
+    gap = 4.0 - c * c
+    if family is FamilyId.STARLIKE:
+        return 2.0 * c * c * (1.0 - 2.0 * beta) / gap
+    return -2.0 * beta * c * c / gap
+
+
 def reference_maximize_surrogate(family, beta):
     n, rounds, shrink = CUBE_SCHEDULE
     best_val = -np.inf
@@ -961,6 +968,20 @@ class TestMergedFormulasMatchReferences:
         got = h22_batch(family, 0.3, c, x, y, z, w)
         monkeypatch.setattr(opt, "bi_coeffs", division_bi_coeffs)
         assert got.tobytes() == h22_batch(family, 0.3, c, x, y, z, w).tobytes()
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_sum_constraint_target_identical(self, family):
+        # the row expression keeps each branch's bits: signed zeros at c = 0
+        # and b = 0, and the inf or NaN of c = 2
+        c = np.concatenate([np.linspace(0.0, 2.0, 20001),
+                            np.random.default_rng(19).uniform(0.0, 2.0, 20000)])
+        betas = ([0.0, 5e-324, 0.25, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
+                 + threshold_betas() + np.random.default_rng(20).random(100).tolist())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for beta in betas:
+                got = opt._sum_constraint_target(family, beta, c)
+                expected = reference_sum_constraint_target(family, beta, c)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("family", list(FamilyId))

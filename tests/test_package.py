@@ -1,7 +1,7 @@
 """What importing the package does: the root alone loads nothing, the
 command line loads numpy only when a command runs, and it sets the BLAS
-thread count and keeps OpenSSL's libcrypto unloaded; each checked in a fresh
-interpreter."""
+thread count and keeps OpenSSL's libcrypto unloaded; no command loads
+`dataclasses`.  Each is checked in a fresh interpreter."""
 
 import os
 import subprocess
@@ -191,3 +191,18 @@ class TestCliHashlib:
     ])
     def test_closed_form_commands_never_load_numpy_random(self, argv):
         assert fresh(run_cli(*argv) + "print('numpy.random' in sys.modules)") == "False"
+
+
+class TestNoDataclasses:
+    """The package's records are named tuples, so no command imports
+    `dataclasses`."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "both", "--beta", "0.3", "--trials", "2", "--samples", "10"),
+        ("table", "--family", "both"),
+        ("search", "--family", "convex", "--samples", "10", "--constrain-sum"),
+        ("derive", "--trials", "2"),
+        ("fs-bound", "--family", "starlike", "--beta", "0.3", "--mu", "0.5"),
+    ])
+    def test_command_leaves_dataclasses_unloaded(self, argv):
+        assert fresh(run_cli(*argv) + "print('dataclasses' in sys.modules)") == "False"
