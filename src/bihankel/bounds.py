@@ -41,8 +41,8 @@ class Branch(enum.Enum):
     INTERIOR_CRITICAL = "INTERIOR_CRITICAL"
 
 
-class BoundResult(namedtuple("BoundResult", "family beta bound branch critical_c")):
-    """Bound value for one (family, beta) with its active branch."""
+class BoundResult(namedtuple("BoundResult", "bound branch critical_c")):
+    """Bound, active branch and peak c of one (family, beta) the caller holds."""
 
     __slots__ = ()
 
@@ -224,13 +224,13 @@ def critical_point(family: FamilyId, beta: float) -> float | None:
     return float(_stationary_c(row, beta, lead))
 
 
-def _bound_result(family: FamilyId, beta, bound, on_c2, critical_c) -> BoundResult:
+def _bound_result(beta, bound, on_c2, critical_c) -> BoundResult:
     """Floats for a float beta; for a beta array, arrays over the betas (the
     branch an object array of `Branch`)."""
     branch = np.where(on_c2, Branch.BOUNDARY_C2, Branch.INTERIOR_CRITICAL)
     if np.ndim(beta):
-        return BoundResult(family, beta, bound, branch, critical_c)
-    return BoundResult(family, beta, float(bound), branch.item(), float(critical_c))
+        return BoundResult(bound, branch, critical_c)
+    return BoundResult(float(bound), branch.item(), float(critical_c))
 
 
 def h22_bound(family: FamilyId, beta) -> BoundResult:
@@ -254,7 +254,7 @@ def h22_bound(family: FamilyId, beta) -> BoundResult:
         bound = np.where(on_c2, f * w2 * _quadratic(at_c2, b) / d_c2,
                          w2 / d * _quadratic(interior, b) / lead)
     critical_c = np.where(on_c2, 2.0, _stationary_c(row, b, lead))
-    return _bound_result(family, beta, bound, on_c2, critical_c)
+    return _bound_result(beta, bound, on_c2, critical_c)
 
 
 def starlike_h22_bound(beta) -> BoundResult:

@@ -188,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=2000,
                           help="samples for the coefficient-bound spot checks")
     p_verify.add_argument("--output", default=None)
+    p_verify.set_defaults(handler=cmd_verify)
 
     p_table = sub.add_parser("table", help="tabulate the bounds over beta")
     p_table.add_argument("--family", choices=["starlike", "convex", "both"],
@@ -197,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--step", type=float, default=0.1)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.add_argument("--output", default=None)
+    p_table.set_defaults(handler=cmd_table)
 
     p_search = sub.add_parser("search", help="empirical coefficient search")
     p_search.add_argument("--family", choices=["starlike", "convex"],
@@ -208,22 +210,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--constrain-sum", action="store_true",
                           help="experiment: impose the dropped c2+d2 relation")
     p_search.add_argument("--output", default=None)
+    p_search.set_defaults(handler=cmd_search)
 
     p_derive = sub.add_parser("derive", help="series-oracle residual report")
     p_derive.add_argument("--trials", type=int, default=300,
                           help="random draws per family for the series oracle")
     p_derive.add_argument("--seed", type=int, default=0)
+    p_derive.set_defaults(handler=cmd_derive)
 
     p_fs = sub.add_parser("fs-bound", help="Fekete-Szego bound for (family, beta, mu)")
     p_fs.add_argument("--family", choices=["starlike", "convex"], required=True)
     p_fs.add_argument("--beta", type=float, default=0.0)
     p_fs.add_argument("--mu", type=float, required=True)
+    p_fs.set_defaults(handler=cmd_fs_bound)
 
     return parser
 
 
 def cmd_verify(args) -> int:
-    betas = [bd.check_beta(b) for b in args.beta or [0.0]]
+    betas = [fn.check_beta(b) for b in args.beta or [0.0]]
     _check_cap("--samples", args.samples, MAX_VERIFY_SAMPLES)
     _check_cap("--trials", args.trials, MAX_TRIALS)
     verification.check_run_args(args.seed, args.trials, args.samples)
@@ -320,8 +325,7 @@ def cmd_table(args) -> int:
 def cmd_search(args) -> int:
     family = fn.FamilyId(args.family)
     _check_cap("--samples", args.samples, MAX_SEARCH_SAMPLES)
-    opt.check_search_args(args.samples, args.beta, args.boundary_fraction)
-    car.check_seed(args.seed)
+    opt.check_search_args(args.samples, args.beta, args.boundary_fraction, args.seed)
     _check_output(args.output)
     result = opt.empirical_max_h22(
         family,
@@ -399,15 +403,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except BihankelError as exc:
         return _usage_error(str(exc))
-    handlers = {
-        "verify": cmd_verify,
-        "table": cmd_table,
-        "search": cmd_search,
-        "derive": cmd_derive,
-        "fs-bound": cmd_fs_bound,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BihankelError as exc:
         return _usage_error(str(exc))
 

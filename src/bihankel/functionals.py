@@ -146,8 +146,8 @@ def _lhs(family: FamilyId, a2, a3, a4):
     return direct, inverse
 
 
-class SystemReport(namedtuple("SystemReport", "family beta p q residuals")):
-    """Residuals of the six coefficient equations for one (family, beta, a)."""
+class SystemReport(namedtuple("SystemReport", "p q residuals")):
+    """Recovered p, q and the six equation residuals of the caller's (family, beta, a)."""
 
     __slots__ = ()
 
@@ -192,7 +192,7 @@ def verify_coefficient_system(
     w = 1.0 - order.beta
     p = PCoefficients(*(func_f[k] / w for k in (1, 2, 3)))
     q = PCoefficients(*(func_g[k] / w for k in (1, 2, 3)))
-    return SystemReport(family, order.beta, p, q, residuals)
+    return SystemReport(p, q, residuals)
 
 
 def series_residual(family: FamilyId, rng, trials: int) -> float:

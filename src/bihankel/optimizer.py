@@ -32,9 +32,10 @@ from functools import partial
 import numpy as np
 
 from . import bounds as bd
-from .caratheodory import check_disk_params, check_unit_disk, disk_coeffs, disk_param_blocks
+from .caratheodory import (check_disk_params, check_seed, check_unit_disk, disk_coeffs,
+                           disk_param_blocks)
 from .errors import DomainError
-from .functionals import _SYSTEMS, FamilyId, Order, bi_coeffs
+from .functionals import _SYSTEMS, FamilyId, Order, bi_coeffs, check_beta
 
 
 # Grid schedules: (points per axis, refinement rounds, shrink factor).  The
@@ -47,8 +48,7 @@ CUBE_SCHEDULE = (61, 5, 0.2)
 QUARTIC_BAND = 8
 
 
-class SearchResult(namedtuple("SearchResult", "max_value argmax evaluations seed",
-                              defaults=(0,))):
+class SearchResult(namedtuple("SearchResult", "max_value argmax evaluations")):
     """Best value seen, where it was seen, and how much work it took.
 
     `quartic_grid_max` reports arrays over the rows.
@@ -314,7 +314,7 @@ def maximize_surrogate(family: FamilyId, beta: float) -> SearchResult:
     At c = 2 the gap 4 - c^2 is 0, so t2 = t3 = t4 = 0: the slice is flat,
     fails the certificate (nb = m) and is rescanned.
     """
-    return _refine_max(partial(_corner_line_max, family, bd.check_beta(beta)),
+    return _refine_max(partial(_corner_line_max, family, check_beta(beta)),
                        ((0.0, 2.0), (1.0, 0.0), (1.0, 0.0)), CUBE_SCHEDULE)
 
 
@@ -418,14 +418,15 @@ def _sum_constraint_target(family: FamilyId, beta: float, c: np.ndarray) -> np.n
     return (u1 * beta + u0) * c * c * (v1 * beta + v0) / (4.0 - c * c)
 
 
-def check_search_args(samples: int, beta: float, boundary_fraction: float) -> float:
-    """Validate the arguments of `empirical_max_h22` but the seed, which its
-    sampler checks; returns beta as a float."""
+def check_search_args(samples: int, beta: float, boundary_fraction: float, seed: int) -> float:
+    """Validate the arguments of `empirical_max_h22`, in this order, before it
+    draws; returns beta as a float."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    beta = bd.check_beta(beta)
+    beta = check_beta(beta)
     if not 0.0 <= boundary_fraction <= 1.0:
         raise DomainError("boundary fraction must lie in [0, 1]")
+    check_seed(seed)
     return beta
 
 
@@ -452,7 +453,7 @@ def empirical_max_h22(
     best is replaced only by a strictly larger value, so the result is the
     one a single argmax over all samples would give.
     """
-    beta = check_search_args(samples, beta, boundary_fraction)
+    beta = check_search_args(samples, beta, boundary_fraction, seed)
 
     best_val, argmax, kept = -np.inf, (), 0
     for c, x, y, z, w in disk_param_blocks(
@@ -475,5 +476,5 @@ def empirical_max_h22(
             argmax = (float(c[i]), complex(x[i]), complex(y[i]), complex(z[i]), complex(w[i]))
 
     if kept == 0:
-        return SearchResult(0.0, (), 0, seed)
-    return SearchResult(best_val, argmax, kept, seed)
+        return SearchResult(0.0, (), 0)
+    return SearchResult(best_val, argmax, kept)

@@ -80,10 +80,6 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "order coeffs")):
         cs.extend([0j] * (order + 1 - len(cs)))
         return cls(order, tuple(cs))
 
-    @classmethod
-    def constant(cls, value: complex, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([value], order)
-
     def __getitem__(self, k: int) -> complex:
         return self.coeffs[k]
 
@@ -93,10 +89,6 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "order coeffs")):
             np.all(abs(self.coeffs[0]) <= NORMALIZATION_TOL)
             and np.all(abs(self.coeffs[1] - 1.0) <= NORMALIZATION_TOL)
         )
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """Copy of this series truncated (or zero-padded) to `order`."""
-        return TruncatedSeries.from_coeffs(self.coeffs, order)
 
 
 def add(a: TruncatedSeries, b) -> TruncatedSeries:
@@ -154,8 +146,8 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             f"inner series must have zero constant term, got {g.coeffs[0]!r}"
         )
     n = min(f.order, g.order)
-    gt = g.truncated(n)
-    result = TruncatedSeries.constant(f.coeffs[n], n)
+    gt = TruncatedSeries.from_coeffs(g.coeffs, n)
+    result = TruncatedSeries.from_coeffs([f.coeffs[n]], n)
     for k in range(n - 1, -1, -1):
         result = add(multiply(result, gt), f.coeffs[k])
     return result

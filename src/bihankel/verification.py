@@ -27,7 +27,7 @@ from .caratheodory import (
     herglotz_blocks,
 )
 from .errors import DomainError
-from .functionals import FamilyId, series_residual
+from .functionals import FamilyId, check_beta, series_residual
 
 GRID_MAX_TOL = 1e-8
 SURROGATE_TOL = 1e-6
@@ -267,7 +267,7 @@ def run_checks(
     `trials` and `spot_samples` below 1 raise DomainError: no check may
     pass over zero draws.  So does a negative `seed`, which numpy rejects.
     """
-    beta = bd.check_beta(beta)
+    beta = check_beta(beta)
     check_run_args(seed, trials, spot_samples)
     cs = np.linspace(0.0, 2.0, C_POINTS)
     ctx = CheckContext(family, beta, seed, trials, spot_samples, bd.quartic_profile(family, beta),

@@ -539,6 +539,38 @@ class TestUsage:
         assert out.startswith("usage: bihankel ")
 
 
+class TestDispatch:
+    """Each subparser names its handler; `main` calls it and keeps no list."""
+
+    @pytest.mark.parametrize("argv,handler", [
+        (("verify",), cli.cmd_verify),
+        (("table",), cli.cmd_table),
+        (("search", "--family", "starlike"), cli.cmd_search),
+        (("derive",), cli.cmd_derive),
+        (("fs-bound", "--family", "convex", "--mu", "1"), cli.cmd_fs_bound),
+    ])
+    def test_each_subcommand_names_its_handler(self, argv, handler):
+        args = cli.build_parser().parse_args(list(argv))
+        assert (args.command, args.handler) == (argv[0], handler)
+
+
+class TestSearchErrorOrder:
+    """`check_search_args` checks the seed after the other arguments and
+    before `--output` is looked at."""
+
+    def test_fraction_is_reported_before_the_seed(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--family", "starlike",
+                                 "--boundary-fraction", "1.5", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: boundary fraction must lie in [0, 1]\n")
+
+    def test_seed_is_reported_before_the_output(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "search", "--family", "starlike", "--seed", "-1",
+                                 "--output", str(path))
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUnwritableOutput:
     """An --output path that cannot be written is a usage error, not a failed check."""
 
@@ -632,15 +664,38 @@ class TestUnwritableOutput:
         assert existing.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
 
-    def test_other_errors_are_reported_at_write_time(self, capsys, tmp_path):
-        # a regular file where a directory should be passes the early check
-        # and fails, with the same message format, when the report is written
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_file_as_parent_is_rejected_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                        argv):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the --output check")
+
+        monkeypatch.setattr(*self.WORK[argv[0]], never)
         parent = tmp_path / "file"
         parent.write_text("")
         path = parent / "out.csv"
-        code, out, err = run_cli(capsys, "table", "--beta-range", "0", "0.1", "--output", str(path))
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {path}: Not a directory\n"
+        assert parent.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_other_errors_are_reported_at_write_time(self, capsys, monkeypatch, argv):
+        # /dev/full passes the early check, so the work runs and the write of
+        # its report fails, with the same message format
+        module, name = self.WORK[argv[0]]
+        work, calls = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return work(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write /dev/full: No space left on device\n"
+        assert calls
 
     def test_writable_output_is_written(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

@@ -352,3 +352,36 @@ class TestRowsMatchReference:
             for got_side, expected_side in zip(got, expected):
                 for g, e in zip(got_side, expected_side):
                     assert same_bits(g, e)
+
+
+def closure_residuals(family):
+    """The closure identities of `bi_coeffs` in `_lhs`'s system, expanded as
+    polynomials in (w, c, dc2, dc3): direct[0] - w c and
+    direct[k] - inverse[k] - w dc_(k+1) for k = 1, 2."""
+    sp = pytest.importorskip("sympy")
+    w, c, dc2, dc3 = symbols = sp.symbols("w c dc2 dc3")
+    direct, inverse = functionals._lhs(family, *bi_coeffs(family, w, c, dc2, dc3))
+    residuals = (direct[0] - w * c, direct[1] - inverse[1] - w * dc2,
+                 direct[2] - inverse[2] - w * dc3)
+    return [sp.Poly(sp.expand(r), *symbols) for r in residuals]
+
+
+class TestClosureIdentity:
+    """`bi_coeffs` solves the coefficient system of `_lhs` exactly: with
+    a = bi_coeffs(w, c, dc2, dc3), the first direct equation reads w c and
+    each direct minus inverse equation reads w times the difference."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_bi_coeffs_closes_the_system(self, family):
+        for poly in closure_residuals(family):
+            assert all(abs(float(coeff)) <= 1e-15 for coeff in poly.coeffs())
+
+    def test_a_wrong_weight_leaves_a_residual(self, monkeypatch):
+        row = functionals._SYSTEMS[FamilyId.STARLIKE]
+        h, g1, g2, e1, e2 = row.weights
+        monkeypatch.setitem(functionals._SYSTEMS, FamilyId.STARLIKE,
+                            row._replace(weights=(h, g1, 0.9 * g2, e1, e2)))
+        _, k1, _ = closure_residuals(FamilyId.STARLIKE)
+        (monomial, coeff), = k1.terms()
+        assert monomial == (1, 0, 1, 0)  # w dc2
+        assert abs(float(coeff) + 0.1) <= 1e-15

@@ -721,6 +721,14 @@ class TestEmpiricalSearch:
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             empirical_max_h22(FamilyId.STARLIKE, 0.0, 100, seed=-1)
 
+    def test_negative_seed_raises_before_any_draw(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("samples drawn before the seed was checked")
+
+        monkeypatch.setattr(opt, "disk_param_blocks", never)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            empirical_max_h22(FamilyId.STARLIKE, 0.0, 100, seed=-1)
+
 
 class TestBoundaryFraction:
     @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5, float("inf")])
@@ -763,12 +771,12 @@ def reference_search(family, beta, samples, seed, boundary_fraction=0.25,
     if constrain_sum:
         keep = np.abs(y) <= 1.0
         if not np.any(keep):
-            return SearchResult(0.0, (), 0, seed)
+            return SearchResult(0.0, (), 0)
         c, x, y, z, w = c[keep], x[keep], y[keep], z[keep], w[keep]
     vals = opt.h22_batch(family, beta, c, x, y, z, w)
     i = int(np.argmax(vals))
     argmax = (float(c[i]), complex(x[i]), complex(y[i]), complex(z[i]), complex(w[i]))
-    return SearchResult(float(vals[i]), argmax, int(vals.size), seed)
+    return SearchResult(float(vals[i]), argmax, int(vals.size))
 
 
 # (family, beta, samples, seed, boundary_fraction, constrain_sum)
@@ -825,7 +833,7 @@ class TestStreamingSearch:
         # |target - x| >= 2 for every draw, so no y stays in the disk
         monkeypatch.setattr(opt, "_sum_constraint_target", lambda family, beta, c: c + 3.0)
         result = empirical_max_h22(FamilyId.CONVEX, 0.3, 50000, seed=2, constrain_sum=True)
-        assert result == SearchResult(0.0, (), 0, 2)
+        assert result == SearchResult(0.0, (), 0)
 
     def test_memory_does_not_grow_with_samples(self):
         def peak(samples):

@@ -85,7 +85,7 @@ class TestMultiply:
 
     def test_identity_element(self):
         a = TruncatedSeries.from_coeffs([1, 2, 3])
-        one = TruncatedSeries.constant(1, order=2)
+        one = TruncatedSeries.from_coeffs([1], 2)
         assert multiply(a, one).coeffs == (1, 2, 3)
 
     def test_square_against_naive_convolution(self):
@@ -121,7 +121,7 @@ class TestMultiply:
 
 class TestDivide:
     def test_geometric_series(self):
-        one = TruncatedSeries.constant(1, order=3)
+        one = TruncatedSeries.from_coeffs([1], 3)
         denom = TruncatedSeries.from_coeffs([1, -1], order=3)
         assert divide(one, denom).coeffs == (1, 1, 1, 1)
 
@@ -146,7 +146,7 @@ class TestDivide:
         ) < 1e-12
 
     def test_zero_constant_term_raises(self):
-        a = TruncatedSeries.constant(1, order=3)
+        a = TruncatedSeries.from_coeffs([1], 3)
         b = TruncatedSeries.from_coeffs([0, 1], order=3)
         with pytest.raises(ZeroConstantTerm):
             divide(a, b)
@@ -246,7 +246,7 @@ class TestFunctionals:
 
     def test_requires_zero_origin(self):
         with pytest.raises(NotNormalized):
-            starlike_functional(TruncatedSeries.constant(1, order=4))
+            starlike_functional(TruncatedSeries.from_coeffs([1], 4))
 
 
 def batch_of(series):

@@ -9,8 +9,8 @@ diffing the two outputs:
     python tools/golden_cli.py > new.txt
     diff old.txt new.txt
 
-The last commands ask for counts over the CLI caps and must exit 2; pass
-`--skip-over-cap` to both runs when the old checkout predates the caps.
+The last commands ask for counts over the CLI caps and must exit 2 before
+any work.
 
 Each command runs as `python -m bihankel.cli` in a fresh interpreter with
 `<root>/src` on PYTHONPATH; `--root` defaults to the checkout holding this
@@ -153,11 +153,7 @@ COMMANDS = (
     'search --family starlike --samples 10 --output ""',
     'verify --family convex --trials 2 --samples 5 --output ""',
     'table --output ""',
-)
-# counts over their caps (exit 2 before any work).  A checkout without the
-# caps would start runs of minutes to hours and of gigabytes on these, so
-# compare such a tree with `--skip-over-cap`.
-OVER_CAP_COMMANDS = (
+    # counts over their caps (exit 2 before any work)
     "search --family starlike --samples 1000000000",
     "verify --samples 2000000",
     "verify --trials 200000",
@@ -173,11 +169,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/ is run (default: this one)")
-    parser.add_argument("--skip-over-cap", action="store_true",
-                        help="leave out the commands whose counts exceed the CLI caps")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
-    for command in COMMANDS + (() if args.skip_over_cap else OVER_CAP_COMMANDS):
+    for command in COMMANDS:
         proc = subprocess.run(
             [sys.executable, "-m", "bihankel.cli", *shlex.split(command)],
             capture_output=True, env=env, check=False,
