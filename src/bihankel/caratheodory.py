@@ -14,7 +14,9 @@ coefficients of packed atomic Herglotz measures (convex combinations of
 the extreme points (1 + e^{i t} z)/(1 - e^{i t} z), whose k-th coefficient
 is 2 e^{i k t}).  Every sampled check and search draws from two streamed
 samplers, `disk_param_blocks` and `herglotz_blocks`, in blocks of at most
-`SAMPLE_CHUNK` entries per array from one seeded stream per variable.
+`SAMPLE_CHUNK` entries per array from one seeded stream per variable, and
+reduces its values with one maximum over the blocks, `streamed_max`: a
+NaN value makes the maximum NaN, so the check that reads it fails.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ def coeffs_from_herglotz(measure, k_max: int) -> np.ndarray:
     return out
 
 
-def coeff_excess(*coeffs) -> float:
-    """Largest |c_k| - 2 over coefficients given as scalars or arrays."""
-    return float(np.max([np.max(np.abs(c)) for c in coeffs])) - 2.0
+def coeff_excess(*coeffs):
+    """Per row, max over k of |c_k| minus 2; each argument is one c_k.  NaN propagates."""
+    return np.maximum.reduce([abs(c) for c in coeffs]) - 2.0
 
 
 # --- seeded samplers -------------------------------------------------------
@@ -195,6 +197,37 @@ SAMPLE_CHUNK = 1 << 12
 
 # atoms per sampled Herglotz measure, padding included
 MAX_ATOMS = 6
+
+
+class SearchResult(namedtuple("SearchResult", "max_value argmax evaluations")):
+    """Best value seen, where it was seen, and how much work it took
+    (`optimizer.quartic_grid_max` reports arrays over the rows)."""
+
+    __slots__ = ()
+
+
+def streamed_max(blocks, value) -> SearchResult:
+    """Largest `value(*block)` over the rows of a stream of blocks, the row
+    attaining it (`tolist` of each array's entry) and the rows evaluated.
+
+    A block is a tuple of arrays, or a 2-d array, whose arrays' first axis
+    runs over the rows; `value` gives one value per row.  Only a strictly
+    larger value replaces the best, and a block reports its first maximum,
+    so a tie reports its first row and the block size changes nothing.
+    Empty blocks are skipped; no rows at all give `SearchResult(0.0, (), 0)`.
+    A NaN value makes the result NaN, at the first NaN's row, through every
+    later block, so no NaN passes a check of the form value <= tolerance.
+    """
+    best, row, rows = 0.0, (), 0
+    for block in blocks:
+        vals = value(*block)
+        if vals.size == 0:
+            continue
+        i = int(np.argmax(vals))  # the first NaN, if there is one
+        if rows == 0 or not (math.isnan(best) or vals[i] <= best):
+            best, row = float(vals[i]), tuple(v[i].tolist() for v in block)
+        rows += vals.size
+    return SearchResult(best, row, rows)
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:

@@ -203,16 +203,13 @@ def series_residual(family: FamilyId, rng, trials: int) -> float:
     `rng.uniform` calls of shape (rows, 6), which take the same numbers
     from the stream, and leave the generator in the same state, as one call
     per draw; so consecutive calls sharing one generator continue the same
-    stream.  The series algebra runs once per chunk of draws, keeping the
-    running worst, so memory does not grow with `trials`.  Beta enters no
-    residual: it only rescales the p and q of `verify_coefficient_system`.
+    stream.  The series algebra runs once per chunk, and `car.streamed_max`
+    keeps the worst residual, so memory does not grow with `trials`.  Beta
+    enters no residual: it only rescales the p and q of the report.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    worst = 0.0
-    for start in range(0, trials, car.SAMPLE_CHUNK):
-        rows = min(car.SAMPLE_CHUNK, trials - start)
-        a2, a3, a4 = rng.uniform(-3.0, 3.0, (rows, 6)).view(complex).T
-        _, _, residuals = _system_residuals(family, a2, a3, a4)
-        worst = max(worst, *(float(np.max(r)) for r in residuals))
-    return worst
+    draws = (rng.uniform(-3.0, 3.0, (min(car.SAMPLE_CHUNK, trials - start), 6)).view(complex).T
+             for start in range(0, trials, car.SAMPLE_CHUNK))
+    return car.streamed_max(draws, lambda a2, a3, a4: np.maximum.reduce(
+        _system_residuals(family, a2, a3, a4)[2])).max_value

@@ -26,14 +26,13 @@ assumption.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import partial
 
 import numpy as np
 
 from . import bounds as bd
-from .caratheodory import (check_disk_params, check_seed, check_unit_disk, disk_coeffs,
-                           disk_param_blocks)
+from .caratheodory import (SearchResult, check_disk_params, check_seed, check_unit_disk,
+                           disk_coeffs, disk_param_blocks, streamed_max)
 from .errors import DomainError
 from .functionals import _SYSTEMS, FamilyId, Order, bi_coeffs, check_beta
 
@@ -46,15 +45,6 @@ CUBE_SCHEDULE = (61, 5, 0.2)
 # `quartic_grid_max` scans 2 QUARTIC_BAND + 1 of a round's LINE_SCHEDULE
 # points, centred on the quartic's predicted peak
 QUARTIC_BAND = 8
-
-
-class SearchResult(namedtuple("SearchResult", "max_value argmax evaluations")):
-    """Best value seen, where it was seen, and how much work it took.
-
-    `quartic_grid_max` reports arrays over the rows.
-    """
-
-    __slots__ = ()
 
 
 def _window(center, half, lo, hi):
@@ -448,33 +438,21 @@ def empirical_max_h22(
     by default; `evaluations` then counts the surviving samples).
 
     The draws come from `disk_param_blocks(samples, seed, boundary_fraction)`
-    and are evaluated one block at a time, so memory does not grow with
-    `samples`.  The draws do not depend on the block size and the running
-    best is replaced only by a strictly larger value, so the result is the
-    one a single argmax over all samples would give.
+    and are reduced one block at a time by `streamed_max`, so memory does not
+    grow with `samples` and the result is one argmax over all samples (or
+    `SearchResult(0.0, (), 0)` when no sample is kept).
     """
     beta = check_search_args(samples, beta, boundary_fraction, seed)
+    blocks = disk_param_blocks(samples, seed, boundary_fraction, draw_y=not constrain_sum)
+    if constrain_sum:
+        blocks = map(partial(_on_sum_relation, family, beta), blocks)
+    return streamed_max(blocks, partial(h22_batch, family, beta))
 
-    best_val, argmax, kept = -np.inf, (), 0
-    for c, x, y, z, w in disk_param_blocks(
-        samples, seed, boundary_fraction, draw_y=not constrain_sum
-    ):
-        if constrain_sum:
-            # c = 2 makes the relation vacuous (both sides vanish); away from
-            # it solve for y and keep only draws that stay inside the disk.
-            y = _sum_constraint_target(family, beta, c) - x
-            keep = np.flatnonzero(np.abs(y) <= 1.0)
-            if keep.size == 0:
-                continue
-            c, x, y, z, w = (v.take(keep) for v in (c, x, y, z, w))
 
-        vals = h22_batch(family, beta, c, x, y, z, w)
-        kept += vals.size
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            argmax = (float(c[i]), complex(x[i]), complex(y[i]), complex(z[i]), complex(w[i]))
-
-    if kept == 0:
-        return SearchResult(0.0, (), 0)
-    return SearchResult(best_val, argmax, kept)
+def _on_sum_relation(family: FamilyId, beta: float, block):
+    """A block's draws with y solved from the sum relation (vacuous at c = 2,
+    where both sides vanish), keeping those with |y| <= 1."""
+    c, x, _, z, w = block
+    y = _sum_constraint_target(family, beta, c) - x
+    keep = np.flatnonzero(np.abs(y) <= 1.0)
+    return tuple(v.take(keep) for v in (c, x, y, z, w))

@@ -25,6 +25,7 @@ from .caratheodory import (
     disk_coeffs,
     disk_param_blocks,
     herglotz_blocks,
+    streamed_max,
 )
 from .errors import DomainError
 from .functionals import FamilyId, check_beta, series_residual
@@ -54,9 +55,9 @@ def _sign_check(name, value) -> CheckResult:
     return CheckResult(name, float(value), 0.0, float(value) < 0.0)
 
 
-# Spot checks that `run_checks` memoizes (see its docstring).  Each runs as
-# numpy passes over the blocks of a streamed sampler, with no per-draw
-# Python object, and the caches hold only the scalar result.
+# Spot checks that `run_checks` memoizes (see its docstring).  Each is a
+# `streamed_max` over numpy blocks of seeded draws, with no per-draw Python
+# object, and the caches hold only the scalar result.
 @functools.lru_cache(maxsize=8)
 def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
     """Worst series-algebra residual of the coefficient system over seeded draws.
@@ -70,20 +71,19 @@ def _series_worst(family: FamilyId, trials: int, seed: int) -> float:
 @functools.lru_cache(maxsize=4)
 def _disk_param_excess(spot_samples: int, seed: int) -> float:
     """Largest max_k |c_k| - 2 over seeded (c, x, z) parametrization draws."""
-    excess = -math.inf
-    for c, x, _, z, _ in disk_param_blocks(spot_samples, seed + 2, draw_y=False):
+    def excess(c, x, z):
         check_disk_params(c, x, z)
-        excess = max(excess, coeff_excess(c, *disk_coeffs(c, x, z)))
-    return excess
+        return coeff_excess(c, *disk_coeffs(c, x, z))
+
+    blocks = disk_param_blocks(spot_samples, seed + 2, draw_y=False)
+    return streamed_max(((c, x, z) for c, x, _, z, _ in blocks), excess).max_value
 
 
 @functools.lru_cache(maxsize=4)
 def _herglotz_excess(spot_samples: int, seed: int) -> float:
     """Largest max_k |c_k| - 2 over seeded atomic Herglotz measures."""
-    return max(
-        coeff_excess(coeffs_from_herglotz(block, 3))
-        for block in herglotz_blocks(spot_samples, seed + 3)
-    )
+    return streamed_max(herglotz_blocks(spot_samples, seed + 3), lambda *measure:
+                        coeff_excess(*coeffs_from_herglotz(measure, 3).T)).max_value
 
 
 def clear_spot_check_cache() -> None:
@@ -176,12 +176,10 @@ def _sampled_dominance(ctx):
     family, beta = ctx.family, ctx.beta
     search = opt.empirical_max_h22(family, beta, ctx.spot_samples, ctx.seed + 4)
     yield _check("empirical_dominance", search.max_value - ctx.bound.bound, DOMINANCE_SLACK)
-    dominance = max(
-        float(np.max(opt.h22_batch(family, beta, c, x, y, z, w)
-                     - bd.surface(family, np.abs(x), np.abs(y), c, beta)))
-        for c, x, y, z, w in disk_param_blocks(ctx.spot_samples, ctx.seed + 5)
-    )
-    yield _check("pointwise_majorant_dominance", dominance, POINTWISE_SLACK)
+    dominance = streamed_max(disk_param_blocks(ctx.spot_samples, ctx.seed + 5),
+                             lambda c, x, y, z, w: opt.h22_batch(family, beta, c, x, y, z, w)
+                                 - bd.surface(family, np.abs(x), np.abs(y), c, beta))
+    yield _check("pointwise_majorant_dominance", dominance.max_value, POINTWISE_SLACK)
 
 
 def _branch_structure(ctx):
@@ -207,8 +205,9 @@ def _endpoint_values(ctx):
     """The convex corner quartic takes its closed-form values at c = 0 and c = 2."""
     beta, value = ctx.beta, ctx.profile.value
     w2 = (1.0 - beta) ** 2
+    f, at_c2, d = bd._ROWS[ctx.family].at_c2
     endpoint_dev = max(
-        abs(value(0.0) - w2 / 9.0), abs(value(2.0) - w2 * (beta * beta - 2.0 * beta + 2.0) / 6.0)
+        abs(value(0.0) - w2 / 9.0), abs(value(2.0) - f * w2 * bd._quadratic(at_c2, beta) / d)
     )
     yield _check("endpoint_values", endpoint_dev, ALGEBRA_TOL)
 

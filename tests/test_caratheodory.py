@@ -12,6 +12,7 @@ from bihankel import caratheodory as car
 from bihankel.caratheodory import (
     COEFF_BOUND_TOL,
     PCoefficients,
+    SearchResult,
     check_disk_params,
     check_herglotz,
     check_unit_disk,
@@ -21,6 +22,7 @@ from bihankel.caratheodory import (
     disk_coeffs,
     disk_param_blocks,
     herglotz_blocks,
+    streamed_max,
     unit_circle_samples,
     unit_disk_samples,
 )
@@ -266,17 +268,94 @@ class TestCoeffBound:
         weights, angles = herglotz_draws(2000, 12)
         assert within_class(coeffs_from_herglotz((weights, angles), 3))
         for w, t in row_atoms(weights, angles):
-            assert coeff_excess(coeffs_from_herglotz((w, t), 3)) <= COEFF_BOUND_TOL
+            assert coeff_excess(*coeffs_from_herglotz((w, t), 3)) <= COEFF_BOUND_TOL
 
 
 class TestCoeffExcess:
     def test_scalars_and_arrays(self):
         assert coeff_excess(2.0, 1j, -0.5) == 0.0
-        assert coeff_excess(np.array([0.5, -1.5]), np.array([[1.5j], [0.25]])) == -0.5
+        # one value per row: the largest |c_k| of the row, minus 2
+        got = coeff_excess(np.array([0.5, -1.75]), np.array([1.5j, 0.25]))
+        assert got.tolist() == [-0.5, -0.25]
 
     def test_nan_propagates(self):
-        assert math.isnan(coeff_excess(np.array([1.0, math.nan]), 0.5))
+        got = coeff_excess(np.array([1.0, math.nan]), np.array([0.5, 0.5]))
+        assert got[0] == -1.0 and math.isnan(got[1])
         assert math.isnan(coeff_excess(1.0, math.nan))
+
+
+def value_blocks(values, rows):
+    """(value, index) blocks of `rows` rows over a list of values."""
+    values = np.array(values, dtype=float)
+    index = np.arange(values.size)
+    return [(values[i:i + rows], index[i:i + rows]) for i in range(0, values.size, rows)]
+
+
+def the_value(value, index):
+    return value
+
+
+def one_argmax(values):
+    """What one argmax over all the values gives."""
+    values = np.array(values, dtype=float)
+    i = int(np.argmax(values))
+    return SearchResult(float(values[i]), (float(values[i]), i), values.size)
+
+
+def nan_result(got, index, rows):
+    """`got` is NaN at the row `index` after evaluating `rows` rows."""
+    return math.isnan(got.max_value) and got.argmax[1] == index and got.evaluations == rows
+
+
+class TestStreamedMax:
+    @pytest.mark.parametrize("rows", [4, 2, 1])
+    def test_a_tie_reports_its_first_row(self, rows):
+        # within one block (4 rows), across blocks (2 and 1)
+        got = streamed_max(value_blocks([1.0, 3.0, 2.0, 3.0], rows), the_value)
+        assert got == SearchResult(3.0, (3.0, 1), 4)
+        assert type(got.argmax[0]) is float and type(got.argmax[1]) is int
+
+    def test_block_size_changes_nothing(self):
+        # coarse values, so that most of them tie, and a largest value tied
+        # across three blocks at every block size below
+        chunk = car.SAMPLE_CHUNK
+        values = np.floor(np.random.default_rng(0).uniform(0.0, 50.0, 3 * chunk + 5))
+        values[[chunk + 3, 2 * chunk + 1, 3 * chunk + 4]] = 60.0
+        expected = one_argmax(values)
+        assert expected.argmax == (60.0, chunk + 3)
+        for rows in (1, 7, car.SAMPLE_CHUNK):
+            assert streamed_max(value_blocks(values, rows), the_value) == expected
+
+    def test_empty_blocks_are_skipped(self):
+        empty = (np.empty(0), np.empty(0, dtype=int))
+        blocks = value_blocks([-np.inf, -5.0, 2.0, 2.0, 1.0], 2)
+        got = streamed_max([empty, blocks[0], empty, empty, *blocks[1:], empty], the_value)
+        assert got == SearchResult(2.0, (2.0, 2), 5)
+
+    def test_a_first_row_of_minus_inf_is_reported(self):
+        assert streamed_max(value_blocks([-np.inf] * 3, 2), the_value) == SearchResult(
+            -np.inf, (-np.inf, 0), 3)
+
+    @pytest.mark.parametrize("blocks", [[], [(np.empty(0), np.empty(0, dtype=int))] * 3])
+    def test_no_rows(self, blocks):
+        assert streamed_max(blocks, the_value) == SearchResult(0.0, (), 0)
+
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_nan_in_any_block_makes_the_maximum_nan(self, block):
+        # three blocks of four rows; a larger value follows the NaN in its
+        # block and in every later block
+        values = [0.5, 1.0, 0.25, 1.5, 2.0, 0.75, 2.5, 3.0, 3.5, 0.0, 4.0, 4.5]
+        values[4 * block + 1] = math.nan
+        assert nan_result(streamed_max(value_blocks(values, 4), the_value), 4 * block + 1, 12)
+
+    def test_nan_then_a_number_stays_nan(self):
+        # `not v <= best` alone would let 0.5 replace the NaN
+        assert nan_result(streamed_max(value_blocks([math.nan, 0.5], 1), the_value), 0, 2)
+
+    def test_the_first_nan_is_reported(self):
+        values = [1.0, math.nan, 2.0, math.nan, 3.0]
+        for rows in (1, 2, 5):
+            assert nan_result(streamed_max(value_blocks(values, rows), the_value), 1, 5)
 
 
 class TestDiskParamValidator:

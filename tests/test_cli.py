@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihankel import bounds as bd
+from bihankel import caratheodory as car
 from bihankel import cli
+from bihankel import functionals
 from bihankel import optimizer as opt
 from bihankel import verification
 from bihankel.cli import main
@@ -361,6 +363,25 @@ class TestSearch:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_a_nan_value_exits_one(self, capsys, monkeypatch, block):
+        # three blocks of 4 draws; the NaN goes into row 1 of one of them
+        true_batch, calls = opt.h22_batch, []
+
+        def one_nan_block(*args):
+            out = true_batch(*args)
+            calls.append(None)
+            if len(calls) - 1 == block:
+                out[1] = math.nan
+            return out
+
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", 4)
+        monkeypatch.setattr(opt, "h22_batch", one_nan_block)
+        code, out, _ = run_cli(capsys, "search", "--family", "starlike", "--samples", "12")
+        assert code == 1 and len(calls) == 3
+        record = json.loads(out)
+        assert math.isnan(record["max_abs_h22"]) and record["evaluations"] == 12
+
     def test_constrained_experiment_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--family", "convex", "--beta", "0",
@@ -399,6 +420,38 @@ class TestDerive:
         assert code == 0
         assert "trials=25 per family, seed=7\n" in out
         assert f"max residual: {worst!r}\n" in out
+
+
+    def test_a_nan_residual_of_one_family_fails(self, capsys, monkeypatch):
+        true_residual = functionals.series_residual
+
+        def nan_for_convex(family, rng, trials):
+            worst = true_residual(family, rng, trials)
+            return math.nan if family is FamilyId.CONVEX else worst
+
+        monkeypatch.setattr(functionals, "series_residual", nan_for_convex)
+        code, out, _ = run_cli(capsys, "derive", "--trials", "5")
+        assert code == 1
+        assert "max residual: nan\nFAIL" in out
+
+    @pytest.mark.parametrize("block", [0, 2, 5])
+    def test_a_nan_in_one_block_fails(self, capsys, monkeypatch, block):
+        # three blocks of 4 draws per family, starlike first; the NaN goes
+        # into one residual of one block
+        true_residuals, calls = functionals._system_residuals, []
+
+        def one_nan_block(family, a2, a3, a4):
+            func_f, func_g, residuals = true_residuals(family, a2, a3, a4)
+            calls.append(None)
+            if len(calls) - 1 == block:
+                residuals = (np.full_like(residuals[0], math.nan),) + residuals[1:]
+            return func_f, func_g, residuals
+
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", 4)
+        monkeypatch.setattr(functionals, "_system_residuals", one_nan_block)
+        code, out, _ = run_cli(capsys, "derive", "--trials", "12")
+        assert code == 1 and len(calls) == 6
+        assert "max residual: nan\nFAIL" in out
 
 
 class TestFsBound:

@@ -19,6 +19,7 @@ from bihankel import caratheodory as car
 from bihankel import optimizer as opt
 from bihankel.cli import TABLE_BLOCK_ROWS
 from bihankel.caratheodory import (
+    SearchResult,
     check_disk_params,
     disk_coeffs,
     disk_param_blocks,
@@ -35,7 +36,6 @@ from bihankel.optimizer import (
     CUBE_SCHEDULE,
     LINE_SCHEDULE,
     QUARTIC_BAND,
-    SearchResult,
     empirical_max_h22,
     h22_from_params,
     maximize_1d,

@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from bihankel import bounds as bd
 from bihankel import caratheodory as car
 from bihankel import functionals
+from bihankel import optimizer as opt
 from bihankel import verification as vf
 from bihankel.caratheodory import (
     disk_coeffs,
@@ -446,3 +448,66 @@ class TestGrowthInequality:
         check, = (c for c in checks if c.name == "growth_inequality")
         assert not check.passed and check.value > 0.5
         assert not vf.all_passed(checks)
+
+
+def with_nan(result):
+    """A copy of an array with its row 1 (or its last row) set to NaN."""
+    out = np.array(result)
+    out[min(1, len(out) - 1)] = math.nan
+    return out
+
+
+# Each sampled check, and where a NaN goes into one block of its values:
+# (check, module, function, NaN-making edit of its result, the function's
+# calls before the check's first block, the check's blocks).  With
+# SAMPLE_CHUNK = 12, 30 draws and 30 trials, the Herglotz check streams
+# blocks of two measures and the others blocks of 12 rows; h22_batch runs
+# the search's three blocks before the pointwise check's.
+NAN_CASES = (
+    ("series_identity_residual", functionals, "_system_residuals",
+     lambda out: (out[0], out[1], (with_nan(out[2][0]),) + out[2][1:]), 0, 3),
+    ("disk_param_coeff_bound", vf, "disk_coeffs", lambda out: (out[0], with_nan(out[1])), 0, 3),
+    ("herglotz_coeff_bound", vf, "coeffs_from_herglotz", with_nan, 0, 15),
+    ("empirical_dominance", opt, "h22_batch", with_nan, 0, 3),
+    ("pointwise_majorant_dominance", opt, "h22_batch", with_nan, 3, 3),
+)
+
+
+class TestNanFailsTheCheck:
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("case", NAN_CASES, ids=[case[0] for case in NAN_CASES])
+    def test_nan_in_one_block(self, case, position, monkeypatch):
+        name, module, function, poison, before, blocks = case
+        target = before + {"first": 0, "middle": blocks // 2, "last": blocks - 1}[position]
+        true_function = getattr(module, function)
+        calls = []
+
+        def one_nan_block(*args, **kwargs):
+            out = true_function(*args, **kwargs)
+            calls.append(None)
+            return poison(out) if len(calls) - 1 == target else out
+
+        monkeypatch.setattr(car, "SAMPLE_CHUNK", 12)
+        monkeypatch.setattr(module, function, one_nan_block)
+        checks = vf.run_checks(FamilyId.STARLIKE, 0.3, trials=30, spot_samples=30)
+        check, = (c for c in checks if c.name == name)
+        assert len(calls) == (6 if function == "h22_batch" else blocks)
+        assert math.isnan(check.value) and not check.passed
+        assert not vf.all_passed(checks)
+
+
+class TestEndpointValues:
+    @pytest.mark.parametrize("field", range(5))
+    def test_a_scaled_convex_value_at_c2_fails(self, field, monkeypatch):
+        # at_c2 = (f, (p2, p1, p0), d); convex has no branch split, so the
+        # check is the field's only reader
+        row = bd._ROWS[FamilyId.CONVEX]
+        f, (p2, p1, p0), d = row.at_c2
+        values = [f, p2, p1, p0, d]
+        values[field] *= 1.1
+        at_c2 = (values[0], tuple(values[1:4]), values[4])
+        monkeypatch.setitem(bd._ROWS, FamilyId.CONVEX, row._replace(at_c2=at_c2))
+        checks = vf.run_checks(FamilyId.CONVEX, 0.3, trials=1, spot_samples=1)
+        check, = (c for c in checks if c.name == "endpoint_values")
+        assert not check.passed and check.value > 1e-4
+        assert [c.name for c in checks if not c.passed] == ["endpoint_values"]

@@ -89,6 +89,8 @@ COMMANDS = (
     "search --family starlike --samples 4097 --seed 2",
     "search --family starlike --samples 16385 --seed 2",
     "search --family convex --beta 0.3 --samples 70000 --boundary-fraction 0.3 --seed 4",
+    # a constrained search that keeps no sample prints "argmax": null
+    "search --family starlike --beta 0 --samples 1 --seed 0 --constrain-sum",
     "fs-bound --family convex --beta 0 --mu 1",
     "fs-bound --family starlike --beta 0.2 --mu -2",
     # a negative float in exponent form is a value, not a flag
