@@ -153,7 +153,7 @@ class SystemReport(namedtuple("SystemReport", "p q residuals")):
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals)
+        return float(np.max(self.residuals))
 
 
 def _system_residuals(family: FamilyId, a2, a3, a4):

@@ -220,4 +220,4 @@ def convex_functional(f: TruncatedSeries) -> TruncatedSeries:
 def max_coeff_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
     """Largest |a_k - b_k| over the shared truncation range (and the batch)."""
     n = min(a.order, b.order)
-    return max(float(np.max(abs(a.coeffs[k] - b.coeffs[k]))) for k in range(n + 1))
+    return float(np.max([np.max(abs(a.coeffs[k] - b.coeffs[k])) for k in range(n + 1)]))

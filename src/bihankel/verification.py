@@ -1,9 +1,9 @@
 """Named consistency checks behind the `verify` command.
 
-Each check pits a closed-form expression against an independent route to
-the same quantity (grid maximization, series algebra, direct sampling) and
-reports a scalar residual with its tolerance.  Every check is a hard
-check: `verify` fails when any one of them fails.
+Each check pits a closed-form expression against an independent route to the
+same quantity (grid maximization, series algebra, direct sampling) and reduces
+its deviations, streamed or not, through one NaN-keeping maximum to a residual
+checked against its tolerance; `verify` fails when any one check fails.
 """
 
 from __future__ import annotations
@@ -46,13 +46,20 @@ C_POINTS = 401
 CheckResult = namedtuple("CheckResult", "name value tolerance passed")
 
 
-def _check(name, value, tolerance) -> CheckResult:
-    return CheckResult(name, float(value), float(tolerance), float(value) <= float(tolerance))
+def _worst(parts) -> float:
+    """Largest entry of scalar and array parts, NaN if any is (builtin `max` drops a later NaN)."""
+    return float(np.max([np.max(part) for part in parts]))
 
 
-def _sign_check(name, value) -> CheckResult:
-    """Pass when the measured value is strictly negative."""
-    return CheckResult(name, float(value), 0.0, float(value) < 0.0)
+def _check(name, tolerance, *deviations) -> CheckResult:
+    value = _worst(deviations)
+    return CheckResult(name, value, float(tolerance), value <= tolerance)
+
+
+def _sign_check(name, *deviations) -> CheckResult:
+    """Pass when the largest measured value is strictly negative."""
+    value = _worst(deviations)
+    return CheckResult(name, value, 0.0, value < 0.0)
 
 
 # Spot checks that `run_checks` memoizes (see its docstring).  Each is a
@@ -119,11 +126,11 @@ def _grid_scans(ctx):
     """
     bound = ctx.bound.bound
     grid_1d = opt.maximize_1d(ctx.profile.value, (0.0, 2.0))
-    yield _check("grid_max_matches_bound", abs(grid_1d.max_value - bound), GRID_MAX_TOL)
+    yield _check("grid_max_matches_bound", GRID_MAX_TOL, abs(grid_1d.max_value - bound))
     grid_3d = opt.maximize_surrogate(ctx.family, ctx.beta)
-    yield _check("surrogate_scan_matches_bound", abs(grid_3d.max_value - bound), SURROGATE_TOL)
-    corner_dev = max(abs(grid_3d.argmax[1] - 1.0), abs(grid_3d.argmax[2] - 1.0))
-    yield _check("surrogate_argmax_at_corner", corner_dev, 1e-4)
+    yield _check("surrogate_scan_matches_bound", SURROGATE_TOL, abs(grid_3d.max_value - bound))
+    yield _check("surrogate_argmax_at_corner", 1e-4,
+                 abs(grid_3d.argmax[1] - 1.0), abs(grid_3d.argmax[2] - 1.0))
 
 
 def _term_structure(ctx):
@@ -145,41 +152,39 @@ def _term_structure(ctx):
     family, beta, cs = ctx.family, ctx.beta, ctx.cs
     t1, t2, t3, t4 = ctx.terms
     corner = bd.surface(family, 1.0, 1.0, cs, beta)
-    yield _check("corner_combination", np.max(np.abs(ctx.profile.value(cs) - corner)), ALGEBRA_TOL)
-    sign_violation = max(np.max(-t1), np.max(-t2), np.max(t3), np.max(-t4))
-    yield _check("term_sign_pattern", sign_violation, ALGEBRA_TOL)
+    yield _check("corner_combination", ALGEBRA_TOL, np.abs(ctx.profile.value(cs) - corner))
+    yield _check("term_sign_pattern", ALGEBRA_TOL, -t1, -t2, t3, -t4)
     i3, i4 = t3[1:-1], t4[1:-1]  # the interior of the c-grid
-    yield _sign_check("hessian_negative", np.max(4.0 * i3 * (i3 + 2.0 * i4)))
+    yield _sign_check("hessian_negative", 4.0 * i3 * (i3 + 2.0 * i4))
     w2 = (1.0 - beta) ** 2
     gap = 4.0 - cs * cs
     d, r, g2, g1, g, g0 = bd._ROWS[family].factors
     factored = w2 * gap * (2.0 - cs) * (r - cs) / d
-    yield _check("positivity_factorization", np.max(np.abs(t3 + 2.0 * t4 - factored)), ALGEBRA_TOL)
+    yield _check("positivity_factorization", ALGEBRA_TOL, np.abs(t3 + 2.0 * t4 - factored))
     growth = t2 + 2.0 * (t3 + t4)
     growth_factored = w2 * gap * ((g2 - g1 * beta) * cs * cs - g * cs + g0) / d
-    yield _check("growth_inequality", np.max(-growth), ALGEBRA_TOL)
-    yield _check("growth_factorization", np.max(np.abs(growth - growth_factored)), ALGEBRA_TOL)
+    yield _check("growth_inequality", ALGEBRA_TOL, -growth)
+    yield _check("growth_factorization", ALGEBRA_TOL, np.abs(growth - growth_factored))
 
 
 def _spot_checks(ctx):
     """The memoized spot checks: series algebra and the two |c_k| <= 2 samplers."""
     samples, seed = ctx.spot_samples, ctx.seed
-    yield _check(
-        "series_identity_residual", _series_worst(ctx.family, ctx.trials, seed), SERIES_TOL
-    )
-    yield _check("disk_param_coeff_bound", _disk_param_excess(samples, seed), COEFF_BOUND_TOL)
-    yield _check("herglotz_coeff_bound", _herglotz_excess(samples, seed), COEFF_BOUND_TOL)
+    yield _check("series_identity_residual", SERIES_TOL,
+                 _series_worst(ctx.family, ctx.trials, seed))
+    yield _check("disk_param_coeff_bound", COEFF_BOUND_TOL, _disk_param_excess(samples, seed))
+    yield _check("herglotz_coeff_bound", COEFF_BOUND_TOL, _herglotz_excess(samples, seed))
 
 
 def _sampled_dominance(ctx):
     """The empirical search never beats the bound; the majorant dominates |H| per sample."""
     family, beta = ctx.family, ctx.beta
     search = opt.empirical_max_h22(family, beta, ctx.spot_samples, ctx.seed + 4)
-    yield _check("empirical_dominance", search.max_value - ctx.bound.bound, DOMINANCE_SLACK)
+    yield _check("empirical_dominance", DOMINANCE_SLACK, search.max_value - ctx.bound.bound)
     dominance = streamed_max(disk_param_blocks(ctx.spot_samples, ctx.seed + 5),
                              lambda c, x, y, z, w: opt.h22_batch(family, beta, c, x, y, z, w)
                                  - bd.surface(family, np.abs(x), np.abs(y), c, beta))
-    yield _check("pointwise_majorant_dominance", dominance.max_value, POINTWISE_SLACK)
+    yield _check("pointwise_majorant_dominance", POINTWISE_SLACK, dominance.max_value)
 
 
 def _branch_structure(ctx):
@@ -187,18 +192,20 @@ def _branch_structure(ctx):
     split = bd.thresholds().branch_split
     left = bd.h22_bound(ctx.family, math.nextafter(split, 0.0)).bound
     right = bd.h22_bound(ctx.family, math.nextafter(split, 1.0)).bound
-    yield _check("branch_continuity", abs(left - right), CONTINUITY_TOL)
+    yield _check("branch_continuity", CONTINUITY_TOL, abs(left - right))
     if ctx.beta <= split:
-        yield _check("quartic_monotone", np.max(-ctx.profile.derivative(ctx.cs)), ALGEBRA_TOL)
+        yield _check("quartic_monotone", ALGEBRA_TOL, -ctx.profile.derivative(ctx.cs))
 
 
 def _critical_point(ctx):
-    """The corner quartic is stationary at a maximum at its critical point in [0, 2]."""
-    profile = ctx.profile
-    c_star = bd.critical_point(ctx.family, ctx.beta)
-    if c_star is not None and c_star <= 2.0:
-        yield _check("critical_point_stationary", abs(profile.derivative(c_star)), STATIONARY_TOL)
-        yield _sign_check("critical_point_maximum", profile.second_derivative(c_star))
+    """The corner quartic peaks at c*; on the interior branch, a c* not in [0, 2] fails both."""
+    profile, c_star = ctx.profile, bd.critical_point(ctx.family, ctx.beta)
+    on_range = c_star is not None and 0.0 <= c_star <= 2.0
+    if on_range or ctx.bound.branch is bd.Branch.INTERIOR_CRITICAL:
+        slope, curvature = ((profile.derivative(c_star), profile.second_derivative(c_star))
+                            if on_range else (math.nan, math.nan))
+        yield _check("critical_point_stationary", STATIONARY_TOL, abs(slope))
+        yield _sign_check("critical_point_maximum", curvature)
 
 
 def _endpoint_values(ctx):
@@ -206,21 +213,18 @@ def _endpoint_values(ctx):
     beta, value = ctx.beta, ctx.profile.value
     w2 = (1.0 - beta) ** 2
     f, at_c2, d = bd._ROWS[ctx.family].at_c2
-    endpoint_dev = max(
-        abs(value(0.0) - w2 / 9.0), abs(value(2.0) - f * w2 * bd._quadratic(at_c2, beta) / d)
-    )
-    yield _check("endpoint_values", endpoint_dev, ALGEBRA_TOL)
+    yield _check("endpoint_values", ALGEBRA_TOL, abs(value(0.0) - w2 / 9.0),
+                 abs(value(2.0) - f * w2 * bd._quadratic(at_c2, beta) / d))
 
 
 def _fs_continuity(ctx):
     """The Fekete-Szego bound is continuous across each join it uses."""
     _, _, joins = bd._ROWS[ctx.family].fs
-    join_dev = max(
+    yield _check("fs_branch_continuity", ALGEBRA_TOL, *(
         abs(bd.fekete_szego_bound(ctx.family, ctx.beta, m)
             - bd.fekete_szego_bound(ctx.family, ctx.beta, math.nextafter(m, outward)))
         for m, outward in zip(joins, (-math.inf, math.inf))
-    )
-    yield _check("fs_branch_continuity", join_dev, ALGEBRA_TOL)
+    ))
 
 
 # Every check of `verify`, in report order, with the families it runs for.

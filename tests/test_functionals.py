@@ -224,6 +224,11 @@ class TestVerifyCoefficientSystem:
         )
         assert report.max_residual == 0
 
+    def test_max_residual_keeps_a_nan_past_a_finite_residual(self):
+        report = functionals.SystemReport(None, None, (1e-15, 0.0, math.nan, 0.0, 0.0, 0.0))
+        assert math.isnan(report.max_residual)
+        assert functionals.SystemReport(None, None, (0.0, 3e-16)).max_residual == 3e-16
+
     def test_starlike_extreme_extraction(self):
         # only c1, c3 of the generating pair are recovered: the difference
         # relaxation makes the map non-invertible at the c2/d2 level, and

@@ -325,3 +325,9 @@ class TestBatchedMatchesScalar:
         # numpy's complex modulus may round an ulp apart from Python's abs
         assert max_coeff_diff(batch_of(fs), fs[0]) == pytest.approx(
             max(max_coeff_diff(f, fs[0]) for f in fs), rel=1e-15)
+
+    def test_max_coeff_diff_keeps_a_nan_past_a_finite_difference(self):
+        a = TruncatedSeries.from_coeffs([0, 1, 0.5, 0.25], order=4)
+        b = TruncatedSeries.from_coeffs([0, 1, 0.5, float("nan")], order=4)
+        assert np.isnan(max_coeff_diff(a, b))
+        assert np.isnan(max_coeff_diff(batch_of([a, a]), batch_of([a, b])))

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,3 +513,163 @@ class TestEndpointValues:
         check, = (c for c in checks if c.name == "endpoint_values")
         assert not check.passed and check.value > 1e-4
         assert [c.name for c in checks if not c.passed] == ["endpoint_values"]
+
+
+def check_named(checks, name):
+    check, = (c for c in checks if c.name == name)
+    return check
+
+
+class TestNanDeviationFailsTheCheck:
+    """A NaN in any one deviation of a deterministic check makes its value
+    NaN, wherever the deviation sits among the check's parts."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    @pytest.mark.parametrize("call", range(4))
+    def test_fs_branch_continuity(self, family, call, monkeypatch):
+        # the check evaluates the bound at each join and one ulp past it
+        true_bound = bd.fekete_szego_bound
+        calls = []
+
+        def nan_bound(*args):
+            calls.append(None)
+            return math.nan if len(calls) - 1 == call else true_bound(*args)
+
+        monkeypatch.setattr(bd, "fekete_szego_bound", nan_bound)
+        checks = vf.run_checks(family, 0.3, trials=1, spot_samples=1)
+        assert len(calls) == 4
+        check = check_named(checks, "fs_branch_continuity")
+        assert math.isnan(check.value) and not check.passed
+        assert not vf.all_passed(checks)
+
+    @pytest.mark.parametrize("endpoint", [0.0, 2.0])
+    def test_endpoint_values(self, endpoint, monkeypatch):
+        true_value = bd.QuarticProfile.value
+
+        def nan_at_endpoint(profile, c):
+            return math.nan if np.ndim(c) == 0 and c == endpoint else true_value(profile, c)
+
+        monkeypatch.setattr(bd.QuarticProfile, "value", nan_at_endpoint)
+        checks = vf.run_checks(FamilyId.CONVEX, 0.3, trials=1, spot_samples=1)
+        check = check_named(checks, "endpoint_values")
+        assert math.isnan(check.value) and not check.passed
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_surrogate_argmax_at_corner(self, axis, monkeypatch):
+        true_scan = opt.maximize_surrogate
+
+        def nan_argmax(family, beta):
+            result = true_scan(family, beta)
+            argmax = list(result.argmax)
+            argmax[axis] = math.nan
+            return result._replace(argmax=tuple(argmax))
+
+        monkeypatch.setattr(opt, "maximize_surrogate", nan_argmax)
+        checks = vf.run_checks(FamilyId.STARLIKE, 0.3, trials=1, spot_samples=1)
+        check = check_named(checks, "surrogate_argmax_at_corner")
+        assert math.isnan(check.value) and not check.passed
+        assert [c.name for c in checks if not c.passed] == ["surrogate_argmax_at_corner"]
+
+    @pytest.mark.parametrize("term", range(4))
+    def test_term_sign_pattern(self, term, monkeypatch):
+        true_terms = bd.surrogate_terms
+
+        def nan_entry(family, c, beta):
+            # one NaN in the middle of the check's c-grid; other callers untouched
+            terms = true_terms(family, c, beta)
+            if np.shape(c) != (vf.C_POINTS,):
+                return terms
+            terms = [np.array(t) for t in terms]
+            terms[term][vf.C_POINTS // 2] = math.nan
+            return tuple(terms)
+
+        monkeypatch.setattr(bd, "surrogate_terms", nan_entry)
+        checks = vf.run_checks(FamilyId.STARLIKE, 0.3, trials=1, spot_samples=1)
+        check = check_named(checks, "term_sign_pattern")
+        assert math.isnan(check.value) and not check.passed
+
+
+
+class TestCriticalPointChecksRun:
+    """The critical-point checks run on every interior-branch beta; a lost c*
+    fails them there instead of dropping them from the report."""
+
+    CRITICAL = ("critical_point_stationary", "critical_point_maximum")
+    CASES = [(FamilyId.STARLIKE, 0.7), (FamilyId.CONVEX, 0.3), (FamilyId.CONVEX, 0.7)]
+
+    @pytest.mark.parametrize("c_star", [math.nan, 2.5])
+    @pytest.mark.parametrize("family, beta", CASES)
+    def test_a_lost_critical_point_fails_both(self, family, beta, c_star, monkeypatch):
+        monkeypatch.setattr(bd, "_stationary_c",
+                            lambda row, beta, lead: np.full(np.shape(lead), c_star))
+        checks = vf.run_checks(family, beta, trials=1, spot_samples=1)
+        for name in self.CRITICAL:
+            check = check_named(checks, name)
+            assert math.isnan(check.value) and not check.passed
+        assert not vf.all_passed(checks)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_every_interior_branch_beta_runs_both(self, family):
+        for beta in np.linspace(0.0, 0.999, 40).tolist() + [0.5404781277900118]:
+            interior = bd.h22_bound(family, beta).branch is bd.Branch.INTERIOR_CRITICAL
+            checks = vf.run_checks(family, beta, trials=1, spot_samples=1)
+            names = [c.name for c in checks]
+            if interior:
+                assert all(name in names for name in self.CRITICAL), beta
+            assert all(c.passed for c in checks if c.name in self.CRITICAL), beta
+
+
+class TestWorst:
+    """`_worst`, the one reduction behind every check's value."""
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_nan_in_any_part(self, where):
+        parts = [0.5, np.array([1.0, 2.0]), 3.0, np.array([[0.25]]), 1e-3]
+        parts[where] = np.array([0.0, math.nan]) if where != 4 else math.nan
+        assert math.isnan(vf._worst(parts))
+
+    def test_nan_after_the_largest_entry(self):
+        assert math.isnan(vf._worst([np.array([5.0, math.nan]), 1.0]))
+        assert math.isnan(vf._worst([5.0, np.array([1.0, math.nan])]))
+
+    def test_scalars_mixed_with_arrays(self):
+        got = vf._worst([0.5, np.array([-1.0, 2.5]), 1, np.float64(-3.0), np.array([[4.0], [0.0]])])
+        assert got == 4.0 and type(got) is float
+
+    def test_one_array_is_np_max_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for values in (rng.normal(size=401), -np.abs(rng.normal(size=7)), np.array([-0.0, 0.0])):
+            got = vf._worst([values])
+            assert np.array([got]).view(np.uint64) == np.array([np.max(values)]).view(np.uint64)
+
+    def test_check_and_sign_check_read_the_worst(self):
+        assert vf._check("x", 1.0, 0.5, np.array([1.0, 0.25])) == ("x", 1.0, 1.0, True)
+        assert vf._check("x", 1.0, np.array([0.0, math.nan]), 0.5).passed is False
+        assert vf._sign_check("y", -1.0, np.array([-2.0, -0.5])) == ("y", -0.5, 0.0, True)
+        assert vf._sign_check("y", -1.0, 0.0).passed is False
+
+
+# functions a check could call to reduce its deviations on its own
+REDUCERS = {"max", "min", "amax", "amin", "nanmax", "nanmin"}
+
+
+def test_only_worst_reduces_in_verification():
+    """No builtin `max` or `min` in `verification.py`, and no `np.max`-like
+    call outside `_worst`: every check reduces through `_check` or
+    `_sign_check`, so one NaN rule covers them all."""
+    tree = ast.parse(Path(vf.__file__).read_text())
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                owner.setdefault(inner, node.name)
+    offenders = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in REDUCERS and not (isinstance(func, ast.Attribute)
+                                     and owner.get(node) == "_worst"):
+            offenders.append((node.lineno, ast.unparse(func)))
+    assert offenders == []
