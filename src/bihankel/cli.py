@@ -65,13 +65,6 @@ verification = _lazy("verification")
 DERIVE_TOL = 1e-10
 # per family; keeps a tiny --step from building an unbounded table
 MAX_TABLE_ROWS = 10**6
-# table rows per `quartic_grid_max` call.  Scan time of both families on
-# the table-sweep grid (2-vCPU Xeon, median of 7): 0.128 s at 16 rows,
-# 0.038 s at 64, 0.016 s at 256, 0.010 s at 1024.  A block's band rounds
-# hold (rows, 17) arrays, about 0.25 MiB of temporaries in all at 256 rows;
-# rows that fail the band's certificate are rescanned on (rows, 2001)
-# arrays, about 20 MiB if all 256 fail (none did on the betas tested).
-TABLE_BLOCK_ROWS = 256
 # the table's columns: the CSV header and the JSON keys of each row
 TABLE_COLUMNS = ("beta", "family", "bound", "branch", "critical_c", "grid_max", "abs_err")
 # caps on requested work.  `search`, the sampled spot checks of `verify` and
@@ -93,7 +86,7 @@ def _complex_pair(z: complex) -> list[float]:
 
 def _families(name: str) -> list[fn.FamilyId]:
     if name == "both":
-        return [fn.FamilyId.STARLIKE, fn.FamilyId.CONVEX]
+        return list(fn.FamilyId)
     return [fn.FamilyId(name)]
 
 
@@ -181,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--family", choices=["starlike", "convex", "both"],
                           default="both")
     p_verify.add_argument("--beta", type=float, action="append",
-                          help="order parameter, repeatable (default 0.0)")
+                          help="order parameter, repeatable (default 0, 0.3 and 0.7)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=100,
                           help="random draws for the series-identity check")
@@ -228,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    betas = [fn.check_beta(b) for b in args.beta or [0.0]]
+    betas = [fn.check_beta(b) for b in args.beta or [0.0, 0.3, 0.7]]
     _check_cap("--samples", args.samples, MAX_VERIFY_SAMPLES)
     _check_cap("--trials", args.trials, MAX_TRIALS)
     verification.check_run_args(args.seed, args.trials, args.samples)
@@ -285,18 +278,9 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
     return [beta for beta in (lo + k * step for k in range(count)) if beta < 1.0]
 
 
-def _grid_maxima(family: fn.FamilyId, betas: list[float]) -> list[float]:
-    """Grid maximum of each beta's corner quartic, TABLE_BLOCK_ROWS at a time."""
-    maxima: list[float] = []
-    for start in range(0, len(betas), TABLE_BLOCK_ROWS):
-        block = bd.quartic_profile(family, betas[start:start + TABLE_BLOCK_ROWS])
-        maxima += opt.quartic_grid_max(block).max_value.tolist()
-    return maxima
-
-
 def _table_columns(family: fn.FamilyId, betas: list[float]) -> tuple[list, ...]:
     """One family's rows of the table, as lists in `TABLE_COLUMNS` order."""
-    grid_max = _grid_maxima(family, betas)
+    grid_max = opt.quartic_grid_max(bd.quartic_profile(family, betas)).max_value.tolist()
     result = bd.h22_bound(family, betas)
     bound = result.bound.tolist()
     return (betas, [family.value] * len(betas), bound,
@@ -379,8 +363,7 @@ def cmd_derive(args) -> int:
 
     rng = np.random.default_rng(car.check_seed(args.seed))
     # np.max keeps a NaN residual, which then fails the tolerance
-    worst = np.max([fn.series_residual(family, rng, args.trials)
-                    for family in (fn.FamilyId.STARLIKE, fn.FamilyId.CONVEX)])
+    worst = np.max([fn.series_residual(family, rng, args.trials) for family in fn.FamilyId])
     lines.append(f"trials={args.trials} per family, seed={args.seed}")
     lines.append(f"max residual: {_fmt(worst)}")
     passed = worst <= DERIVE_TOL

@@ -11,7 +11,7 @@ whole grid; `_corner_line_max` gives the majorant's full-grid result bit
 for bit from the corner line lam = mu = 1 and its neighbours, under a
 rounding certificate; `_band_round` does the same for a stack of quartics
 from a band around each one's peak.  The incumbent may be a stack of rows,
-so `quartic_grid_max` scans many quartics in one `_refine_max` call.
+so `quartic_grid_max` scans a block of quartics in one `_refine_max` call.
 
 `empirical_max_h22` searches the actual parametrized coefficient set rather
 than the majorant: it samples (c, x, y, z, w) and records the largest
@@ -45,6 +45,13 @@ CUBE_SCHEDULE = (61, 5, 0.2)
 # `quartic_grid_max` scans 2 QUARTIC_BAND + 1 of a round's LINE_SCHEDULE
 # points, centred on the quartic's predicted peak
 QUARTIC_BAND = 8
+# rows per `_refine_max` call of `quartic_grid_max`.  Scan time of both
+# families on the table-sweep grid (2-vCPU Xeon, median of 7): 0.128 s at 16
+# rows, 0.038 s at 64, 0.016 s at 256, 0.010 s at 1024.  A block's band
+# rounds hold (rows, 17) arrays, about 0.25 MiB of temporaries in all at 256
+# rows; rows that fail the band's certificate are rescanned on (rows, 2001)
+# arrays, about 20 MiB if all 256 fail (none did on the betas tested).
+QUARTIC_BLOCK_ROWS = 256
 
 
 def _window(center, half, lo, hi):
@@ -117,11 +124,11 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
 
     `max_value` and `argmax[0]` are arrays over the rows, equal bit for bit
     to the one-row scans; `evaluations` counts the points Q was evaluated on.
-    The scan is `_refine_max` over the stack of rows, whose rounds
-    (`_band_round`) evaluate only the band around the predicted peak: c = 2
-    when alpha4 >= 0, else c* = sqrt(-alpha2 / (2 alpha4)).  The hint only
-    places the band; a certificate decides whether the band's maximum is
-    the round's.  A row that fails it is rescanned on all 2001 points.
+    The scan is `_refine_max` over blocks of `QUARTIC_BLOCK_ROWS` rows, whose
+    rounds (`_band_round`) evaluate only the band around the predicted peak:
+    c = 2 when alpha4 >= 0, else c* = sqrt(-alpha2 / (2 alpha4)).  The hint
+    only places the band; a certificate decides whether the band's maximum
+    is the round's.  A row that fails it is rescanned on all 2001 points.
 
     The certificate.  Let Q~ be the quartic with the stored float alphas.
     With alpha2 > 0 (true of both families on [0, 1)) Q~'(c) = 2c (2 alpha4
@@ -149,13 +156,21 @@ def quartic_grid_max(profile: bd.QuarticProfile) -> SearchResult:
     round's result as `_refine_max` defines it.  A float test `q + 2E < m`
     implies the real one, as m is a double.
     """
-    alpha4, alpha2, alpha0 = (np.ravel(a) for a in (profile.alpha4, profile.alpha2, profile.alpha0))
+    alpha4, alpha2, alpha0 = map(np.ravel, profile)
     with np.errstate(divide="ignore", invalid="ignore"):
         peak = np.where(alpha4 < 0.0, np.sqrt(-alpha2 / (2.0 * alpha4)), 2.0)
     two_e = 16.0 * np.abs(alpha4) + 4.0 * np.abs(alpha2) + np.abs(alpha0)
     two_e *= 2.0 ** -49  # 2E = 16u (16 |alpha4| + 4 |alpha2| + |alpha0|)
-    return _refine_max(partial(_band_round, profile, peak, two_e, alpha2 > 0.0),
-                       ((0.0, 2.0),), LINE_SCHEDULE)
+    hints = (peak, two_e, alpha2 > 0.0)
+    scans = []
+    for start in range(0, peak.size or 1, QUARTIC_BLOCK_ROWS):  # no rows: one empty block
+        rows = slice(start, start + QUARTIC_BLOCK_ROWS)
+        block = bd.QuarticProfile(*(a[rows] for a in profile))
+        scans.append(_refine_max(partial(_band_round, block, *(h[rows] for h in hints)),
+                                 ((0.0, 2.0),), LINE_SCHEDULE))
+    return SearchResult(np.concatenate([s.max_value for s in scans]),
+                        (np.concatenate([s.argmax[0] for s in scans]),),
+                        sum(s.evaluations for s in scans))
 
 
 def _refine_max(evaluate, axes, schedule) -> SearchResult:

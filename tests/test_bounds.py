@@ -390,6 +390,9 @@ class TestValidatorsRejectNaN:
     @pytest.mark.parametrize("lam,mu,c,message", [
         (1.5, 0.5, 1.0, "lambda must lie in [0, 1], got 1.5"),
         (0.5, np.array([0.2, -0.25]), 1.0, "mu must lie in [0, 1], got -0.25"),
+        # one ulp past the closed end
+        (math.nextafter(1.0, 2.0), 0.5, 1.0, "lambda must lie in [0, 1], got 1.0000000000000002"),
+        (0.5, math.nextafter(1.0, 2.0), 1.0, "mu must lie in [0, 1], got 1.0000000000000002"),
         (0.5, 0.5, np.array([0.5, 2.5, 3.0]), "c must lie in [0, 2], got 2.5"),
     ])
     def test_message_names_the_first_bad_value(self, lam, mu, c, message):

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -66,6 +65,14 @@ class TestVerify:
         assert statuses == {"PASS"}
         assert out.count("PASS growth_inequality ") == out.count("PASS growth_factorization ") == 2
         assert main(["verify", "--strict"]) == 2
+
+    def test_default_betas(self, capsys):
+        # with no --beta each family is checked at beta = 0, 0.3 and 0.7
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        headers = [line.split()[:2] for line in out.splitlines() if line.startswith("family=")]
+        assert headers == [[f"family={family}", f"beta={beta}"]
+                           for family in ("starlike", "convex") for beta in ("0.0", "0.3", "0.7")]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"
@@ -216,7 +223,7 @@ class TestTableRowBlocks:
 
     def test_grid_max_equals_one_scan_per_row(self, capsys):
         rows = table_rows(capsys, *self.SWEEP)
-        assert len(rows) == 109 and len(rows) % cli.TABLE_BLOCK_ROWS != 0
+        assert len(rows) == 109 and len(rows) % opt.QUARTIC_BLOCK_ROWS != 0
         for beta, family, *_, grid_max, _ in rows:
             profile = bd.quartic_profile(FamilyId(family), float(beta))
             assert grid_max == repr(opt.maximize_1d(profile.value, (0.0, 2.0)).max_value)
@@ -233,7 +240,7 @@ class TestTableRowBlocks:
         argv = ("table", "--beta-range", lo, hi, "--step", step, *extra)
         outputs = set()
         for block in (1, 7, 16, rows + 1):
-            monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block)
+            monkeypatch.setattr(opt, "QUARTIC_BLOCK_ROWS", block)
             outputs.add(cli_stdout(capsys, *argv))
         assert len(outputs) == 1
 
@@ -241,7 +248,7 @@ class TestTableRowBlocks:
     def test_output_independent_of_block_size(self, capsys, monkeypatch, block):
         argv = ("--family", "both", "--beta-range", "0", "0.99", "--step", "0.013")
         default = table_rows(capsys, *argv)
-        monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block)
+        monkeypatch.setattr(opt, "QUARTIC_BLOCK_ROWS", block)
         assert table_rows(capsys, *argv) == default
 
     def test_single_row_table(self, capsys):
@@ -252,7 +259,8 @@ class TestTableRowBlocks:
         assert rows[0][:2] == ["0.5", "convex"] and rows[0][5] == repr(scan.max_value)
 
     def test_grid_maxima_are_python_floats(self):
-        maxima = cli._grid_maxima(FamilyId.STARLIKE, [0.0, 0.3, 0.6])
+        columns = cli._table_columns(FamilyId.STARLIKE, [0.0, 0.3, 0.6])
+        maxima = columns[cli.TABLE_COLUMNS.index("grid_max")]
         assert [type(m) for m in maxima] == [float, float, float]
 
     def test_json_grid_max_round_trips(self, capsys):
@@ -262,39 +270,6 @@ class TestTableRowBlocks:
         for row in json.loads(out):
             profile = bd.quartic_profile(FamilyId(row["family"]), row["beta"])
             assert row["grid_max"] == opt.maximize_1d(profile.value, (0.0, 2.0)).max_value
-
-
-def scan_memory(family, rows):
-    """Traced peak of `_grid_maxima` over `rows` betas, less what its result
-    holds at the end."""
-    betas = [k / rows for k in range(rows)]
-    tracemalloc.start()
-    try:
-        maxima = cli._grid_maxima(family, betas)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(maxima) == rows
-    return peak - current
-
-
-class TestTableScanMemory:
-    """The scan's temporaries are bounded by the row block, not the row count."""
-
-    @pytest.mark.parametrize("family", list(FamilyId))
-    def test_band_scan_is_flat(self, family):
-        # one (rows, 17) array would take 13.6 MB at 100,000 rows
-        small, large = scan_memory(family, 5_000), scan_memory(family, 100_000)
-        assert large < 1 << 20
-        assert abs(large - small) < 1 << 16
-
-    def test_full_rescans_are_flat(self, monkeypatch):
-        # a one-point band never certifies, so every row of every round is
-        # rescanned on all 2001 points, a block of rows at a time
-        monkeypatch.setattr(opt, "QUARTIC_BAND", 0)
-        small, large = scan_memory(FamilyId.CONVEX, 600), scan_memory(FamilyId.CONVEX, 2_000)
-        assert large < 6 * cli.TABLE_BLOCK_ROWS * 2001 * 8
-        assert abs(large - small) < 1 << 16
 
 
 class TestBetaGrid:
@@ -648,7 +623,7 @@ class TestUnwritableOutput:
     # each command's work function; an unwritable --output must stop the run
     # before it is reached
     WORK = {
-        "table": (cli, "_grid_maxima"),
+        "table": (opt, "quartic_grid_max"),
         "search": (opt, "empirical_max_h22"),
         "verify": (verification, "run_checks"),
     }

@@ -17,7 +17,6 @@ from bihankel.bounds import (
 from bihankel import bounds as bd
 from bihankel import caratheodory as car
 from bihankel import optimizer as opt
-from bihankel.cli import TABLE_BLOCK_ROWS
 from bihankel.caratheodory import (
     SearchResult,
     check_disk_params,
@@ -36,6 +35,7 @@ from bihankel.optimizer import (
     CUBE_SCHEDULE,
     LINE_SCHEDULE,
     QUARTIC_BAND,
+    QUARTIC_BLOCK_ROWS,
     empirical_max_h22,
     h22_from_params,
     maximize_1d,
@@ -127,15 +127,10 @@ def reference_rows(objectives, interval=(0.0, 2.0)):
             sum(s[2] for s in scans))
 
 
-def band_rows(family, betas, block):
-    """quartic_grid_max over the betas' array profiles, `block` rows per call."""
-    values, argmaxes, evals = [], [], 0
-    for start in range(0, len(betas), block):
-        scan = quartic_grid_max(quartic_profile(family, betas[start:start + block]))
-        values.append(scan.max_value)
-        argmaxes.append(scan.argmax[0])
-        evals += scan.evaluations
-    return np.concatenate(values), np.concatenate(argmaxes), evals
+def scan_rows(family, betas):
+    """quartic_grid_max over the betas' array profile: values, argmaxes, count."""
+    scan = quartic_grid_max(quartic_profile(family, betas))
+    return scan.max_value, scan.argmax[0], scan.evaluations
 
 
 # the table-sweep grid: beta in [0, 0.99] at step 4e-4, 2476 rows
@@ -208,17 +203,20 @@ class TestQuarticGridMax:
         assert SWEEP_BETAS[0] == 0.0 and abs(SWEEP_BETAS[-1] - 0.99) < 1e-12
         assert 0.0 < t.quartic_sign_change < t.branch_split < SWEEP_BETAS[-1]
 
-    @pytest.mark.parametrize("block", [7, 16, 256])
+    # one row per block, blocks that do not divide the rows, the default,
+    # and one block of all the rows
+    @pytest.mark.parametrize("block", [1, 7, 16, QUARTIC_BLOCK_ROWS, len(SWEEP_BETAS) + 1])
     @pytest.mark.parametrize("family", list(FamilyId))
-    def test_sweep_rows_match_reference_scan(self, family, block):
-        got = band_rows(family, SWEEP_BETAS, block)
+    def test_sweep_rows_match_reference_scan(self, monkeypatch, family, block):
+        monkeypatch.setattr(opt, "QUARTIC_BLOCK_ROWS", block)
+        got = scan_rows(family, SWEEP_BETAS)
         assert_rows_equal(got, sweep_reference(family))
         assert got[2] == band_evaluations(len(SWEEP_BETAS))
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_random_betas_match_one_row_maximize_1d(self, family):
         betas = np.random.default_rng(15).random(20000).tolist()
-        got = band_rows(family, betas, 256)
+        got = scan_rows(family, betas)
         assert_rows_equal(got, one_row_scans(family, betas))
         assert got[2] == band_evaluations(len(betas))
 
@@ -228,21 +226,30 @@ class TestQuarticGridMax:
         center = getattr(thresholds(), threshold)
         betas = dense_betas(center) + [math.nextafter(center, 0.0), center,
                                        math.nextafter(center, 1.0)]
-        assert_rows_equal(band_rows(family, betas, 256), one_row_scans(family, betas))
+        assert_rows_equal(scan_rows(family, betas), one_row_scans(family, betas))
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_domain_ends(self, family):
         betas = [0.0, math.nextafter(1.0, 0.0)]
-        got = band_rows(family, betas, 2)
+        got = scan_rows(family, betas)
         assert_rows_equal(got, one_row_scans(family, betas))
         assert got[2] == band_evaluations(2)
 
-    def test_block_size_not_dividing_row_count(self):
+    def test_block_size_not_dividing_row_count(self, monkeypatch):
         betas = [0.2 + k * 0.0037 for k in range(109)]
-        assert len(betas) % TABLE_BLOCK_ROWS != 0
+        assert len(betas) % QUARTIC_BLOCK_ROWS != 0
         expected = reference_rows([quartic_profile(FamilyId.STARLIKE, b).value for b in betas])
-        for block in (1, 7, TABLE_BLOCK_ROWS, 108, 109, 500):
-            assert_rows_equal(band_rows(FamilyId.STARLIKE, betas, block), expected)
+        for block in (1, 7, QUARTIC_BLOCK_ROWS, 108, 109, 500):
+            monkeypatch.setattr(opt, "QUARTIC_BLOCK_ROWS", block)
+            assert_rows_equal(scan_rows(FamilyId.STARLIKE, betas), expected)
+
+    @pytest.mark.parametrize("block", [1, QUARTIC_BLOCK_ROWS])
+    def test_no_rows(self, monkeypatch, block):
+        monkeypatch.setattr(opt, "QUARTIC_BLOCK_ROWS", block)
+        empty = np.empty((0, 1))
+        scan = quartic_grid_max(QuarticProfile(empty, empty, empty))
+        assert scan.max_value.shape == scan.argmax[0].shape == (0,)
+        assert scan.evaluations == 0
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_single_row_reports_arrays(self, family):
@@ -259,7 +266,7 @@ class TestQuarticGridMax:
         # grid's argmax.  Either way the result is the full scan's.
         monkeypatch.setattr(opt, "QUARTIC_BAND", band)
         betas = SWEEP_BETAS[::5]
-        got = band_rows(family, betas, 64)
+        got = scan_rows(family, betas)
         assert_rows_equal(got, one_row_scans(family, betas))
         rounds = len(betas) * (LINE_SCHEDULE[1] + 1)
         rescans = (got[2] - rounds * (2 * band + 1)) // LINE_SCHEDULE[0]
@@ -328,6 +335,41 @@ class TestQuarticGridMax:
             assert type(scan.max_value) is float and type(scan.argmax[0]) is float
             assert (scan.max_value, scan.argmax[0], scan.evaluations) == \
                 reference_maximize_1d(objective, interval)
+
+
+def scan_memory(family, rows):
+    """Traced peak of `quartic_grid_max` over a `rows`-beta profile, less what
+    its result holds at the end."""
+    profile = quartic_profile(family, [k / rows for k in range(rows)])
+    tracemalloc.start()
+    try:
+        scan = quartic_grid_max(profile)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan.max_value.size == rows
+    return peak - current
+
+
+class TestTableScanMemory:
+    """The scan's arrays are bounded by the row block, not the row count;
+    only the band hints and the blocks' results grow with the rows."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_band_scan_is_flat(self, family):
+        # one (rows, 17) array would take 13.6 MB at 100,000 rows; the hints
+        # and the results take about 33 bytes a row
+        small, large = scan_memory(family, 5_000), scan_memory(family, 100_000)
+        assert large < 8 << 20
+        assert large - small < 95_000 * 48
+
+    def test_full_rescans_are_flat(self, monkeypatch):
+        # a one-point band never certifies, so every row of every round is
+        # rescanned on all 2001 points, a block of rows at a time
+        monkeypatch.setattr(opt, "QUARTIC_BAND", 0)
+        small, large = scan_memory(FamilyId.CONVEX, 600), scan_memory(FamilyId.CONVEX, 2_000)
+        assert large < 6 * QUARTIC_BLOCK_ROWS * 2001 * 8
+        assert abs(large - small) < 1 << 16
 
 
 class TestMaximizeSurrogate:

@@ -66,9 +66,12 @@ COMMANDS = (
     "table --family convex --beta-range 0.5 0.5 --step 0.1",
     "table --family starlike --beta-range 0.2 0.6 --step 0.0037",
     "table --format json --beta-range 0 0.99 --step 0.01",
-    # row counts one past a 16-row and a 256-row block
+    # row counts one past a 16-row and a 256-row block, exactly one 256-row
+    # block, and two whole blocks and a partial one (762 rows) in JSON
     "table --family both --beta-range 0 0.16 --step 0.01",
     "table --family convex --beta-range 0 0.256 --step 0.001",
+    "table --family convex --beta-range 0 0.255 --step 0.001",
+    "table --format json --family both --beta-range 0 0.99 --step 0.0013",
     # dense betas around the starlike thresholds: the sign change of the
     # quartic's c^4 coefficient (~0.222876), a band just above it, and the
     # split where the peak reaches c = 2 (~0.540478)
